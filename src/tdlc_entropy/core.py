@@ -29,7 +29,7 @@ plus the dynamics hooks used by the cotrajectory module (``plus_group_impl``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .exact import IndexValue
@@ -66,13 +66,34 @@ def _same_backend(*handles):
     return handles[0].model
 
 
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class TdlcSystem:
-    """A concretely represented group together with a continuous endomorphism."""
+    """A concretely represented group together with a continuous endomorphism.
+
+    The system owns the cache behind ``memo``: derived quantities (forward
+    cores, tidy transforms, entropy, scale) are computed once per system and
+    live exactly as long as it does.  The cache takes no part in equality.
+    """
 
     model: Any
     endo: Any
     name: str = ""
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def memo(self, key, compute: Callable, *args):
+        """``compute(*args)``, computed once per ``key`` on this system.
+
+        Handles are canonical, so a key of handles and integers identifies
+        the quantity.  Cached values must be immutable.  An exception is not
+        cached: it propagates and the next call computes again.
+        """
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = compute(*args)
+        return value
 
     @property
     def capabilities(self) -> frozenset:

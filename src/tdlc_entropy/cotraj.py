@@ -9,6 +9,12 @@ local entropy, and it must coincide with the index [phi(U_+) : U_+] of the
 forward core U_+.  This module computes all of these with per-backend
 stabilization certificates and never reports a value from an uncertified
 plateau.
+
+The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
+``tidy_above_transform``) is cached on the system.  The limit route
+(``alpha_sequence`` and the chains under it) is never cached: it must stay
+independent of the forward core, because their agreement is the library's
+central cross-check.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class TidyBelowResult:
 
 
 def _preimage_chain(sys: TdlcSystem, U, n: int):
-    """Cached preimages phi^{-j}(U) for j = 0..n."""
+    """The preimages phi^{-j}(U) for j = 0..n, each from the previous one."""
     out = [U]
     for _ in range(n):
         out.append(core.preimage(sys.endo, out[-1]))
@@ -160,6 +166,10 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Cotrajecto
 
 def plus_group(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> PlusGroupResult:
     """The forward core U_+ = the intersection of all U_n, exactly."""
+    return sys.memo(("plus_group", U, probe), _plus_group, sys, U, probe)
+
+
+def _plus_group(sys: TdlcSystem, U, probe: int) -> PlusGroupResult:
     handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U, probe)
     check = core.intersect(U, core.image(sys.endo, handle))
     if check != handle:
@@ -171,6 +181,10 @@ def plus_group(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> PlusGroupResul
 
 def minus_group(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE):
     """The full cotrajectory U_-, from closed-form tails or finiteness."""
+    return sys.memo(("minus_group", U, probe), _minus_group, sys, U, probe)
+
+
+def _minus_group(sys: TdlcSystem, U, probe: int):
     handle, _ = sys.model.minus_group_impl(sys.endo, U, probe)
     check = core.intersect(U, core.preimage(sys.endo, handle))
     if check != handle:
@@ -199,6 +213,10 @@ def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Exact
 
 def is_tidy_above(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> bool:
     """U is tidy above when U = U_+ U_-."""
+    return sys.memo(("is_tidy_above", U, probe), _is_tidy_above, sys, U, probe)
+
+
+def _is_tidy_above(sys: TdlcSystem, U, probe: int) -> bool:
     if not sys.supports("set_product"):
         raise core.CapabilityError("tidy-above needs the set product")
     plus = plus_group(sys, U, probe).handle
@@ -209,6 +227,11 @@ def is_tidy_above(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> bool:
 def tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE,
                          probe: int = DEFAULT_PROBE):
     """The first cotrajectory subgroup U_{-n} that is tidy above."""
+    return sys.memo(("tidy_above_transform", U, tidy_probe, probe),
+                    _tidy_above_transform, sys, U, tidy_probe, probe)
+
+
+def _tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int, probe: int):
     chain = minus_chain(sys, U, tidy_probe)
     for handle in chain:
         if is_tidy_above(sys, handle, probe):

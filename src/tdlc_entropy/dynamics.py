@@ -119,6 +119,10 @@ def topological_entropy(sys: TdlcSystem, probe: int = 8) -> EntropyReport:
     violation is a backend bug.  Elements whose stabilization cannot be
     certified are excluded and reported, and they void saturation.
     """
+    return sys.memo(("topological_entropy", probe), _topological_entropy, sys, probe)
+
+
+def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
     table = []
     unresolved = []
     witness = None
@@ -154,9 +158,14 @@ def topological_entropy(sys: TdlcSystem, probe: int = 8) -> EntropyReport:
     )
 
 
-def scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int):
+def scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
     """The declared finite probe family: the base, its tidy-above transforms,
     and backend extras; compact open handles only, deduplicated in order."""
+    return sys.memo(("scale_candidates", probe, tidy_probe),
+                    _scale_candidates, sys, probe, tidy_probe)
+
+
+def _scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
     seen = []
     for k in range(probe + 1):
         u = core.base_family(sys, k)
@@ -172,7 +181,7 @@ def scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int):
     for u in sys.model.scale_candidates(sys.endo, probe):
         if u not in seen:
             seen.append(u)
-    return [u for u in seen if u.is_compact and u.is_open]
+    return tuple(u for u in seen if u.is_compact and u.is_open)
 
 
 def scale(sys: TdlcSystem, probe: int = 8, tidy_probe: int = 16) -> ScaleReport:
@@ -181,6 +190,10 @@ def scale(sys: TdlcSystem, probe: int = 8, tidy_probe: int = 16) -> ScaleReport:
     The reported value is certified optimal through the witness's tidiness
     (minimizing and tidy coincide) or through backend oracle agreement.
     """
+    return sys.memo(("scale", probe, tidy_probe), _scale, sys, probe, tidy_probe)
+
+
+def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
     candidates = scale_candidates(sys, probe, tidy_probe)
     if not candidates:
         raise InvariantViolation("the scale probe family is empty")
@@ -219,15 +232,14 @@ def scale(sys: TdlcSystem, probe: int = 8, tidy_probe: int = 16) -> ScaleReport:
     )
 
 
-def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8,
-        scale_report: Optional[ScaleReport] = None) -> NubReport:
+def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8) -> NubReport:
     """Intersection of the minimizing subgroups found within the resolution.
 
     Certified only when the backend can verify the family is downward
     directed and extends to a family with the stated intersection; otherwise
     the result is an upper approximation and is flagged as such.
     """
-    s = scale_report or scale(sys, probe=probe)
+    s = scale(sys, probe=probe)
     minimizing = [
         u for u in scale_candidates(sys, probe, cotraj.DEFAULT_TIDY_PROBE)
         if cotraj.displacement_index(sys, u) == IndexValue(s.value)
@@ -326,7 +338,7 @@ def verify_scale_entropy_link(sys: TdlcSystem, probe: int = 8, resolution: int =
     internally consistent.
     """
     s = scale(sys, probe=probe)
-    n = nub(sys, resolution=resolution, probe=probe, scale_report=s)
+    n = nub(sys, resolution=resolution, probe=probe)
     if not n.certified or n.handle is None:
         return Verdict(INCONCLUSIVE, f"nub not certified: {n.reason}")
     try:

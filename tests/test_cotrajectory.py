@@ -1,13 +1,21 @@
+import io
+import os
+from contextlib import redirect_stdout
 from fractions import Fraction
 
-from tdlc_entropy import core, cotraj
+import pytest
+
+from tdlc_entropy import cli, core, cotraj
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
-from tdlc_entropy.core import TdlcSystem
+from tdlc_entropy.core import TdlcSystem, UnresolvedError
 from tdlc_entropy.exact import ExactEntropy, IndexValue
+from tdlc_entropy.scenario import build_system, load_scenario_file
 
 F = Fraction
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def q2_half():
@@ -249,3 +257,70 @@ def test_normalizer_descends_to_plus_n():
         un = cotraj.plus_n(f, u, n)
         norm = f.model.normalizer(un)
         assert f.model.contains(norm, a3)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call is counted; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_plus_group_is_computed_once_per_system(monkeypatch):
+    sys = q2_half()
+    calls = count_calls(monkeypatch, sys.model, "plus_group_impl")
+    u = sys.model.full_lattice()
+    first = cotraj.plus_group(sys, u)
+    assert cotraj.plus_group(sys, u) is first
+    assert cotraj.plus_group(sys, u, cotraj.DEFAULT_PROBE) is first  # defaults share the entry
+    assert len(calls) == 1
+    assert cotraj.plus_group(sys, u, 8) == first
+    assert len(calls) == 2
+
+
+def test_systems_built_from_one_scenario_share_no_entries(monkeypatch):
+    data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
+    first, second = build_system(data), build_system(data)
+    calls = count_calls(monkeypatch, PadicModel, "plus_group_impl")
+    cotraj.plus_group(first, first.model.full_lattice())
+    assert second._cache == {}
+    cotraj.plus_group(second, second.model.full_lattice())
+    assert len(calls) == 2
+
+
+def test_system_equality_ignores_the_cache():
+    sys = q2_half()
+    other = TdlcSystem(sys.model, sys.endo, name=sys.name)
+    cotraj.plus_group(sys, sys.model.full_lattice())
+    assert sys._cache and not other._cache
+    assert sys == other and hash(sys) == hash(other)
+    assert "_cache" not in repr(sys)
+
+
+def test_unresolved_is_raised_again_not_cached(monkeypatch):
+    # companion matrix of x^2 + x/2 + 3: root valuations +1 and -1, U_+ unresolved
+    m = PadicModel(2, 2)
+    sys = TdlcSystem(m, m.endo([[0, -3], [1, F(-1, 2)]]), name="mixed_slope")
+    calls = count_calls(monkeypatch, m, "plus_group_impl")
+    for _ in range(2):
+        with pytest.raises(UnresolvedError):
+            cotraj.plus_group(sys, m.full_lattice(), probe=12)
+    assert len(calls) == 2
+
+
+def test_report_forward_core_op_counts(monkeypatch):
+    """Op-count gate: one report computes each forward core once per key."""
+    plus = count_calls(monkeypatch, PadicModel, "plus_group_impl")
+    minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
+    path = os.path.join(SCENARIOS, "q2_half.json")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
+                         "--resolution", "4"])
+    assert code == cli.EXIT_OK
+    assert (len(plus), len(minus)) == (19, 4)

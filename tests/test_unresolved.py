@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import cli, cotraj, dynamics
+from tdlc_entropy import cli, cotraj, dynamics, verify
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.core import TdlcSystem, UnresolvedError
 from tdlc_entropy.exact import ExactEntropy
@@ -74,3 +74,17 @@ def test_cli_exit_codes_for_unresolved(tmp_path):
     assert results["cotrajectory"]["n_star"] is not None  # oracle-certified
     code, _ = run_cli(["report", str(path), "--strict"])
     assert code == cli.EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("outcome", ["raises", "uncertified"])
+def test_cotrajectory_suite_is_inconclusive_when_alpha_is_unresolved(monkeypatch, outcome):
+    def unresolved_alpha(sys, U, n_max):
+        if outcome == "raises":
+            raise UnresolvedError("alpha did not stabilize")
+        return cotraj.CotrajectoryTable(subgroup=U, rows=(), n_star=None, certificate={})
+
+    monkeypatch.setattr(cotraj, "alpha_sequence", unresolved_alpha)
+    entries = verify.suite_cotrajectory(n_max=4)
+    assert entries
+    assert {e["status"] for e in entries} == {dynamics.INCONCLUSIVE}
+    assert all(e["n_star"] is None and e["reason"] for e in entries)
