@@ -2,15 +2,18 @@
 
 Closed subgroups are represented exactly as V + L with V a rational subspace
 (the divisible, non-compact part) and L a finitely generated Z_(p)-module.
-Only the valuation at p matters, so all arithmetic stays in Fraction and the
-canonical form is a reduced-row-echelon basis for V plus a p-local column
-Hermite form for L projected mod V.  Every index is a pure p-power read off
+Only the valuation at p matters, so vectors are exact rationals (Fraction)
+and the canonical form is a reduced-row-echelon basis for V plus a p-local
+column Hermite form for L projected mod V; the eliminations behind both run
+on Python ints in ``linalg``.  Every index is a pure p-power read off
 elementary-divisor valuations.
 
 Each subgroup also has a dual description by constraints: x lies in the
 subgroup iff N x = 0 and D x is p-integral.  Intersections and preimages are
 computed by stacking constraints and converting back, which is exact and
-needs no iteration.
+needs no iteration.  Each conversion is one elimination of an augmented
+matrix (``linalg.kernel_and_solutions``) that yields the kernel split and
+every particular solution at once.
 """
 
 from __future__ import annotations
@@ -36,13 +39,13 @@ from ..linalg import (
     frac_matrix,
     identity_matrix,
     integer_kernel,
+    kernel_and_solutions,
     mat_mul,
     mat_pow,
     mat_vec,
     pval,
     rational_kernel,
     rref,
-    solve_right,
     transpose,
     zp_column_hnf,
 )
@@ -113,7 +116,9 @@ class PadicModel:
     kind = "padic"
 
     def __init__(self, p: int, dim: int, base_lattice=None, name=""):
-        if p < 2 or any(p % q == 0 for q in range(2, p)):
+        if p >= _MILLER_RABIN_BOUND:
+            raise ValueError(f"prime {p} is too large (limit {_MILLER_RABIN_BOUND - 1})")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if dim < 0:
             raise ValueError("dimension must be >= 0")
@@ -187,58 +192,57 @@ class PadicModel:
     # -- constraint form -------------------------------------------------------
 
     def constraint_form(self, U: PadicSubgroup):
-        """(N, D): x in U  iff  N x = 0 and every entry of D x is p-integral."""
+        """(N, D): x in U  iff  N x = 0 and every entry of D x is p-integral.
+
+        N spans the annihilator of V + span(L); D is the dual basis to the
+        module columns (zero on V).  Both come from one elimination of the
+        span rows against the unit vectors of the module columns.
+        """
         span_rows = tuple(U.subspace) + tuple(U.module)
         if not span_rows:
             return identity_matrix(self.dim), ()
-        n_rows = rational_kernel(span_rows)
-        if not U.module:
-            return n_rows, ()
-        cols = [tuple(r) for r in U.subspace] + [tuple(c) for c in U.module]
-        bt = tuple(zip(*cols)) if cols else ()
-        d_rows = []
-        for t in range(len(U.subspace), len(cols)):
-            target = tuple(F(1) if i == t else F(0) for i in range(len(cols)))
-            q = solve_right(tuple(zip(*bt)), target)
-            if q is None:
-                raise InvariantViolation("span basis lost full column rank")
-            d_rows.append(q)
-        return n_rows, tuple(d_rows)
+        k = len(span_rows)
+        targets = [tuple(int(i == t) for i in range(k)) for t in range(len(U.subspace), k)]
+        n_rows, d_rows = kernel_and_solutions(span_rows, targets)
+        if None in d_rows:
+            raise InvariantViolation("span basis lost full column rank")
+        return n_rows, d_rows
 
     def from_constraints(self, n_rows, d_rows) -> PadicSubgroup:
         """The closed subgroup {x : N x = 0, D x p-integral}."""
-        if n_rows:
-            v0 = rational_kernel(n_rows)
-        else:
-            v0 = identity_matrix(self.dim)
+        v0 = rational_kernel(n_rows) if n_rows else identity_matrix(self.dim)
         if not v0:
             return self.zero_subgroup()
         if not d_rows:
             return self.closed_subgroup(v0, ())
-        v0t = transpose(v0)  # d x s, x = V0^T t
-        e = mat_mul(frac_matrix(d_rows), v0t)  # m x s
-        kern = rational_kernel(e)
-        sub_rows = [mat_vec(v0t, k) for k in kern] if kern else []
-        im_basis, _ = rref(transpose(e))
-        mod_cols = []
-        if im_basis:
-            cuts = rational_kernel(im_basis)
-            gens = integer_kernel(cuts) if cuts else [
-                tuple(1 if i == j else 0 for i in range(len(e))) for j in range(len(e))
-            ]
-            for g in gens:
-                t = solve_right(e, g)
-                if t is None:
-                    raise InvariantViolation("integral image generator left the column space")
-                mod_cols.append(mat_vec(v0t, t))
-        return self.closed_subgroup(sub_rows, mod_cols)
+        # x = V0^T t; with no N, V0 = I and t is x itself.
+        if n_rows:
+            v0t = transpose(v0)
+            e = mat_mul(d_rows, v0t)  # m x s
+        else:
+            e = d_rows
+        m = len(e)
+        # The image of e is {y : cuts y = 0}; there are m cuts exactly when e = 0.
+        cuts = rational_kernel(transpose(e))
+        if len(cuts) == m:
+            gens = []
+        elif cuts:
+            gens = integer_kernel(cuts)
+        else:
+            gens = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        kern, sols = kernel_and_solutions(e, gens)
+        if None in sols:
+            raise InvariantViolation("integral image generator left the column space")
+        if n_rows:
+            kern = [mat_vec(v0t, t) for t in kern]
+            sols = [mat_vec(v0t, t) for t in sols]
+        return self.closed_subgroup(kern, sols)
 
     # -- membership, containment, index ---------------------------------------
 
     def _reduce_mod_subspace(self, U: PadicSubgroup, x):
         x = list(map(frac, x))
-        _, piv = rref(U.subspace) if U.subspace else ((), ())
-        for r, pc in zip(U.subspace, piv):
+        for r, pc in zip(U.subspace, _pivot_columns(U.subspace)):
             if x[pc] != 0:
                 f = x[pc]
                 for i in range(self.dim):
@@ -340,8 +344,8 @@ class PadicModel:
             raise UnsupportedSubgroupError(
                 "can only quotient by a rational subspace in this backend"
             )
-        rows, piv = rref(H.subspace) if H.subspace else ((), ())
-        nonpiv = [j for j in range(self.dim) if j not in set(piv)]
+        piv = set(_pivot_columns(H.subspace))
+        nonpiv = [j for j in range(self.dim) if j not in piv]
         dprime = len(nonpiv)
 
         def project_vec(x):
@@ -376,7 +380,8 @@ class PadicModel:
             raise UnsupportedSubgroupError(
                 "can only restrict to a rational subspace in this backend"
             )
-        rows, piv = (rref(H.subspace) if H.subspace else ((), ()))
+        rows = H.subspace
+        piv = _pivot_columns(rows)
         s = len(rows)
         a = phi.matrix
 
@@ -647,6 +652,41 @@ class PadicModel:
             True,
             "p-power scaling chain of the witness is minimizing and intersects to 0",
         )
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MILLER_RABIN_BOUND."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pivot_columns(rows) -> tuple:
+    """Pivot columns of rows already in reduced row echelon form."""
+    return tuple(next(i for i, x in enumerate(row) if x) for row in rows)
 
 
 # -- polynomial helpers -------------------------------------------------------------

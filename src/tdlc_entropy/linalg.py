@@ -2,16 +2,27 @@
 
 Everything here works over Fraction or int; there is no floating point.
 Matrices are tuples of row tuples unless a function says otherwise.
+
+Inputs and outputs are Fractions (ints are accepted), but the eliminations
+clear denominators once and run on Python ints: ``rref`` is fraction-free
+Gauss-Jordan with content division, ``zp_column_hnf`` carries each column as
+(integer vector, denominator), and ``integer_kernel`` is Euclidean
+elimination.  ``kernel_and_solutions`` reads a kernel basis and any number of
+particular solutions off a single ``rref``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple
 Mat = tuple
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -25,8 +36,7 @@ def frac_matrix(rows) -> Mat:
 
 
 def identity_matrix(d: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(d)) for i in range(d))
 
 
 def zero_vector(d: int) -> Vec:
@@ -58,75 +68,113 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
+def _clear_denominators(row) -> tuple[list[int], int]:
+    """(ints, den) with ``row == ints / den`` and ``den`` the lcm of the denominators."""
+    try:
+        dens = [x.denominator for x in row]
+    except AttributeError:
+        row = [frac(x) for x in row]
+        dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
+
+
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form over Q; returns (nonzero rows, pivot columns).
 
     The output is the canonical basis of the row space: leading ones, zeros
-    above and below each pivot, pivot columns strictly increasing.
+    above and below each pivot, pivot columns strictly increasing.  Each row
+    is scaled to integers once; the elimination is fraction-free Gauss-Jordan
+    on ints, each updated row divided by its content, and the Fractions are
+    built only when a pivot row is divided by its pivot at the end.
     """
-    m = [list(map(frac, row)) for row in rows]
+    m = [_clear_denominators(row)[0] for row in rows]
     if not m:
         return (), ()
-    ncols = len(m[0])
+    nrows = len(m)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
+    for c in range(len(m[0])):
+        for i in range(r, nrows):
+            if m[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = row if g <= 1 else [x // g for x in row]
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
-    out = tuple(tuple(row) for row in m[:r])
-    return out, tuple(pivots)
+    out = []
+    for row, c in zip(m, pivots):
+        pv = row[c]
+        out.append(tuple([
+            (_ONE if x == pv else Fraction(x, pv)) if x else _ZERO for x in row
+        ]))
+    return tuple(out), tuple(pivots)
+
+
+def kernel_and_solutions(a, rhs=()) -> tuple[Mat, tuple[Optional[Vec], ...]]:
+    """Kernel basis of ``a`` and one solution of ``a @ x = b`` per ``b`` in ``rhs``.
+
+    Both come from one rref of ``[a | b_1 ... b_m]``: its left block is the
+    rref of ``a``.  The kernel rows are the canonical free-variable basis
+    (free variable 1, the others 0).  A solution sets the free variables to 0;
+    it is None when a row of the rref is zero on the left and not on ``b``.
+    """
+    ncols = len(a[0])
+    if rhs:
+        a = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a)]
+    red, pivots = rref(a)
+    rank = bisect_left(pivots, ncols)
+    lead = list(zip(red, pivots[:rank]))
+    kernel = []
+    if rank < ncols:
+        pivset = set(pivots[:rank])
+        for f in range(ncols):
+            if f not in pivset:
+                v = [_ZERO] * ncols
+                v[f] = _ONE
+                for row, c in lead:
+                    if row[f]:
+                        v[c] = -row[f]
+                kernel.append(tuple(v))
+    solutions = []
+    for j in range(ncols, ncols + len(rhs)):
+        if rank < len(red) and any(row[j] for row in red[rank:]):
+            solutions.append(None)
+            continue
+        x = [_ZERO] * ncols
+        for row, c in lead:
+            x[c] = row[j]
+        solutions.append(tuple(x))
+    return tuple(kernel), tuple(solutions)
 
 
 def rational_kernel(a) -> Mat:
     """Canonical basis rows of {x : a @ x = 0}, via the rref free-variable split."""
-    a = frac_matrix(a)
     if not a:
         return ()
-    ncols = len(a[0])
-    red, pivots = rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return kernel_and_solutions(a)[0]
 
 
 def solve_right(a, b) -> Optional[Vec]:
     """One exact solution x of a @ x = b, or None if inconsistent."""
-    a = frac_matrix(a)
-    b = tuple(map(frac, b))
     if not a:
-        return None if any(b) else ()
-    ncols = len(a[0])
-    aug = tuple(row + (bv,) for row, bv in zip(a, b))
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return tuple(x)
+        return None if any(map(frac, b)) else ()
+    return kernel_and_solutions(a, [b])[1][0]
 
 
 def det(a) -> Fraction:
@@ -179,15 +227,11 @@ def integer_kernel(a) -> list[tuple[int, ...]]:
     spans the full saturated kernel lattice, so it is also a basis of the
     kernel over any localization of Z.
     """
-    a = frac_matrix(a)
     if not a:
         return []
     n = len(a[0])
     m = len(a)
-    int_rows = []
-    for row in a:
-        den = lcm(*[x.denominator for x in row]) if row else 1
-        int_rows.append([int(x * den) for x in row])
+    int_rows = [_clear_denominators(row)[0] for row in a]
     # Work on [A^T | I]; rows whose A^T block is zeroed give kernel vectors.
     work = []
     for c in range(n):
@@ -217,21 +261,21 @@ def integer_kernel(a) -> list[tuple[int, ...]]:
     return [tuple(r[m:]) for r in work[row_at:]]
 
 
+def _vp_int(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def pval(x, p: int) -> Optional[int]:
     """p-adic valuation of a rational; None means +infinity (x == 0)."""
     x = frac(x)
     if x == 0:
         return None
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
 def pval_min(values, p: int) -> Optional[int]:
@@ -264,6 +308,16 @@ def _reduce_mod_p_power(x: Fraction, a: int, p: int) -> tuple[Fraction, Fraction
     return r, q
 
 
+def _lowest_terms(x: list[int], den: int) -> tuple[list[int], int]:
+    """The column ``x / den`` with ``den > 0`` and no factor common to all of x and den."""
+    if den < 0:
+        x, den = [-v for v in x], -den
+    g = gcd(den, *x)
+    if g == 1:
+        return x, den
+    return [v // g for v in x], den // g
+
+
 def zp_column_hnf(cols, d: int, p: int) -> tuple[Mat, tuple[tuple[int, int], ...]]:
     """Canonical column Hermite form of a Z_(p)-module spanned by ``cols``.
 
@@ -271,32 +325,59 @@ def zp_column_hnf(cols, d: int, p: int) -> tuple[Mat, tuple[tuple[int, int], ...
     column t has entry p**a_t at row i_t, zeros above, zeros at pivot rows of
     later columns, and canonical residues mod p**a_t at pivot rows of earlier
     columns.  Two generating sets of the same module yield identical output.
+
+    Each column is carried as (integer vector, positive denominator) in lowest
+    terms, so valuations are read off ints; Fractions are built at the end.
     """
-    work = [list(map(frac, c)) for c in cols if any(x != 0 for x in c)]
+    work = []
+    for c in cols:
+        x, den = _clear_denominators(c)
+        if any(x):
+            work.append(_lowest_terms(x, den))
     pivots = []
     k = 0
     for i in range(d):
-        cand = [j for j in range(k, len(work)) if work[j][i] != 0]
-        if not cand:
+        j0 = None
+        for j in range(k, len(work)):
+            xj, dj = work[j]
+            if xj[i]:
+                v = _vp_int(xj[i], p) - _vp_int(dj, p)
+                if j0 is None or v < a:
+                    j0, a = j, v
+        if j0 is None:
             continue
-        j0 = min(cand, key=lambda j: (pval(work[j][i], p), j))
         work[k], work[j0] = work[j0], work[k]
-        a = pval(work[k][i], p)
-        unit = work[k][i] / Fraction(p) ** a
-        work[k] = [x / unit for x in work[k]]
+        xk, dk = work[k]
+        # Divide by the unit part u of the pivot entry x[i] / den, where
+        # x[i] = p**v * u: the column becomes x / (p**v_p(den) * u) and its
+        # pivot entry p**a.
+        v = a + _vp_int(dk, p)
+        xk, dk = _lowest_terms(xk, (xk[i] // p**v) * p ** (v - a))
+        work[k] = (xk, dk)
+        piv = xk[i]  # p**a * dk > 0
         for j in range(k + 1, len(work)):
-            if work[j][i] != 0:
-                q = work[j][i] / (Fraction(p) ** a)
-                work[j] = [x - q * y for x, y in zip(work[j], work[k])]
+            xj, dj = work[j]
+            f = xj[i]
+            if f:
+                g = gcd(f, piv)
+                a_j, b_j = piv // g, f // g
+                work[j] = _lowest_terms([a_j * u - b_j * w for u, w in zip(xj, xk)], dj * a_j)
         pivots.append((i, a))
         k += 1
     work = work[:k]
     for t in range(len(pivots)):
         it, at = pivots[t]
+        xt, dt = work[t]
         for s in range(t):
-            x = work[s][it]
-            if x != 0:
-                r, q = _reduce_mod_p_power(x, at, p)
+            xs, ds = work[s]
+            if xs[it]:
+                _, q = _reduce_mod_p_power(Fraction(xs[it], ds), at, p)
                 if q != 0:
-                    work[s] = [u - q * v for u, v in zip(work[s], work[t])]
-    return tuple(tuple(c) for c in work), tuple(pivots)
+                    qn, qd = q.numerator, q.denominator
+                    work[s] = _lowest_terms(
+                        [u * qd * dt - qn * ds * w for u, w in zip(xs, xt)], ds * qd * dt
+                    )
+    out = tuple([
+        tuple([Fraction(v, den) if v else _ZERO for v in x]) for x, den in work
+    ])
+    return out, tuple(pivots)

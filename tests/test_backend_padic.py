@@ -257,3 +257,52 @@ def test_scale_candidates_adapted():
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
     cands = m.scale_candidates(mixed, 4)
     assert m.full_lattice() in cands
+
+
+def _draw_mixed_handle(data, model):
+    """A random V + L: a few subspace rows and module columns with p-power denominators."""
+    p, dim = model.p, model.dim
+    rnd = lambda: F(data.draw(st.integers(-6, 6)), p ** data.draw(st.integers(0, 2)))
+    n_sub = data.draw(st.integers(0, dim - 1))
+    n_mod = data.draw(st.integers(0, dim))
+    sub = [[rnd() for _ in range(dim)] for _ in range(n_sub)]
+    mod = [[rnd() for _ in range(dim)] for _ in range(n_mod)]
+    return model.closed_subgroup(sub, mod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_constraint_roundtrip_random_primes(data):
+    model = PadicModel(data.draw(st.sampled_from([2, 3, 5, 7])), data.draw(st.integers(1, 3)))
+    h = _draw_mixed_handle(data, model)
+    assert model.from_constraints(*model.constraint_form(h)) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersect_of_mixed_handles_agrees_with_membership(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    model = PadicModel(p, 2)
+    u = _draw_mixed_handle(data, model)
+    v = _draw_mixed_handle(data, model)
+    w = model.intersect(u, v)
+    assert model.contains(u, w) and model.contains(v, w)
+    samples = [F(0), F(1), F(p), F(1, p), F(-3, p * p), F(5)]
+    for x in itertools.product(samples, repeat=2):
+        assert (model.member(u, x) and model.member(v, x)) == model.member(w, x)
+
+
+def test_primality_check_without_trial_division():
+    assert PadicModel(2**61 - 1, 1).p == 2**61 - 1
+    # 561 and 56052361 = 211 * 421 * 631 are Carmichael numbers (Fermat
+    # pseudoprimes to every base prime to them); 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5, 7 and 318665857834031151167461 to the
+    # first 12 primes.
+    for composite in (561, 56052361, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            PadicModel(composite, 1)
+    # Beyond the bound where the fixed Miller-Rabin bases are exact; the
+    # product is composite and 2**89 - 1 is prime, and both are refused.
+    for large in ((2**31 - 1) * (2**61 - 1), 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PadicModel(large, 1)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import cli, core, cotraj
+from tdlc_entropy import cli, core, cotraj, linalg
+from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
@@ -324,3 +325,31 @@ def test_report_forward_core_op_counts(monkeypatch):
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
     assert (len(plus), len(minus)) == (19, 4)
+
+
+def count_rref(monkeypatch):
+    """Count ``rref`` calls made from ``linalg`` itself and from the p-adic backend."""
+    calls = count_calls(monkeypatch, linalg, "rref")
+    monkeypatch.setattr(padic, "rref", linalg.rref)
+    return calls
+
+
+def test_linalg_elimination_counts(monkeypatch):
+    """Op-count gate: one elimination per constraint conversion.
+
+    With one elimination per solved column the same calls made 11 and 5311.
+    """
+    m = PadicModel(2, 2)
+    u = m.lattice([[1, 2], [3, 4]])
+    v = m.lattice([[2, 0], [1, 1]])
+    calls = count_rref(monkeypatch)
+    assert m.intersect(u, v) == m.lattice([[2, 0], [0, 2]])
+    assert len(calls) == 4
+
+    del calls[:]
+    path = os.path.join(SCENARIOS, "q2_half.json")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
+                         "--resolution", "4"])
+    assert code == cli.EXIT_OK
+    assert len(calls) == 2666

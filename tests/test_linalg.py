@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from tdlc_entropy.linalg import (
     charpoly,
     det,
+    frac,
     frac_matrix,
     integer_kernel,
+    kernel_and_solutions,
     mat_mul,
     mat_vec,
     pval,
@@ -17,6 +19,188 @@ from tdlc_entropy.linalg import (
 )
 
 F = Fraction
+
+
+# -- reference implementations: Gauss-Jordan and Hermite reduction in Fraction ----
+
+
+def reference_rref(rows):
+    m = [list(map(frac, row)) for row in rows]
+    if not m:
+        return (), ()
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def reference_kernel(a):
+    red, pivots = reference_rref(a)
+    ncols = len(a[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_solve(a, b):
+    ncols = len(a[0])
+    red, pivots = reference_rref([tuple(row) + (bv,) for row, bv in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][ncols]
+    return tuple(x)
+
+
+def _reference_reduce_mod_p_power(x, a, p):
+    v = pval(x, p)
+    if v is None:
+        return F(0), F(0)
+    pa = F(p) ** a
+    if v >= a:
+        return F(0), x / pa
+    unit = x / F(p) ** v
+    mod = p ** (a - v)
+    num = unit.numerator % mod
+    deninv = pow(unit.denominator % mod, -1, mod)
+    r = F((num * deninv) % mod) * F(p) ** v
+    return r, (x - r) / pa
+
+
+def reference_zp_column_hnf(cols, d, p):
+    work = [list(map(frac, c)) for c in cols if any(x != 0 for x in c)]
+    pivots = []
+    k = 0
+    for i in range(d):
+        cand = [j for j in range(k, len(work)) if work[j][i] != 0]
+        if not cand:
+            continue
+        j0 = min(cand, key=lambda j: (pval(work[j][i], p), j))
+        work[k], work[j0] = work[j0], work[k]
+        a = pval(work[k][i], p)
+        unit = work[k][i] / F(p) ** a
+        work[k] = [x / unit for x in work[k]]
+        for j in range(k + 1, len(work)):
+            if work[j][i] != 0:
+                q = work[j][i] / (F(p) ** a)
+                work[j] = [x - q * y for x, y in zip(work[j], work[k])]
+        pivots.append((i, a))
+        k += 1
+    work = work[:k]
+    for t in range(len(pivots)):
+        it, at = pivots[t]
+        for s in range(t):
+            x = work[s][it]
+            if x != 0:
+                _, q = _reference_reduce_mod_p_power(x, at, p)
+                if q != 0:
+                    work[s] = [u - q * v for u, v in zip(work[s], work[t])]
+    return tuple(tuple(c) for c in work), tuple(pivots)
+
+
+def draw_entry(data, p):
+    """An int or a Fraction, often 0, with denominators that include powers of p."""
+    kind = data.draw(st.integers(0, 3))
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return data.draw(st.integers(-9, 9))
+    den = data.draw(st.sampled_from([1, p, p * p, p**3, 3, 7, 2 * p, 9 * p]))
+    return F(data.draw(st.integers(-30, 30)), den)
+
+
+def draw_matrix(data, p, max_rows=4, max_cols=5, min_cols=0):
+    """Rows of entries; some rows are zero or combinations of earlier rows."""
+    ncols = data.draw(st.integers(min_cols, max_cols))
+    rows = []
+    for _ in range(data.draw(st.integers(0, max_rows))):
+        kind = data.draw(st.integers(0, 4))
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows) - 1))
+            c = F(data.draw(st.integers(-5, 5)), data.draw(st.sampled_from([1, p, 3])))
+            rows.append([frac(x) + c * frac(y) for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([draw_entry(data, p) for _ in range(ncols)])
+    return rows
+
+
+def all_fractions(mat):
+    return all(type(x) is F for row in mat for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rref_matches_reference(data):
+    rows = draw_matrix(data, data.draw(st.sampled_from([2, 3, 5, 7])))
+    red, pivots = rref(rows)
+    assert (red, pivots) == reference_rref(rows)
+    assert all_fractions(red)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_and_solutions_match_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    rows = draw_matrix(data, p, min_cols=1)
+    if not rows:
+        rows = [[draw_entry(data, p)]]
+    rhs = [
+        tuple(draw_entry(data, p) for _ in rows)
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    kernel, solutions = kernel_and_solutions(rows, rhs)
+    assert kernel == reference_kernel(rows) == rational_kernel(rows)
+    assert solutions == tuple(reference_solve(rows, b) for b in rhs)
+    assert solutions == tuple(solve_right(rows, b) for b in rhs)
+    assert all_fractions(kernel) and all_fractions(s for s in solutions if s is not None)
+
+
+def test_empty_inputs():
+    assert rref([]) == reference_rref([]) == ((), ())
+    assert rref([[]]) == reference_rref([[]]) == ((), ())
+    assert rational_kernel([]) == ()
+    assert solve_right([], []) == () and solve_right([], [1]) is None
+    assert zp_column_hnf([], 2, 3) == ((), ())
+    assert zp_column_hnf([(0, 0)], 2, 3) == reference_zp_column_hnf([(0, 0)], 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zp_column_hnf_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    cols = draw_matrix(data, p, max_cols=4)
+    d = len(cols[0]) if cols else data.draw(st.integers(0, 3))
+    out, pivots = zp_column_hnf(cols, d, p)
+    assert (out, pivots) == reference_zp_column_hnf(cols, d, p)
+    assert all_fractions(out)
 
 
 def test_rref_canonical():

@@ -106,6 +106,12 @@ def test_cli_exit_codes(tmp_path):
     code, _ = run_cli(["entropy", str(invalid)])
     assert code == cli.EXIT_INVALID
 
+    for prime in (4, 2**89 - 1):
+        huge = tmp_path / "huge_prime.json"
+        huge.write_text(json.dumps(dict(find_scenario("q2_half"), prime=prime)))
+        code, _ = run_cli(["entropy", str(huge)])
+        assert code == cli.EXIT_INVALID
+
     good = tmp_path / "good.json"
     good.write_text(json.dumps(find_scenario("q2_half")))
     code, out = run_cli(["entropy", str(good), "--probe", "3"])
