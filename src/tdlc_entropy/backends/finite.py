@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from ..core import (
     BackendMismatchError,
-    CapabilityError,
     InvariantViolation,
     QuotientConstruction,
     RestrictionConstruction,
@@ -73,9 +72,6 @@ class FiniteEndo:
 class FiniteGroupModel:
     """A finite group with its complete subgroup lattice precomputed."""
 
-    capabilities = frozenset(
-        {"quotient", "restriction", "set_product", "tidy_below_certificate", "base_stabilizes"}
-    )
     kind = "finite"
 
     def __init__(self, table, names=None, name="G", order_bound=DEFAULT_ORDER_BOUND):
@@ -289,7 +285,7 @@ class FiniteGroupModel:
         uv = self.set_mul(U.members, V.members)
         vu = self.set_mul(V.members, U.members)
         if uv != vu:
-            raise CapabilityError("UV != VU, the set product is not a subgroup here")
+            raise UnsupportedSubgroupError("UV != VU, the set product is not a subgroup here")
         return FiniteSubgroup(self, tuple(sorted(uv)))
 
     def image(self, phi: FiniteEndo, U: FiniteSubgroup) -> FiniteSubgroup:

@@ -110,9 +110,6 @@ class PadicEndo:
 class PadicModel:
     """The group Q_p^d together with exact lattice arithmetic."""
 
-    capabilities = frozenset(
-        {"quotient", "restriction", "set_product", "tidy_below_certificate", "base_stabilizes"}
-    )
     kind = "padic"
 
     def __init__(self, p: int, dim: int, base_lattice=None, name=""):

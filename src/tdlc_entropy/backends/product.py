@@ -32,7 +32,7 @@ class ProductSubgroup:
         return all(p.is_compact for p in self.parts)
 
     def describe(self) -> str:
-        return " x ".join(p.describe() if hasattr(p, "describe") else repr(p) for p in self.parts)
+        return " x ".join(p.describe() for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,10 @@ class ProductModel:
 
     def __init__(self, left, right, name=""):
         self.factors = (left, right)
-        self.name = name or f"{getattr(left, 'name', 'G1')} x {getattr(right, 'name', 'G2')}"
-        self.capabilities = frozenset(left.capabilities) & frozenset(right.capabilities)
+        self.name = name or f"{left.name} x {right.name}"
 
     def pair(self, h1, h2) -> ProductSubgroup:
         return ProductSubgroup(self, (h1, h2))
-
-    def pair_endo(self, p1, p2) -> ProductEndo:
-        return ProductEndo(self, (p1, p2))
 
     def _check_same(self, *handles):
         for h in handles:
@@ -112,10 +108,10 @@ class ProductModel:
         return ProductSubgroup(self, tuple(f.base_element(k) for f in self.factors))
 
     def full_group(self) -> ProductSubgroup:
-        return ProductSubgroup(self, tuple(_full_handle(f) for f in self.factors))
+        return ProductSubgroup(self, tuple(f.full_group() for f in self.factors))
 
     def trivial_subgroup(self) -> ProductSubgroup:
-        return ProductSubgroup(self, tuple(_trivial_handle(f) for f in self.factors))
+        return ProductSubgroup(self, tuple(f.trivial_subgroup() for f in self.factors))
 
     def endo_power(self, phi: ProductEndo, n: int) -> ProductEndo:
         return ProductEndo(
@@ -244,18 +240,6 @@ class ProductModel:
         certified = all(r[1] for r in results)
         reason = "; ".join(r[2] for r in results)
         return handle, certified, reason
-
-
-def _full_handle(model):
-    if hasattr(model, "full_group"):
-        return model.full_group()
-    return model.whole_space()
-
-
-def _trivial_handle(model):
-    if hasattr(model, "trivial_subgroup"):
-        return model.trivial_subgroup()
-    return model.zero_subgroup()
 
 
 def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name="") -> TdlcSystem:

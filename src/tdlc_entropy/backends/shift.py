@@ -269,9 +269,6 @@ class ShiftEndo:
 class ShiftProfileModel:
     """Profile arithmetic over F^Z, F((t)) or the discrete restricted power."""
 
-    capabilities = frozenset(
-        {"quotient", "restriction", "set_product", "tidy_below_certificate", "base_stabilizes"}
-    )
     kind = "shift"
 
     def __init__(self, alphabet: Alphabet, tail_mode: str, name=""):

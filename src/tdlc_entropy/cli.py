@@ -42,9 +42,10 @@ def _parser() -> argparse.ArgumentParser:
     def scenario_command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--probe", type=int, default=64)
-        p.add_argument("--tidy-probe", type=int, default=16)
-        p.add_argument("--resolution", type=int, default=8)
+        # None defers to the scenario's own field, then to the library default
+        p.add_argument("--probe", type=int, default=None)
+        p.add_argument("--tidy-probe", type=int, default=None)
+        p.add_argument("--resolution", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--strict", action="store_true")

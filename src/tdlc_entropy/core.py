@@ -6,8 +6,9 @@ immutable, canonical *subgroup handles*.  Handles compare equal exactly when
 they denote the same subgroup.  The free functions here dispatch to the
 model carried by each handle and check that operands share a backend.
 
-Model protocol (duck-typed; see the backends package):
+Model protocol (duck-typed; every backend implements all of it):
 
+    name, kind               display name and backend tag
     base_element(k)          k-th member of the canonical neighborhood base
     intersect(U, V)          U n V
     set_product(U, V)        the subgroup UV (abelian backends: U + V)
@@ -15,16 +16,19 @@ Model protocol (duck-typed; see the backends package):
     preimage(phi, U)         phi^{-1}(U), possibly non-compact
     index(V, U)              exact [U:V], infinite when V is not open in U
     contains(U, V)           V <= U
-    full_group(), trivial_subgroup()
+    full_group()             the whole group G
+    trivial_subgroup()       the trivial subgroup {1}
     endo_power(phi, n)
     kernel_handle(phi)
     subgroup_flags(phi, H)   recomputed flags for ClosedSubgroupSpec
-    quotient(phi, H)         QuotientConstruction, or raises
-    restriction(phi, H)      RestrictionConstruction, or raises
+    quotient(phi, H)         QuotientConstruction, or UnsupportedSubgroupError
+    restriction(phi, H)      RestrictionConstruction, or UnsupportedSubgroupError
 
-plus the dynamics hooks used by the cotrajectory module (``plus_group_impl``,
-``minus_group_impl``, ``alpha_stabilization``, ``plus_plus_analysis``,
-``entropy_base_certificate``, ``scale_candidates``, ``nub_family``).
+plus the dynamics hooks used by the cotrajectory and dynamics modules
+(``plus_group_impl``, ``minus_group_impl``, ``alpha_stabilization``,
+``plus_plus_analysis``, ``entropy_base_certificate``, ``scale_candidates``,
+``nub_analysis``).  Every handle has ``describe()``, ``is_open`` and
+``is_compact``.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ from .exact import IndexValue
 
 class BackendMismatchError(TypeError):
     """Operands come from different backends or ambient groups."""
-
-
-class CapabilityError(RuntimeError):
-    """The backend does not support the requested construction."""
 
 
 class UnsupportedSubgroupError(ValueError):
@@ -94,13 +94,6 @@ class TdlcSystem:
         if value is _MISSING:
             value = self._cache[key] = compute(*args)
         return value
-
-    @property
-    def capabilities(self) -> frozenset:
-        return self.model.capabilities
-
-    def supports(self, capability: str) -> bool:
-        return capability in self.model.capabilities
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,8 @@ def index(V, U) -> IndexValue:
 
 
 def set_product(U, V):
-    """The subgroup UV.  Requires UV = VU, which the finite backend checks."""
+    """The subgroup UV.  Requires UV = VU; the finite backend checks it and
+    raises ``UnsupportedSubgroupError`` otherwise."""
     model = _same_backend(U, V)
     return model.set_product(U, V)
 
@@ -176,14 +170,8 @@ def base_family(sys: TdlcSystem, k: int):
     return sys.model.base_element(k)
 
 
-def quotient_system(sys: TdlcSystem, H: ClosedSubgroupSpec) -> TdlcSystem:
-    """The system (G/H, induced endomorphism), in the same backend family."""
-    return quotient_construction(sys, H).system
-
-
 def quotient_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> QuotientConstruction:
-    if not sys.supports("quotient"):
-        raise CapabilityError("backend does not support quotients")
+    """The system (G/H, induced endomorphism), in the same backend family."""
     if not H.phi_invariant:
         raise UnsupportedSubgroupError("quotient requires a phi-invariant subgroup")
     if not (H.normal or H.compact):
@@ -191,14 +179,8 @@ def quotient_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> QuotientCon
     return sys.model.quotient(sys.endo, H.handle)
 
 
-def restrict_system(sys: TdlcSystem, H: ClosedSubgroupSpec) -> TdlcSystem:
-    """The system (H, phi restricted to H); its base is {base(k) n H}."""
-    return restrict_construction(sys, H).system
-
-
 def restrict_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> RestrictionConstruction:
-    if not sys.supports("restriction"):
-        raise CapabilityError("backend does not support restriction")
+    """The system (H, phi restricted to H); its base is {base(k) n H}."""
     if not H.phi_invariant:
         raise UnsupportedSubgroupError("restriction requires a phi-invariant subgroup")
     return sys.model.restriction(sys.endo, H.handle)

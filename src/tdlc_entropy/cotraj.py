@@ -77,7 +77,6 @@ class PlusGroupResult:
 @dataclass(frozen=True)
 class TidyBelowResult:
     value: bool
-    indirect: bool
     certificate: dict
 
 
@@ -217,8 +216,6 @@ def is_tidy_above(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> bool:
 
 
 def _is_tidy_above(sys: TdlcSystem, U, probe: int) -> bool:
-    if not sys.supports("set_product"):
-        raise core.CapabilityError("tidy-above needs the set product")
     plus = plus_group(sys, U, probe).handle
     minus = minus_group(sys, U, probe)
     return core.set_product(plus, minus) == U
@@ -239,37 +236,20 @@ def _tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int, probe: int):
     raise UnresolvedError(f"no tidy-above cotrajectory subgroup within {tidy_probe} steps")
 
 
-def is_tidy_below(sys: TdlcSystem, U, probe: int = DEFAULT_TIDY_PROBE,
-                  scale_value: Optional[int] = None) -> TidyBelowResult:
-    """U is tidy below when the forward images of U_+ have constant index and
-    their union is closed; the backend certifies closedness.
-
-    Without the certificate capability this falls back to the minimizing
-    cross-check (tidiness is equivalent to minimizing), flagged indirect.
-    """
+def is_tidy_below(sys: TdlcSystem, U, probe: int = DEFAULT_TIDY_PROBE) -> TidyBelowResult:
+    """U is tidy below when the forward images of U_+ have constant index
+    along the first ``probe`` steps and their union U_++ is closed; the
+    backend's ``plus_plus_analysis`` certifies closedness."""
     pg = plus_group(sys, U, probe=max(probe, DEFAULT_PROBE))
-    if sys.supports("tidy_below_certificate"):
-        analysis = sys.model.plus_plus_analysis(sys.endo, pg.handle, probe)
-        constant = len(set(analysis["indices"][: probe + 1])) == 1
-        return TidyBelowResult(
-            value=bool(analysis["closed"]) and constant,
-            indirect=False,
-            certificate={
-                "closed": analysis["closed"],
-                "index_constant": constant,
-                **analysis["certificate"],
-            },
-        )
-    if scale_value is None:
-        raise core.CapabilityError(
-            "no closedness certificate and no scale value for the indirect route"
-        )
-    mini = is_minimizing(sys, U, scale_value)
-    above = is_tidy_above(sys, U)
+    analysis = sys.model.plus_plus_analysis(sys.endo, pg.handle, probe)
+    constant = len(set(analysis["indices"][: probe + 1])) == 1
     return TidyBelowResult(
-        value=mini and above,
-        indirect=True,
-        certificate={"route": "minimizing cross-check"},
+        value=bool(analysis["closed"]) and constant,
+        certificate={
+            "closed": analysis["closed"],
+            "index_constant": constant,
+            **analysis["certificate"],
+        },
     )
 
 

@@ -14,7 +14,6 @@ from typing import Optional
 
 from . import core, cotraj
 from .core import (
-    CapabilityError,
     ClosedSubgroupSpec,
     InvariantViolation,
     TdlcSystem,
@@ -174,7 +173,7 @@ def _scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
     for u in list(seen):
         try:
             t = cotraj.tidy_above_transform(sys, u, tidy_probe)
-        except (UnresolvedError, CapabilityError):
+        except (UnresolvedError, UnsupportedSubgroupError):
             continue
         if t not in seen:
             seen.append(t)
@@ -216,11 +215,11 @@ def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
     tidy_below = None
     try:
         tidy_above = cotraj.is_tidy_above(sys, witness)
-    except (CapabilityError, UnresolvedError):
+    except (UnsupportedSubgroupError, UnresolvedError):
         pass
     try:
-        tidy_below = cotraj.is_tidy_below(sys, witness, probe=tidy_probe, scale_value=best).value
-    except (CapabilityError, UnresolvedError):
+        tidy_below = cotraj.is_tidy_below(sys, witness, probe=tidy_probe).value
+    except (UnsupportedSubgroupError, UnresolvedError):
         pass
     return ScaleReport(
         value=best,
@@ -260,15 +259,29 @@ def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8) -> NubReport:
     )
 
 
+def _open_subgroups_containing(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int) -> list:
+    """Compact open subgroups containing the compact subgroup H, in order:
+    every one in a finite group, otherwise the products base(k) H, k <= probe."""
+    model = sys.model
+    if hasattr(model, "all_subgroups"):
+        return [s for s in model.all_subgroups() if model.contains(s, H.handle)]
+    family = []
+    for k in range(probe + 1):
+        k_h = core.set_product(core.base_family(sys, k), H.handle)
+        if k_h.is_compact and k_h.is_open and k_h not in family:
+            family.append(k_h)
+    return family
+
+
 def _quotient_entropy(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int) -> ExactEntropy:
     """Entropy of the induced map on G/H.
 
-    Normal H with quotient support goes through the actual quotient system.
-    Compact H uses the neighborhoods-of-H base instead: the local entropies
-    at compact open subgroups containing H compute the quotient entropy
-    without materializing a coset space.
+    Normal H goes through the actual quotient system when the backend can
+    build it.  Compact H uses the neighborhoods-of-H base instead: the local
+    entropies at compact open subgroups containing H compute the quotient
+    entropy without materializing a coset space.
     """
-    if H.normal and sys.supports("quotient"):
+    if H.normal:
         try:
             q = core.quotient_construction(sys, H)
             return topological_entropy(q.system, probe).value
@@ -277,16 +290,7 @@ def _quotient_entropy(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int) -> Exa
                 raise
     if not H.compact:
         raise UnsupportedSubgroupError("no quotient route for a non-compact non-normal subgroup")
-    model = sys.model
-    if hasattr(model, "all_subgroups"):
-        family = [s for s in model.all_subgroups() if model.contains(s, H.handle)]
-    else:
-        family = []
-        for k in range(probe + 1):
-            u = core.base_family(sys, k)
-            k_h = core.set_product(u, H.handle)
-            if k_h.is_compact and k_h.is_open and k_h not in family:
-                family.append(k_h)
+    family = _open_subgroups_containing(sys, H, probe)
     if not family:
         raise UnresolvedError("no compact open subgroup containing H was found")
     best = ZERO_ENTROPY
@@ -421,22 +425,13 @@ def quotient_table_equality(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
     the local entropy of the induced map at the projected subgroup."""
     if not (H.compact and H.phi_invariant):
         return Verdict(SKIPPED, "needs a compact phi-invariant subgroup")
-    if not (H.normal and sys.supports("quotient")):
+    if not H.normal:
         return Verdict(SKIPPED, "no quotient system for the projected table")
     try:
         q = core.quotient_construction(sys, H)
     except UnsupportedSubgroupError as exc:
         return Verdict(SKIPPED, str(exc))
-    model = sys.model
-    if hasattr(model, "all_subgroups"):
-        family = [s for s in model.all_subgroups() if model.contains(s, H.handle)]
-    else:
-        family = []
-        for k in range(probe + 1):
-            u = core.base_family(sys, k)
-            k_h = core.set_product(u, H.handle)
-            if k_h.is_compact and k_h.is_open and k_h not in family:
-                family.append(k_h)
+    family = _open_subgroups_containing(sys, H, probe)
     checked = 0
     try:
         for k_h in family:
@@ -444,7 +439,7 @@ def quotient_table_equality(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
             rhs = cotraj.htop_local(q.system, q.project(k_h))
             if lhs != rhs:
                 return Verdict(FAIL, "projected local entropy differs",
-                               {"at": getattr(k_h, "describe", lambda: "?")()})
+                               {"at": k_h.describe()})
             checked += 1
     except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))

@@ -77,10 +77,6 @@ class IndexValue:
 INFINITE_INDEX = IndexValue(None)
 
 
-def finite_index(n: int) -> IndexValue:
-    return IndexValue(n)
-
-
 @dataclass(frozen=True)
 class ExactEntropy:
     """log(alpha) for a positive integer alpha, or the infinite entropy.

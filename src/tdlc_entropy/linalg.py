@@ -39,10 +39,6 @@ def identity_matrix(d: int) -> Mat:
     return tuple(tuple(_ONE if i == j else _ZERO for j in range(d)) for i in range(d))
 
 
-def zero_vector(d: int) -> Vec:
-    return tuple(Fraction(0) for _ in range(d))
-
-
 def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -276,15 +272,6 @@ def pval(x, p: int) -> Optional[int]:
     if x == 0:
         return None
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
-
-
-def pval_min(values, p: int) -> Optional[int]:
-    best = None
-    for x in values:
-        v = pval(x, p)
-        if v is not None and (best is None or v < best):
-            best = v
-    return best
 
 
 def _reduce_mod_p_power(x: Fraction, a: int, p: int) -> tuple[Fraction, Fraction]:

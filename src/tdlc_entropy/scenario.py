@@ -310,7 +310,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                     entry["result"] = {
                         "tidy_above": above,
                         "tidy_below": below.value,
-                        "indirect": below.indirect,
+                        "indirect": False,  # no indirect route; kept for report byte-stability
                     }
             elif kind == "cotrajectory":
                 n_max = chk.get("n_max", min(probe, 8))

@@ -245,16 +245,15 @@ def suite_monotonicity(probe: int = 3, catalog=None) -> list:
             spec = ClosedSubgroupSpec.verify(sys, handle)
             if not spec.phi_invariant:
                 continue
-            if sys.supports("restriction"):
-                try:
-                    v = dynamics.restriction_monotonicity(sys, spec, probe)
-                except core.UnsupportedSubgroupError:
-                    v = dynamics.Verdict(SKIPPED, "restriction unsupported for this shape")
-                entries.append({
-                    "name": f"monotonicity/restrict/{data['name']}/{name}",
-                    "status": v.status,
-                    "reason": v.reason,
-                })
+            try:
+                v = dynamics.restriction_monotonicity(sys, spec, probe)
+            except core.UnsupportedSubgroupError:
+                v = dynamics.Verdict(SKIPPED, "restriction unsupported for this shape")
+            entries.append({
+                "name": f"monotonicity/restrict/{data['name']}/{name}",
+                "status": v.status,
+                "reason": v.reason,
+            })
             if spec.compact:
                 v = dynamics.quotient_table_equality(sys, spec, probe)
                 entries.append({

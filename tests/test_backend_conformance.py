@@ -1,0 +1,54 @@
+"""Every backend model implements the whole protocol documented in ``core``.
+
+The dynamics layer calls these methods and attributes without ``hasattr``
+fallbacks; this test is what makes that safe.
+"""
+
+import pytest
+
+from tdlc_entropy import core, cotraj
+from tdlc_entropy.backends.catalog import find_scenario
+from tdlc_entropy.scenario import build_system
+
+PROTOCOL = (
+    "name", "kind",
+    "base_element", "intersect", "set_product", "image", "preimage", "index", "contains",
+    "full_group", "trivial_subgroup", "endo_power", "kernel_handle", "subgroup_flags",
+    "quotient", "restriction",
+    "plus_group_impl", "minus_group_impl", "alpha_stabilization", "plus_plus_analysis",
+    "entropy_base_certificate", "scale_candidates", "nub_analysis",
+)
+
+SYSTEMS = ("finite_s3", "q2_half", "shift_z2_compact", "product_q2half_laurent3")
+
+
+def test_protocol_list_matches_core_docstring():
+    for name in PROTOCOL:
+        assert name in core.__doc__
+
+
+@pytest.fixture(params=SYSTEMS)
+def system(request):
+    return build_system(find_scenario(request.param))
+
+
+def test_model_defines_the_protocol(system):
+    model = system.model
+    for name in PROTOCOL:
+        assert hasattr(model, name), name
+    assert isinstance(model.name, str) and model.name
+    assert model.contains(model.full_group(), model.trivial_subgroup())
+
+
+def test_every_built_handle_describes_itself(system):
+    model, phi = system.model, system.endo
+    u, v = model.base_element(0), model.base_element(2)
+    handles = [
+        u, v, model.full_group(), model.trivial_subgroup(), model.kernel_handle(phi),
+        model.intersect(u, v), model.set_product(u, v),
+        model.image(phi, u), model.preimage(phi, u),
+        cotraj.plus_group(system, u).handle, cotraj.minus_group(system, u),
+    ]
+    for h in handles:
+        assert isinstance(h.describe(), str)
+        assert isinstance(h.is_open, bool) and isinstance(h.is_compact, bool)

@@ -11,7 +11,7 @@ from tdlc_entropy.backends.finite import (
     symmetric_group,
     trivial_group,
 )
-from tdlc_entropy.core import CapabilityError, UnsupportedSubgroupError
+from tdlc_entropy.core import UnsupportedSubgroupError
 from tdlc_entropy.exact import IndexValue
 
 
@@ -144,7 +144,7 @@ def test_set_product_s3():
 def test_set_product_rejects_nonsubgroup():
     g = symmetric_group(3)
     twos = [s for s in g.all_subgroups() if len(s) == 2]
-    with pytest.raises(CapabilityError):
+    with pytest.raises(UnsupportedSubgroupError):
         g.set_product(twos[0], twos[1])
 
 

@@ -176,7 +176,7 @@ def test_tidy_above_transform_returns_input_when_tidy():
 def test_tidy_below():
     sys = q2_half()
     res = cotraj.is_tidy_below(sys, sys.model.full_lattice(), probe=8)
-    assert res.value is True and not res.indirect
+    assert res.value is True
 
     s = shift_z2()
     res = cotraj.is_tidy_below(s, s.model.base_element(0), probe=8)

@@ -119,6 +119,16 @@ def test_cli_exit_codes(tmp_path):
     assert json.loads(out)["results"][0]["result"]["alpha"] == "2"
 
 
+def test_cli_honours_scenario_probe(tmp_path):
+    path = tmp_path / "probe2.json"
+    path.write_text(json.dumps(dict(find_scenario("q2_half"), probe=2)))
+    code, out = run_cli(["entropy", str(path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["results"][0]["result"]["probed"] == 3
+    code, out = run_cli(["entropy", str(path), "--probe", "4"])
+    assert json.loads(out)["results"][0]["result"]["probed"] == 5
+
+
 def test_cli_report_csv(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(find_scenario("q2_half")))
