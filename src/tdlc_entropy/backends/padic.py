@@ -52,6 +52,10 @@ from ..linalg import (
 
 F = Fraction
 
+# At most this many literal steps of the U_n and U_{-n} chains, whatever the
+# probe; a chain that has not stopped by then goes to the structural route.
+CHAIN_STEP_CAP = 64
+
 
 @dataclass(frozen=True)
 class PadicSubgroup:
@@ -469,9 +473,26 @@ class PadicModel:
         return rows
 
     def plus_group_impl(self, phi: PadicEndo, U: PadicSubgroup, probe: int):
+        """U_+ as (handle, method, steps, certificate).
+
+        Iterates U_{n+1} = U n phi(U_n) until it stops, for at most
+        ``min(probe, CHAIN_STEP_CAP)`` steps, then solves the limit on the
+        rational subspace of root valuations <= 0.  The chain is skipped, and
+        the certificate says why, when U is compact open, phi is invertible
+        and some root has valuation > 0: then no step can be a fixpoint.
+        """
+        # Proof of the skip: with U compact open and phi invertible every U_n
+        # is a full-rank lattice, and a fixpoint L = U n phi(L) has
+        # phi^-1(L) <= L, so phi^-1 is integral on L and no root of phi has
+        # valuation > 0.
+        skip = (
+            U.is_compact and U.is_open and phi.kernel_trivial
+            and any(v is not None and v > 0 for v, _ in self.newton_polygon(phi))
+        )
+        skipped = {"chain_skipped": "contracting root, no lattice fixpoint"} if skip else {}
         current = U
         prefix = [U]
-        for n in range(min(probe, 64)):
+        for n in range(0 if skip else min(probe, CHAIN_STEP_CAP)):
             nxt = self.intersect(U, self.image(phi, current))
             if nxt == current:
                 return current, "fixpoint", n, {"fixpoint_at": n}
@@ -485,7 +506,7 @@ class PadicModel:
             )
         if not v_plus:
             result = self.zero_subgroup()
-            return result, "structural", len(prefix), {"invariant_subspace_dim": 0}
+            return result, "structural", len(prefix), {"invariant_subspace_dim": 0, **skipped}
         rest = self.restriction(phi, self.closed_subgroup(v_plus, ()))
         sub = rest.system.model
         u_sub = rest.restrict_handle(U)
@@ -500,14 +521,21 @@ class PadicModel:
                 cert = {
                     "invariant_subspace_dim": len(v_plus),
                     "restricted_fixpoint_at": n,
+                    **skipped,
                 }
                 return result, "structural", n, cert
             cur = nxt
         raise UnresolvedError("restricted forward iteration did not stabilize in bound")
 
     def minus_group_impl(self, phi: PadicEndo, U: PadicSubgroup, probe: int):
+        """U_- as (handle, certificate with its method).
+
+        Iterates U_{-n-1} = U_{-n} n phi^-1(U_{-n}) until it stops, for at
+        most ``min(probe, CHAIN_STEP_CAP)`` steps, then solves the limit on
+        the rational subspace of root valuations >= 0 and zero roots.
+        """
         current = U
-        for n in range(min(probe, 64)):
+        for n in range(min(probe, CHAIN_STEP_CAP)):
             nxt = self.intersect(current, self.preimage(phi, current))
             if nxt == current:
                 return current, {"method": "fixpoint", "fixpoint_at": n}

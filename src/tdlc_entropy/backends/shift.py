@@ -29,6 +29,10 @@ from ..exact import INFINITE_INDEX, IndexValue
 
 TAIL_MODES = ("compact", "laurent", "discrete")
 
+# At most this many literal steps of the U_n and U_{-n} chains, whatever the
+# probe; a chain that has not stopped by then goes to the closed-form limit.
+CHAIN_STEP_CAP = 8
+
 
 class Alphabet:
     """A finite abelian group with its complete subgroup lattice."""
@@ -539,7 +543,7 @@ class ShiftProfileModel:
     def plus_group_impl(self, phi: ShiftEndo, U: Profile, probe: int):
         current = U
         prefix = [U]
-        for n in range(min(probe, 8)):
+        for n in range(min(probe, CHAIN_STEP_CAP)):
             nxt = self.intersect(U, self.image(phi, current))
             if nxt == current:
                 return current, "fixpoint", n, {"fixpoint_at": n}
@@ -555,7 +559,7 @@ class ShiftProfileModel:
 
     def minus_group_impl(self, phi: ShiftEndo, U: Profile, probe: int):
         current = U
-        for n in range(min(probe, 8)):
+        for n in range(min(probe, CHAIN_STEP_CAP)):
             nxt = self.intersect(current, self.preimage(phi, current))
             if nxt == current:
                 return current, {"method": "fixpoint", "fixpoint_at": n}

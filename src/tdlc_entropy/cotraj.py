@@ -64,8 +64,9 @@ class PlusGroupResult:
     """The forward core U_+ with the method that produced it.
 
     ``fixpoint`` means the decreasing chain U_n literally stabilized;
-    ``structural`` means the backend solved the limit in closed form and
-    verified it against the computed prefix of the chain.
+    ``structural`` means the backend solved the limit in closed form, and it
+    is verified as a fixed point of U n phi(.) by ``_plus_group``; the
+    computed prefix of the chain may be just U.
     """
 
     handle: object

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc_entropy.backends.padic import PadicModel
-from tdlc_entropy.core import UnsupportedSubgroupError
+from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 F = Fraction
@@ -226,6 +226,74 @@ def test_minus_group_examples():
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
     handle, cert = m.minus_group_impl(mixed, m.full_lattice(), 8)
     assert handle == m.lattice([[1, 0]])
+
+
+class FullChainModel(PadicModel):
+    """Reference: an empty Newton polygon, so the forward chain is never skipped."""
+
+    def newton_polygon(self, phi):
+        return ()
+
+
+def _forward_core(model, matrix, make_u, probe):
+    """U_+ of make_u(model) as (subspace, module, method), or "unresolved"."""
+    try:
+        handle, method, _, _ = model.plus_group_impl(model.endo(matrix), make_u(model), probe)
+    except UnresolvedError:
+        return "unresolved"
+    return handle.subspace, handle.module, method
+
+
+def assert_chain_skip_changes_nothing(p, matrix, make_u, probe=8):
+    dim = len(matrix)
+    assert _forward_core(PadicModel(p, dim), matrix, make_u, probe) == _forward_core(
+        FullChainModel(p, dim), matrix, make_u, probe
+    )
+
+
+def _base(k):
+    return lambda model: model.base_element(k)
+
+
+CHAIN_ENTRIES = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(1, 3), F(4),
+                 F(5), F(1, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chain_skip_agrees_with_full_chain(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    dim = data.draw(st.integers(1, 3))
+    matrix = [[data.draw(st.sampled_from(CHAIN_ENTRIES)) for _ in range(dim)]
+              for _ in range(dim)]
+    assert_chain_skip_changes_nothing(p, matrix, _base(data.draw(st.sampled_from([-1, 0, 1]))))
+
+
+@pytest.mark.parametrize("p, matrix", [
+    (2, [[2, 0], [0, 0]]),  # singular, contracting root: the forward chain still runs
+    (2, [[F(1, 2), 0], [0, 0]]),  # singular, expanding root
+    (2, [[0, 1], [0, 0]]),  # nilpotent
+    (2, [[2, 0], [0, F(1, 2)]]),  # mixed slopes, rational split
+    (2, [[0, -3], [1, F(-1, 2)]]),  # mixed slopes, irreducible: unresolved
+    (2, [[0, 2], [1, 0]]),  # x^2 - 2: both roots of valuation 1/2
+    (3, [[3, 1], [0, F(1, 3)]]),
+    (2, [[F(1, 2), 1], [0, F(1, 2)]]),  # Jordan block
+    (5, [[F(1, 5), 1, 0], [0, 5, 0], [0, 0, 1]]),
+])
+def test_chain_skip_agrees_on_singular_and_mixed_maps(p, matrix):
+    for k in (-1, 0, 1):
+        assert_chain_skip_changes_nothing(p, matrix, _base(k))
+
+
+@pytest.mark.parametrize("make_u", [
+    lambda m: m.whole_space(),
+    lambda m: m.closed_subgroup([[1, 0]], [[0, 1]]),
+    lambda m: m.lattice([[1, 0]]),
+    lambda m: m.lattice([[0, 1]]),
+])
+def test_chain_skip_needs_a_compact_open_subgroup(make_u):
+    """The chain of a non-compact or non-open U can stop despite a contracting root."""
+    assert_chain_skip_changes_nothing(2, [[2, 0], [0, F(1, 2)]], make_u)
 
 
 def test_plus_plus_analysis_expanding():

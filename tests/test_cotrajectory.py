@@ -1,4 +1,5 @@
 import io
+import json
 import os
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -353,3 +354,52 @@ def test_linalg_elimination_counts(monkeypatch):
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
     assert len(calls) == 2666
+
+
+@pytest.mark.parametrize("entry, rrefs, intersects", [("1/2", 2666, 416), ("2", 801, 145)])
+def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
+                                                      intersects):
+    """Op-count gate: the q2_half report, and the same report for phi = 2,
+    whose forward chains are skipped; run to their cap those made 4897
+    eliminations and 1169 intersections."""
+    data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**data, "matrix": [[entry]]}))
+    rref_calls = count_rref(monkeypatch)
+    intersect_calls = count_calls(monkeypatch, PadicModel, "intersect")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["report", str(path), "--probe", "3", "--tidy-probe", "4",
+                         "--resolution", "4"])
+    assert code == cli.EXIT_OK
+    assert (len(rref_calls), len(intersect_calls)) == (rrefs, intersects)
+
+
+def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
+    """Op-count gate: phi = 2 has no forward lattice fixpoint, so the chain
+    takes no step on the outer model."""
+    m = PadicModel(2, 1)
+    images = count_calls(monkeypatch, m, "image")
+    handle, method, steps, cert = m.plus_group_impl(m.endo([[2]]), m.full_lattice(), 8)
+    assert (handle, method, steps) == (m.zero_subgroup(), "structural", 1)
+    assert "chain_skipped" in cert
+    assert len(images) == 0
+
+
+def test_singular_contracting_map_still_iterates(monkeypatch):
+    """A singular phi keeps the forward chain: the skip needs phi invertible."""
+    m = PadicModel(2, 2)
+    images = count_calls(monkeypatch, m, "image")
+    handle, method, steps, cert = m.plus_group_impl(m.endo([[2, 0], [0, 0]]),
+                                                    m.full_lattice(), 8)
+    assert (handle, method) == (m.zero_subgroup(), "structural")
+    assert "chain_skipped" not in cert
+    assert len(images) == 8
+
+
+def test_htop_routes_agree_where_chains_are_skipped():
+    """The forward-core and limit routes agree whether or not the chain is skipped."""
+    for sysf, skipped in [(q2_half, False), (q2_double, True), (mixed_diag, True)]:
+        sys = sysf()
+        u = sys.model.full_lattice()
+        assert ("chain_skipped" in cotraj.plus_group(sys, u).certificate) == skipped
+        assert cotraj.htop_local(sys, u) == cotraj.htop_limit_estimate(sys, u, 12)
