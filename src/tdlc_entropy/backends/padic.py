@@ -5,8 +5,11 @@ Closed subgroups are represented exactly as V + L with V a rational subspace
 Only the valuation at p matters, so vectors are exact rationals (Fraction)
 and the canonical form is a reduced-row-echelon basis for V plus a p-local
 column Hermite form for L projected mod V; the eliminations behind both run
-on Python ints in ``linalg``.  Every index is a pure p-power read off
-elementary-divisor valuations.
+on Python ints in ``linalg``.  Every index is a pure p-power read off the
+Hermite pivots: [U:V] = p^(sum a_t(V) - sum a_t(U)) when the first nonzero
+entry of module column t is p^a_t.  Membership and containment run on ints
+too: each vector is cleared of denominators once and eliminated against the
+basis fraction-free, tracking only the p-adic valuation of its denominator.
 
 Each subgroup also has a dual description by constraints: x lies in the
 subgroup iff N x = 0 and D x is p-integral.  Intersections and preimages are
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from ..core import (
@@ -33,6 +37,8 @@ from ..core import (
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from ..linalg import (
+    _clear_denominators,
+    _vp_int,
     charpoly,
     det,
     frac,
@@ -250,53 +256,85 @@ class PadicModel:
                     x[i] -= f * r[i]
         return x
 
-    def _module_coefficients(self, U: PadicSubgroup, x) -> Optional[tuple]:
-        """Coefficients of x over U.module, or None if x is outside its span."""
-        x = list(x)
-        coeffs = []
+    def _int_basis(self, U: PadicSubgroup) -> list:
+        """U's basis cleared to ints, as elimination steps (ints, pivot, shift).
+
+        The subspace rows come first, with shift None.  A module column's
+        shift is v_p(den) - v_p(ints[pivot]), which is -a_t for its Hermite
+        pivot entry p**a_t.
+        """
+        p = self.p
+        steps = []
+        for row in U.subspace:
+            r, _ = _clear_denominators(row)
+            steps.append((r, _first_nonzero(r), None))
         for col in U.module:
-            i_t = next(i for i, v in enumerate(col) if v != 0)
-            c = x[i_t] / col[i_t]
-            coeffs.append(c)
-            for i in range(self.dim):
-                x[i] -= c * col[i]
-        if any(v != 0 for v in x):
+            c, den = _clear_denominators(col)
+            i = _first_nonzero(c)
+            steps.append((c, i, _vp_int(den, p) - _vp_int(c[i], p)))
+        return steps
+
+    def _reduce(self, steps, x) -> Optional[bool]:
+        """Eliminate x against the integer basis steps of U, fraction-free.
+
+        x is carried as ints X with x = X / D, tracking only e = v_p(D).
+        Returns None if x is outside V + span(L), else whether every
+        coefficient over the module columns is p-integral, i.e. whether x
+        lies in U.
+        """
+        p = self.p
+        xs, den = _clear_denominators(x)
+        e = _vp_int(den, p)
+        integral = True
+        for b, i, shift in steps:
+            f = xs[i]
+            if not f:
+                continue
+            # The coefficient is f * den_b / (D * b[i]).
+            if shift is not None and _vp_int(f, p) + shift < e:
+                integral = False
+            g = gcd(b[i], f)
+            a, m = b[i] // g, f // g
+            xs = [a * u - m * w for u, w in zip(xs, b)]
+            e += _vp_int(a, p)
+            g = gcd(*xs)
+            if g > 1:
+                xs = [u // g for u in xs]
+                e -= _vp_int(g, p)
+        if any(xs):
             return None
-        return tuple(coeffs)
+        return integral
 
     def member(self, U: PadicSubgroup, x) -> bool:
-        rem = self._reduce_mod_subspace(U, x)
-        coeffs = self._module_coefficients(U, rem)
-        if coeffs is None:
-            return False
-        return all(c == 0 or pval(c, self.p) >= 0 for c in coeffs)
+        return bool(self._reduce(self._int_basis(U), x))
 
     def contains(self, U: PadicSubgroup, V: PadicSubgroup) -> bool:
         """V <= U"""
         self._check_same(U, V)
-        for row in V.subspace:
-            rem = self._reduce_mod_subspace(U, row)
-            if any(v != 0 for v in rem):
-                return False
-        return all(self.member(U, col) for col in V.module)
+        steps = self._int_basis(U)
+        # A line lies in V + L only if it lies in V.
+        rows = steps[: len(U.subspace)]
+        return (all(self._reduce(rows, row) is not None for row in V.subspace)
+                and all(self._reduce(steps, col) for col in V.module))
 
     def index(self, V: PadicSubgroup, U: PadicSubgroup) -> IndexValue:
-        """Exact [U:V]; requires V <= U; infinite when V is not open in U."""
+        """Exact [U:V]; requires V <= U; infinite when V is not open in U.
+
+        Both modules are in column Hermite form over the same span, so they
+        share pivot rows and the transition matrix is triangular with
+        diagonal p**(a_t(V) - a_t(U)): [U:V] = p**(sum a(V) - sum a(U)).
+        """
         self._check_same(U, V)
         if not self.contains(U, V):
             raise ValueError("index requires V <= U")
         if V.subspace != U.subspace or len(V.module) < len(U.module):
             return INFINITE_INDEX
-        if not U.module:
-            return IndexValue(1)
-        x_cols = []
-        for col in V.module:
-            coeffs = self._module_coefficients(U, list(col))
-            if coeffs is None:
-                raise InvariantViolation("contained module escaped the span")
-            x_cols.append(coeffs)
-        v = pval(det(transpose(x_cols)), self.p)
-        if v is None or v < 0:
+        rows_u, a_u = _hermite_pivots(U.module, self.p)
+        rows_v, a_v = _hermite_pivots(V.module, self.p)
+        if rows_u != rows_v:
+            raise InvariantViolation("contained module has different Hermite pivot rows")
+        v = a_v - a_u
+        if v < 0:
             raise InvariantViolation("transition matrix is not p-integral")
         return IndexValue(self.p**v)
 
@@ -709,9 +747,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _first_nonzero(v) -> int:
+    return next(i for i, x in enumerate(v) if x)
+
+
 def _pivot_columns(rows) -> tuple:
     """Pivot columns of rows already in reduced row echelon form."""
-    return tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+    return tuple(_first_nonzero(row) for row in rows)
+
+
+def _hermite_pivots(module, p: int) -> tuple[tuple, int]:
+    """Pivot rows of a column Hermite form and the sum of their exponents a_t,
+    where the first nonzero entry of column t is p**a_t."""
+    rows = tuple(_first_nonzero(col) for col in module)
+    return rows, sum(pval(col[i], p) for col, i in zip(module, rows))
 
 
 # -- polynomial helpers -------------------------------------------------------------

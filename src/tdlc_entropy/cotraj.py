@@ -12,9 +12,11 @@ plateau.
 
 The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
 ``tidy_above_transform``) is cached on the system.  The limit route
-(``alpha_sequence`` and the chains under it) is never cached: it must stay
+(``alpha_sequence`` over ``minus_chain``) is never cached: it must stay
 independent of the forward core, because their agreement is the library's
-central cross-check.
+central cross-check.  ``alpha_sequence`` reads only the cotrajectory; the
+forward chain U_n (``plus_chain``) serves the forward/backward identities
+that ``verify`` checks.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ DEFAULT_TIDY_PROBE = 16
 
 @dataclass(frozen=True)
 class CotrajectoryRow:
+    """Row n of the table: U_{-n}, c_n = [U : U_{-n}] and alpha_n = [U_{-n} : U_{-n-1}]."""
+
     n: int
     minus_handle: object
-    plus_handle: object
     c: IndexValue
-    alpha: Optional[IndexValue]
+    alpha: IndexValue
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,6 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Cotrajecto
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     minus = minus_chain(sys, U, n_max + 1)
-    plus = plus_chain(sys, U, n_max + 1)
     model = sys.model
     cs = []
     for n, handle in enumerate(minus):
@@ -155,9 +157,8 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Cotrajecto
         CotrajectoryRow(
             n=n,
             minus_handle=minus[n],
-            plus_handle=plus[n],
             c=cs[n],
-            alpha=alphas[n] if n < len(alphas) else None,
+            alpha=alphas[n],
         )
         for n in range(n_max + 1)
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError
+from tdlc_entropy.linalg import det, pval, transpose
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 F = Fraction
@@ -358,6 +359,109 @@ def test_intersect_of_mixed_handles_agrees_with_membership(data):
     samples = [F(0), F(1), F(p), F(1, p), F(-3, p * p), F(5)]
     for x in itertools.product(samples, repeat=2):
         assert (model.member(u, x) and model.member(v, x)) == model.member(w, x)
+
+
+# Fraction references for membership, containment and index: coefficients by
+# back-substitution over the module columns, and the index as the p-adic
+# valuation of the transition determinant.
+
+
+def _ref_reduce_mod_subspace(U, x):
+    x = [F(v) for v in x]
+    for row in U.subspace:
+        pc = next(i for i, v in enumerate(row) if v)
+        f = x[pc]
+        if f:
+            x = [a - f * b for a, b in zip(x, row)]
+    return x
+
+
+def _ref_module_coefficients(U, x):
+    """Coefficients of x over U.module, or None if x is outside its span."""
+    x = list(x)
+    coeffs = []
+    for col in U.module:
+        i = next(i for i, v in enumerate(col) if v)
+        c = x[i] / col[i]
+        coeffs.append(c)
+        x = [a - c * b for a, b in zip(x, col)]
+    return None if any(x) else coeffs
+
+
+def ref_member(U, x):
+    coeffs = _ref_module_coefficients(U, _ref_reduce_mod_subspace(U, x))
+    return coeffs is not None and all(c == 0 or pval(c, U.model.p) >= 0 for c in coeffs)
+
+
+def ref_contains(U, V):
+    return (all(not any(_ref_reduce_mod_subspace(U, row)) for row in V.subspace)
+            and all(ref_member(U, col) for col in V.module))
+
+
+def ref_index(V, U):
+    if not ref_contains(U, V):
+        raise ValueError("index requires V <= U")
+    if V.subspace != U.subspace or len(V.module) < len(U.module):
+        return INFINITE_INDEX
+    if not U.module:
+        return IndexValue(1)
+    x_cols = [_ref_module_coefficients(U, col) for col in V.module]
+    return IndexValue(U.model.p ** pval(det(transpose(x_cols)), U.model.p))
+
+
+def assert_index_agrees(model, V, U):
+    try:
+        expected = ref_index(V, U)
+    except ValueError:
+        with pytest.raises(ValueError):
+            model.index(V, U)
+        return False
+    assert model.index(V, U) == expected
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_contains_and_index_agree_with_fraction_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    model = PadicModel(p, data.draw(st.integers(1, 4)))
+    u = _draw_mixed_handle(data, model)
+    w = _draw_mixed_handle(data, model)
+    scaled = model.scale_handle(u, F(p) ** data.draw(st.integers(1, 2)))
+    pairs = [(u, model.intersect(u, w)), (model.set_product(u, w), w),
+             (u, scaled), (scaled, u), (u, w), (w, u)]
+    for big, small in pairs:
+        assert model.contains(big, small) == ref_contains(big, small)
+        assert_index_agrees(model, small, big)
+    samples = [F(0), F(1), F(p), F(1, p), F(-3, p * p), F(5)]
+    for _ in range(4):
+        x = [data.draw(st.sampled_from(samples)) for _ in range(model.dim)]
+        assert model.member(u, x) == ref_member(u, x)
+        assert model.member(w, x) == ref_member(w, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_index_reference_cases(p):
+    """Finite, infinite and refused indices on fixed handles, against the reference."""
+    model = PadicModel(p, 3)
+    lat = model.lattice([[1, 2, 0], [0, p, 1], [F(1, p), 0, 3]])
+    plane = model.closed_subgroup([[1, 0, 1]], [[0, F(1, p), 0]])
+    cases = [
+        (model.scale_handle(lat, F(p) ** 2), lat, True),
+        (model.intersect(lat, plane), lat, True),
+        (model.intersect(lat, model.lattice([[p, 0, 0], [0, 1, 0]])), lat, True),
+        (lat, model.set_product(lat, plane), True),
+        (model.scale_handle(plane, F(p)), plane, True),
+        (lat, model.scale_handle(lat, F(p)), False),
+        (plane, lat, False),
+    ]
+    for small, big, contained in cases:
+        assert model.contains(big, small) == ref_contains(big, small) == contained
+        assert assert_index_agrees(model, small, big) == contained
+    assert model.index(model.intersect(lat, plane), lat) == INFINITE_INDEX
+    assert model.index(lat, model.set_product(lat, plane)) == INFINITE_INDEX
+    assert model.index(model.scale_handle(lat, F(p) ** 2), lat) == IndexValue(p**6)
+    assert model.index(model.scale_handle(plane, F(p)), plane) == IndexValue(p)
 
 
 def test_primality_check_without_trial_division():

@@ -338,7 +338,9 @@ def count_rref(monkeypatch):
 def test_linalg_elimination_counts(monkeypatch):
     """Op-count gate: one elimination per constraint conversion.
 
-    With one elimination per solved column the same calls made 11 and 5311.
+    With one elimination per solved column the same calls made 11 and 5311;
+    with the cotrajectory table also building the forward chain, the report
+    made 2666.
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -353,15 +355,17 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert len(calls) == 2666
+    assert len(calls) == 2650
 
 
-@pytest.mark.parametrize("entry, rrefs, intersects", [("1/2", 2666, 416), ("2", 801, 145)])
+@pytest.mark.parametrize("entry, rrefs, intersects", [("1/2", 2650, 412), ("2", 785, 141)])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       intersects):
     """Op-count gate: the q2_half report, and the same report for phi = 2,
     whose forward chains are skipped; run to their cap those made 4897
-    eliminations and 1169 intersections."""
+    eliminations and 1169 intersections.  With the forward chain of the
+    cotrajectory table built and unread, the two reports made (2666, 416)
+    and (801, 145)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
@@ -372,6 +376,18 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
     assert (len(rref_calls), len(intersect_calls)) == (rrefs, intersects)
+
+
+def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
+    """Op-count gate: the cotrajectory table reads only the backward chain,
+    and p-adic indices come off the Hermite pivots, not a determinant."""
+    sys = q2_half()
+    images = count_calls(monkeypatch, PadicModel, "image")
+    dets = count_calls(monkeypatch, linalg, "det")
+    monkeypatch.setattr(padic, "det", linalg.det)
+    table = cotraj.alpha_sequence(sys, sys.model.full_lattice(), 12)
+    assert table.stable_alpha == IndexValue(2)
+    assert (len(images), len(dets)) == (0, 0)
 
 
 def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
