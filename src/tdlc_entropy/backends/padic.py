@@ -62,6 +62,10 @@ F = Fraction
 # probe; a chain that has not stopped by then goes to the structural route.
 CHAIN_STEP_CAP = 64
 
+# Largest dimension a scenario may ask for; it bounds charpoly and the
+# factorization behind the slope split.
+MAX_DIM = 8
+
 
 @dataclass(frozen=True)
 class PadicSubgroup:
@@ -698,8 +702,6 @@ class PadicModel:
         return out
 
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
-        if not minimizing:
-            return None, False, "no minimizing subgroup found in the probe"
         witness = minimizing[0]
         # p-power scalings of a minimizing subgroup are minimizing with the
         # same index (scaling commutes with the matrix), and they intersect

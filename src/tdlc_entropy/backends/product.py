@@ -225,8 +225,6 @@ class ProductModel:
         return [ProductSubgroup(self, (a, b)) for a in left for b in right]
 
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
-        if not minimizing:
-            return None, False, "no minimizing subgroup found in the probe"
         results = []
         for i, f in enumerate(self.factors):
             parts = []
@@ -234,9 +232,7 @@ class ProductModel:
                 if m.parts[i] not in parts:
                     parts.append(m.parts[i])
             results.append(f.nub_analysis(phi.parts[i], parts, resolution, scale_value=None))
-        handle = None
-        if all(r[0] is not None for r in results):
-            handle = ProductSubgroup(self, tuple(r[0] for r in results))
+        handle = ProductSubgroup(self, tuple(r[0] for r in results))
         certified = all(r[1] for r in results)
         reason = "; ".join(r[2] for r in results)
         return handle, certified, reason

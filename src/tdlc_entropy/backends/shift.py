@@ -33,6 +33,12 @@ TAIL_MODES = ("compact", "laurent", "discrete")
 # probe; a chain that has not stopped by then goes to the closed-form limit.
 CHAIN_STEP_CAP = 8
 
+# Largest alphabet order and |shift| a scenario may ask for: building an
+# alphabet enumerates its subgroup lattice, and a limit profile has
+# lcm(period, |shift|) entries.
+MAX_ALPHABET_ORDER = 16
+MAX_SHIFT = 16
+
 
 class Alphabet:
     """A finite abelian group with its complete subgroup lattice."""
@@ -703,8 +709,6 @@ class ShiftProfileModel:
         return out
 
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
-        if not minimizing:
-            return None, False, "no minimizing subgroup found in the probe"
         inter = minimizing[0]
         for u in minimizing[1:]:
             inter = self.intersect(inter, u)

@@ -92,22 +92,12 @@ def _preimage_chain(sys: TdlcSystem, U, n: int):
     return out
 
 
-def minus_n(sys: TdlcSystem, U, n: int):
-    """The cotrajectory subgroup U_{-n}, computed incrementally."""
-    return minus_chain(sys, U, n)[n]
-
-
 def minus_chain(sys: TdlcSystem, U, n: int):
     pre = _preimage_chain(sys, U, n)
     out = [U]
     for j in range(1, n + 1):
         out.append(core.intersect(out[-1], pre[j]))
     return out
-
-
-def plus_n(sys: TdlcSystem, U, n: int):
-    """The forward subgroup U_n: U_0 = U and U_{j+1} = U n phi(U_j)."""
-    return plus_chain(sys, U, n)[n]
 
 
 def plus_chain(sys: TdlcSystem, U, n: int):

@@ -93,7 +93,7 @@ class NubReport:
             "reason": self.reason,
             "resolution": self.resolution,
             "minimizing_probed": self.minimizing_probed,
-            "trivial": is_trivial_handle(self.handle) if self.handle is not None else None,
+            "trivial": is_trivial_handle(self.handle),
         }
 
 
@@ -246,10 +246,9 @@ def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8) -> NubReport:
     handle, certified, reason = sys.model.nub_analysis(
         sys.endo, minimizing, resolution, scale_value=s.value
     )
-    if handle is not None:
-        for u in minimizing:
-            if not sys.model.contains(u, handle):
-                raise InvariantViolation("nub is not inside a minimizing subgroup")
+    for u in minimizing:
+        if not sys.model.contains(u, handle):
+            raise InvariantViolation("nub is not inside a minimizing subgroup")
     return NubReport(
         handle=handle,
         resolution=resolution,
@@ -343,7 +342,7 @@ def verify_scale_entropy_link(sys: TdlcSystem, probe: int = 8, resolution: int =
     """
     s = scale(sys, probe=probe)
     n = nub(sys, resolution=resolution, probe=probe)
-    if not n.certified or n.handle is None:
+    if not n.certified:
         return Verdict(INCONCLUSIVE, f"nub not certified: {n.reason}")
     try:
         spec = ClosedSubgroupSpec.verify(sys, n.handle)

@@ -1,14 +1,19 @@
-"""Scenario files: strict schema validation, system construction, check
-execution and deterministic report emission.
+"""Scenario files: schema validation, system construction, check execution
+and deterministic report emission.
 
-A scenario is a JSON object with ``"schema": 1``; unknown fields are rejected
-anywhere in the tree before any computation runs.
+``SPECS`` holds one entry per backend: the JSON type and bound of each field,
+the model and endomorphism builders, and the subgroup constructors.  Nothing
+is built from a scenario, or a subgroup from its constructor, before their
+fields pass these checks; the data, which reports echo, is never rewritten.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from . import __version__, core, cotraj, dynamics
@@ -24,254 +29,256 @@ class ScenarioError(ValueError):
 
 
 SCHEMA_VERSION = 1
-BACKENDS = ("finite", "padic", "shift", "product")
-CHECK_TYPES = ("entropy", "scale", "nub", "scale_link", "tidy", "cotrajectory", "addition", "phi_n")
+# the defaults of probe, tidy_probe and resolution, which like n_max lie in 1..PARAM_BOUND
+PARAMS = {"probe": 8, "tidy_probe": 16, "resolution": 8}
+PARAM_BOUND = 64
+
+
+# a field type with its own test ``ok(value)``; ``text`` describes the valid values
+Check = namedtuple("Check", "text ok")
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a JSON value has a field type: ``int``, ``str``, ``Fraction``
+    (an integer or a string such as "1/2"), a ``range`` of integers, a tuple
+    of allowed strings, ``[t]`` (a list of values of type t) or a ``Check``."""
+    if isinstance(kind, list):
+        ints = isinstance(value, list) and set(map(type, value)) <= {int}
+        if ints and (kind[0] is int or isinstance(kind[0], range)):  # long integer rows
+            return kind[0] is int or not value or min(value) in kind[0] and max(value) in kind[0]
+        return isinstance(value, list) and all(_conforms(x, kind[0]) for x in value)
+    if isinstance(kind, Check):
+        return kind.ok(value)
+    if isinstance(kind, range):
+        return type(value) is int and value in kind
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is Fraction and isinstance(value, str):
+        try:
+            Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return type(value) is (int if kind is Fraction else kind)  # JSON true is not an int
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list of ({_describe(kind[0])})"
+    if isinstance(kind, range):
+        return f"an integer in {kind.start}..{kind.stop - 1}"
+    if isinstance(kind, Check):
+        return kind.text
+    if isinstance(kind, tuple):
+        return f"one of {list(kind)}"
+    return {int: "an integer", str: "a string", Fraction: 'a rational such as 3 or "1/2"'}[kind]
+
+
+def _check_fields(obj, fields: dict, required, where: str) -> None:
+    """Reject unknown fields and values of the wrong type.  Each entry of
+    ``required`` is a field, or a tuple of fields exactly one of which is given."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object")
+    for need in required:
+        options = need if isinstance(need, tuple) else (need,)
+        if sum(key in obj for key in options) != 1:
+            raise ScenarioError(f"{where} needs exactly one of the fields {list(options)}")
+    for key, value in obj.items():
+        if key not in fields:
+            raise ScenarioError(f"unknown field {key!r} in {where}")
+        if not _conforms(value, fields[key]):
+            raise ScenarioError(f"{key!r} in {where} must be {_describe(fields[key])}")
+
+
+def _valid_fragment(frag, common: dict, where: str, required=()) -> bool:
+    """True for a backend and its fields that pass their spec; raises otherwise."""
+    backend = frag.get("backend") if isinstance(frag, dict) else None
+    if not _conforms(backend, common["backend"]):
+        raise ScenarioError(f"{where} needs a 'backend' in {list(common['backend'])}")
+    spec = SPECS[backend]
+    _check_fields(frag, {**common, **spec.fields}, spec.required + required, where)
+    return True
+
+
+# One backend's scenario format: the type of each field, the required ones,
+# ``model(data)`` and ``endo(model, data)``, and the subgroup constructor
+# fields, each with its type and ``build(model, ctor)`` in precedence order
+# (a field whose build is None only modifies another).
+BackendSpec = namedtuple("BackendSpec", "fields required model endo subgroups")
+
+
+def _generated_id(alpha, gens) -> int:
+    return alpha.subgroup_id(alpha._closure([tuple(g) for g in gens]))
+
+
+def _window_profile(model, ctor):
+    alpha = model.alphabet
+    values = {int(pos): _generated_id(alpha, gens) for pos, gens in ctor["window"].items()}
+    left, right = (getattr(alpha, ctor.get(side, "full") + "_id") for side in ("left", "right"))
+    return model.window_profile(values, left, right, fill=alpha.full_id)
+
+
+_PARAM = range(1, PARAM_BOUND + 1)
+_BASE_INDEX = range(-PARAM_BOUND, PARAM_BOUND + 1)
+_POSITIONS = {str(i) for i in _BASE_INDEX}
+_ELEMENTS = [range(finite_backend.DEFAULT_ORDER_BOUND)]
+_TRUE = Check("true", lambda v: v is True)
+_TAIL = ("full", "trivial")
+_PAIR = Check("a list of two subgroup constructors", lambda v: isinstance(v, list) and len(v) == 2)
+_ORDER = shift_backend.MAX_ALPHABET_ORDER
+
+SPECS = {
+    "finite": BackendSpec(
+        fields={
+            "group": tuple(finite_backend.NAMED_GROUPS),
+            "table": [_ELEMENTS],
+            "names": [str],
+            "endo": Check('"identity" or a list of element indices',
+                          lambda v: v == "identity" or _conforms(v, _ELEMENTS)),
+        },
+        required=(("group", "table"), "endo"),
+        model=lambda d: finite_backend.NAMED_GROUPS[d["group"]]() if "group" in d
+        else finite_backend.FiniteGroupModel(d["table"], names=d.get("names")),
+        endo=lambda m, d: m.identity_endo() if d["endo"] == "identity" else m.endo(d["endo"]),
+        subgroups={
+            "members": (_ELEMENTS, lambda m, c: m.subgroup(c["members"])),
+            "generated": (_ELEMENTS, lambda m, c: m.generated_subgroup(c["generated"])),
+            "full": (_TRUE, lambda m, c: m.full_group()),
+            "trivial": (_TRUE, lambda m, c: m.trivial_subgroup()),
+        },
+    ),
+    "padic": BackendSpec(
+        fields={"prime": int, "dim": range(padic_backend.MAX_DIM + 1), "matrix": [[Fraction]]},
+        required=("prime", "dim", "matrix"),
+        model=lambda d: padic_backend.PadicModel(d["prime"], d["dim"]),
+        endo=lambda m, d: m.endo(d["matrix"]),
+        subgroups={
+            "lattice": ([[Fraction]], lambda m, c: m.lattice(c["lattice"])),
+            "subspace": ([[Fraction]], lambda m, c: m.closed_subgroup(c["subspace"])),
+            "zero": (_TRUE, lambda m, c: m.zero_subgroup()),
+            "full_lattice": (_TRUE, lambda m, c: m.full_lattice()),
+            "whole": (_TRUE, lambda m, c: m.whole_space()),
+            "scaled": (_BASE_INDEX, lambda m, c: m.base_element(c["scaled"])),
+        },
+    ),
+    "shift": BackendSpec(
+        fields={
+            "alphabet": Check(f"a non-empty list of cyclic orders with product <= {_ORDER}",
+                              lambda v: _conforms(v, [range(1, _ORDER + 1)]) and 0 < len(v)
+                              and prod(v) <= _ORDER),
+            "tail_mode": shift_backend.TAIL_MODES,
+            "shift": range(-shift_backend.MAX_SHIFT, shift_backend.MAX_SHIFT + 1),
+            "sigma": [[int]],
+        },
+        required=("alphabet", "tail_mode", "shift"),
+        model=lambda d: shift_backend.ShiftProfileModel(
+            shift_backend.cyclic_alphabet(d["alphabet"]), d["tail_mode"]),
+        endo=lambda m, d: m.endo(d["shift"], shift_backend.matrix_hom(
+            m.alphabet, d["alphabet"], d["sigma"]) if "sigma" in d else None),
+        subgroups={
+            "constant": (_TAIL, lambda m, c: m.constant_profile(
+                getattr(m.alphabet, c["constant"] + "_id"))),
+            "constant_gens": ([[int]], lambda m, c: m.constant_profile(
+                _generated_id(m.alphabet, c["constant_gens"]))),
+            "base": (_BASE_INDEX, lambda m, c: m.base_element(c["base"])),
+            "step": (int, lambda m, c: m.make_profile(
+                (m.alphabet.trivial_id,), c["step"], (), (m.alphabet.full_id,))),
+            "window": (Check(f"an object from positions in -{PARAM_BOUND}..{PARAM_BOUND} to "
+                             "lists of alphabet elements", lambda v: isinstance(v, dict) and all(
+                                 pos in _POSITIONS and _conforms(gens, [[int]])
+                                 for pos, gens in v.items())), _window_profile),
+            "left": (_TAIL, None),
+            "right": (_TAIL, None),
+        },
+    ),
+    "product": BackendSpec(
+        fields={"factors": Check(
+            "a list of two backend fragments (no product among them)",
+            lambda v: isinstance(v, list) and len(v) == 2 and all(
+                _valid_fragment(f, {"backend": BACKENDS[:-1]}, "a factor") for f in v),
+        )},
+        required=("factors",),
+        model=lambda d: product_backend.ProductModel(
+            *(SPECS[f["backend"]].model(f) for f in d["factors"]), name=d.get("name", "")),
+        endo=lambda m, d: product_backend.ProductEndo(
+            m, tuple(SPECS[f["backend"]].endo(fm, f) for fm, f in zip(m.factors, d["factors"]))),
+        subgroups={"pair": (_PAIR, lambda m, c: m.pair(*map(_construct, m.factors, c["pair"])))},
+    ),
+}
+BACKENDS = tuple(SPECS)
 
 _TOP_FIELDS = {
-    "schema", "name", "backend", "subgroups", "checks", "probe", "tidy_probe", "resolution",
-}
-_BACKEND_FIELDS = {
-    "finite": {"group", "table", "names", "endo"},
-    "padic": {"prime", "dim", "matrix"},
-    "shift": {"alphabet", "tail_mode", "shift", "sigma"},
-    "product": {"factors"},
+    "schema": range(SCHEMA_VERSION, SCHEMA_VERSION + 1),
+    "name": str,
+    "backend": BACKENDS,
+    "subgroups": Check("an object", lambda v: isinstance(v, dict)),
+    "checks": Check("a list", lambda v: isinstance(v, list)),
+    **dict.fromkeys(PARAMS, _PARAM),
 }
 _CHECK_FIELDS = {
-    "entropy": set(),
-    "scale": set(),
-    "nub": set(),
-    "scale_link": set(),
-    "tidy": {"subgroup"},
-    "cotrajectory": {"n_max"},
-    "addition": {"subgroup"},
-    "phi_n": {"candidates"},
+    **dict.fromkeys(("entropy", "scale", "nub", "scale_link"), {}),
+    "tidy": {"subgroup": str},
+    "cotrajectory": {"n_max": _PARAM},
+    "addition": {"subgroup": str},
+    "phi_n": {"candidates": [str]},
 }
-
-
-def _reject_unknown(obj: dict, allowed: set, where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
-
-
-def _parse_fraction(x) -> Fraction:
-    if isinstance(x, bool):
-        raise ScenarioError(f"not a number: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad rational {x!r}: {exc}") from None
-    raise ScenarioError(f"bad rational entry {x!r}")
 
 
 def validate_scenario(data: dict) -> dict:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError(f'scenario must declare "schema": {SCHEMA_VERSION}')
-    backend = data.get("backend")
-    if backend not in BACKENDS:
-        raise ScenarioError(f"backend must be one of {BACKENDS}")
-    allowed = _TOP_FIELDS | _BACKEND_FIELDS[backend]
-    _reject_unknown(data, allowed, "scenario")
-    if not isinstance(data.get("name", ""), str):
-        raise ScenarioError("name must be a string")
-    for key in ("probe", "tidy_probe", "resolution"):
-        if key in data and (not isinstance(data[key], int) or data[key] < 1):
-            raise ScenarioError(f"{key} must be a positive integer")
-    if backend == "finite":
-        if ("group" in data) == ("table" in data):
-            raise ScenarioError("finite scenarios take exactly one of 'group' or 'table'")
-        if "group" in data and data["group"] not in finite_backend.NAMED_GROUPS:
-            raise ScenarioError(f"unknown named group {data['group']!r}")
-        if "endo" not in data:
-            raise ScenarioError("finite scenarios need 'endo'")
-    elif backend == "padic":
-        for key in ("prime", "dim", "matrix"):
-            if key not in data:
-                raise ScenarioError(f"padic scenarios need '{key}'")
-    elif backend == "shift":
-        for key in ("alphabet", "tail_mode", "shift"):
-            if key not in data:
-                raise ScenarioError(f"shift scenarios need '{key}'")
-        if data["tail_mode"] not in shift_backend.TAIL_MODES:
-            raise ScenarioError(f"tail_mode must be one of {shift_backend.TAIL_MODES}")
-    else:
-        factors = data.get("factors")
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise ScenarioError("product scenarios need exactly two 'factors'")
-        for i, frag in enumerate(factors):
-            sub = dict(frag)
-            sub.setdefault("schema", SCHEMA_VERSION)
-            sub.setdefault("name", f"factor{i}")
-            if sub.get("backend") == "product":
-                raise ScenarioError("nested products are not supported")
-            validate_scenario(sub)
-            if "subgroups" in frag or "checks" in frag:
-                raise ScenarioError("factors carry only backend parameters")
-    subgroups = data.get("subgroups", {})
-    if not isinstance(subgroups, dict):
-        raise ScenarioError("subgroups must be an object")
-    for name, ctor in subgroups.items():
-        if not isinstance(ctor, dict):
-            raise ScenarioError(f"subgroup {name!r} must be an object")
-    checks = data.get("checks", [])
-    if not isinstance(checks, list):
-        raise ScenarioError("checks must be a list")
-    for chk in checks:
-        if not isinstance(chk, dict) or chk.get("type") not in CHECK_TYPES:
-            raise ScenarioError(f"bad check {chk!r}")
-        _reject_unknown(chk, {"type"} | _CHECK_FIELDS[chk["type"]], f"check {chk.get('type')}")
-        for field in _CHECK_FIELDS[chk["type"]] - {"n_max"}:
-            if field not in chk:
-                raise ScenarioError(f"check {chk['type']!r} needs {field!r}")
+    """Check ``data`` against its backend's spec; returns it unchanged.
+    Subgroup constructors are checked when they are built."""
+    _valid_fragment(data, _TOP_FIELDS, "scenario", required=("schema",))
+    for i, chk in enumerate(data.get("checks", [])):
+        if not isinstance(chk, dict) or not _conforms(chk.get("type"), tuple(_CHECK_FIELDS)):
+            raise ScenarioError(f"checks[{i}] needs a 'type' in {list(_CHECK_FIELDS)}")
+        fields = _CHECK_FIELDS[chk["type"]]
+        _check_fields(chk, {"type": str, **fields}, set(fields) - {"n_max"}, f"checks[{i}]")
     return data
 
 
-def _build_finite(data) -> TdlcSystem:
-    if "group" in data:
-        model = finite_backend.NAMED_GROUPS[data["group"]]()
-    else:
-        model = finite_backend.FiniteGroupModel(data["table"], names=data.get("names"))
-    endo_spec = data["endo"]
-    if endo_spec == "identity":
-        endo = model.identity_endo()
-    else:
-        try:
-            endo = model.endo(tuple(int(x) for x in endo_spec))
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"bad finite endomorphism: {exc}") from None
-    return TdlcSystem(model, endo, name=data.get("name", model.name))
-
-
-def _build_padic(data) -> TdlcSystem:
+@contextmanager
+def _error_boundary(what: str):
+    """A constructor's complaint about its input, as ``ScenarioError`` (exit 2)."""
     try:
-        model = padic_backend.PadicModel(int(data["prime"]), int(data["dim"]))
-        matrix = [[_parse_fraction(x) for x in row] for row in data["matrix"]]
-        endo = model.endo(matrix)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-    return TdlcSystem(model, endo, name=data.get("name", model.name))
-
-
-def _build_shift(data) -> TdlcSystem:
-    try:
-        orders = tuple(int(n) for n in data["alphabet"])
-        alphabet = shift_backend.cyclic_alphabet(orders)
-        model = shift_backend.ShiftProfileModel(alphabet, data["tail_mode"])
-        sigma = None
-        if "sigma" in data:
-            sigma = shift_backend.matrix_hom(alphabet, orders, data["sigma"])
-        endo = model.endo(int(data["shift"]), sigma)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-    return TdlcSystem(model, endo, name=data.get("name", model.name))
+        yield
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ScenarioError(f"{what}: {exc}") from None
 
 
 def build_system(data: dict) -> TdlcSystem:
-    backend = data["backend"]
-    if backend == "finite":
-        return _build_finite(data)
-    if backend == "padic":
-        return _build_padic(data)
-    if backend == "shift":
-        return _build_shift(data)
-    fragments = []
-    for i, frag in enumerate(data["factors"]):
-        sub = dict(frag)
-        sub.setdefault("schema", SCHEMA_VERSION)
-        sub.setdefault("name", f"{data.get('name', 'product')}[{i}]")
-        fragments.append(build_system(sub))
-    return product_backend.make_product(fragments[0], fragments[1], name=data.get("name", ""))
+    spec = SPECS[data["backend"]]
+    with _error_boundary(f"bad {data['backend']} system"):
+        model = spec.model(data)
+        endo = spec.endo(model, data)
+    return TdlcSystem(model, endo, name=data.get("name", model.name))
+
+
+def _construct(model, ctor):
+    """The handle of a subgroup constructor, after checking its fields."""
+    subgroups = SPECS[model.kind].subgroups
+    _check_fields(ctor, {key: kind for key, (kind, _) in subgroups.items()}, (), "the constructor")
+    for key, (_, build) in subgroups.items():
+        if build is not None and key in ctor:
+            return build(model, ctor)
+    raise ScenarioError("the constructor names no subgroup")
 
 
 def build_subgroup(sys: TdlcSystem, ctor: dict, where: str):
-    model = sys.model
-    kind = model.kind
-    try:
-        if kind == "finite":
-            _reject_unknown(ctor, {"members", "generated", "full", "trivial"}, where)
-            if "members" in ctor:
-                return model.subgroup(int(x) for x in ctor["members"])
-            if "generated" in ctor:
-                return model.generated_subgroup(int(x) for x in ctor["generated"])
-            if ctor.get("full"):
-                return model.full_group()
-            if ctor.get("trivial"):
-                return model.trivial_subgroup()
-        elif kind == "padic":
-            _reject_unknown(
-                ctor, {"lattice", "subspace", "zero", "full_lattice", "whole", "scaled"}, where
-            )
-            if "lattice" in ctor:
-                cols = [[_parse_fraction(x) for x in col] for col in ctor["lattice"]]
-                return model.lattice(cols)
-            if "subspace" in ctor:
-                rows = [[_parse_fraction(x) for x in row] for row in ctor["subspace"]]
-                return model.closed_subgroup(rows, [])
-            if ctor.get("zero"):
-                return model.zero_subgroup()
-            if ctor.get("full_lattice"):
-                return model.full_lattice()
-            if ctor.get("whole"):
-                return model.whole_space()
-            if "scaled" in ctor:
-                return model.base_element(int(ctor["scaled"]))
-        elif kind == "shift":
-            _reject_unknown(
-                ctor, {"constant", "constant_gens", "window", "left", "right", "base", "step"}, where
-            )
-            alpha = model.alphabet
-            if "constant" in ctor:
-                sid = alpha.full_id if ctor["constant"] == "full" else alpha.trivial_id
-                return model.constant_profile(sid)
-            if "constant_gens" in ctor:
-                gens = [tuple(int(v) for v in g) for g in ctor["constant_gens"]]
-                sid = alpha.subgroup_id(alpha._closure(gens))
-                return model.constant_profile(sid)
-            if "base" in ctor:
-                return model.base_element(int(ctor["base"]))
-            if "step" in ctor:
-                k = int(ctor["step"])
-                return model.make_profile((alpha.trivial_id,), k, (), (alpha.full_id,))
-            if "window" in ctor:
-                tail = {"full": alpha.full_id, "trivial": alpha.trivial_id}
-                left = tail[ctor.get("left", "full")]
-                right = tail[ctor.get("right", "full")]
-                values = {}
-                for pos, gens in ctor["window"].items():
-                    gset = alpha._closure([tuple(int(v) for v in g) for g in gens])
-                    values[int(pos)] = alpha.subgroup_id(gset)
-                return model.window_profile(values, left, right, fill=alpha.full_id)
-        else:
-            _reject_unknown(ctor, {"pair"}, where)
-            if "pair" in ctor:
-                left_sys = TdlcSystem(model.factors[0], sys.endo.parts[0])
-                right_sys = TdlcSystem(model.factors[1], sys.endo.parts[1])
-                return model.pair(
-                    build_subgroup(left_sys, ctor["pair"][0], where + "[0]"),
-                    build_subgroup(right_sys, ctor["pair"][1], where + "[1]"),
-                )
-    except ScenarioError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ScenarioError(f"bad subgroup {where}: {exc}") from None
-    raise ScenarioError(f"empty subgroup constructor in {where}")
+    with _error_boundary(f"bad subgroup {where}"):
+        return _construct(sys.model, ctor)
 
 
-def _verdict_result(v: dynamics.Verdict) -> dict:
-    return v.to_jsonable()
+def build_subgroups(sys: TdlcSystem, data: dict) -> dict:
+    """The scenario's named subgroups, in name order."""
+    return {
+        name: build_subgroup(sys, ctor, f"{data.get('name', '')}.{name}")
+        for name, ctor in sorted(data.get("subgroups", {}).items())
+    }
 
 
 def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolution: int):
     """Execute the scenario's requested computations in order."""
-    subgroups = {
-        name: build_subgroup(sys, ctor, f"subgroups.{name}")
-        for name, ctor in sorted(data.get("subgroups", {}).items())
-    }
+    subgroups = build_subgroups(sys, data)
     results = []
     unresolved = 0
     failures = 0
@@ -286,18 +293,14 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
             elif kind == "nub":
                 rep = dynamics.nub(sys, resolution=resolution, probe=probe)
                 entry["result"] = rep.to_jsonable()
-                if not rep.certified:
-                    unresolved += 1
-            elif kind == "scale_link":
-                v = dynamics.verify_scale_entropy_link(sys, probe=probe, resolution=resolution)
-                entry["result"] = _verdict_result(v)
-                failures += v.status == dynamics.FAIL
-                unresolved += v.status == dynamics.INCONCLUSIVE
-            elif kind == "addition":
-                handle = subgroups[chk["subgroup"]]
-                spec = ClosedSubgroupSpec.verify(sys, handle)
-                v = dynamics.verify_addition_theorem(sys, spec, probe)
-                entry["result"] = _verdict_result(v)
+                unresolved += not rep.certified
+            elif kind in ("scale_link", "addition"):
+                if kind == "scale_link":
+                    v = dynamics.verify_scale_entropy_link(sys, probe, resolution)
+                else:
+                    spec = ClosedSubgroupSpec.verify(sys, subgroups[chk["subgroup"]])
+                    v = dynamics.verify_addition_theorem(sys, spec, probe)
+                entry["result"] = v.to_jsonable()
                 failures += v.status == dynamics.FAIL
                 unresolved += v.status == dynamics.INCONCLUSIVE
             elif kind == "tidy":
@@ -320,8 +323,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                     "alpha": [str(r.alpha) for r in table.rows if r.alpha is not None],
                     "n_star": table.n_star,
                 }
-                if table.n_star is None:
-                    unresolved += 1
+                unresolved += table.n_star is None
             elif kind == "phi_n":
                 cands = [subgroups[name] for name in chk["candidates"]]
                 best, accepted, rejected = dynamics.entropy_lower_bound_phiN(sys, cands, probe)
@@ -345,13 +347,15 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
 
 def run_scenario(data: dict, probe: Optional[int] = None, tidy_probe: Optional[int] = None,
                  resolution: Optional[int] = None) -> tuple[dict, int, int]:
-    """Full report for one scenario; returns (report, failures, unresolved)."""
+    """Full report for one scenario; returns (report, failures, unresolved).
+    An option that is not None overrides the scenario field of its name."""
     data = validate_scenario(data)
+    options = {"probe": probe, "tidy_probe": tidy_probe, "resolution": resolution}
+    params = {key: data.get(key, default) if options[key] is None else options[key]
+              for key, default in PARAMS.items()}
+    _check_fields(params, _TOP_FIELDS, (), "the options")
     sys = build_system(data)
-    probe = probe if probe is not None else data.get("probe", 8)
-    tidy_probe = tidy_probe if tidy_probe is not None else data.get("tidy_probe", 16)
-    resolution = resolution if resolution is not None else data.get("resolution", 8)
-    results, failures, unresolved = run_checks(sys, data, probe, tidy_probe, resolution)
+    results, failures, unresolved = run_checks(sys, data, **params)
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -367,13 +371,26 @@ def load_scenario_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to parse
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return validate_scenario(data)
 
 
 def emit_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# the alpha, infinite and certified columns of a result, per check type
+_CSV_COLUMNS = {
+    "entropy": lambda res: (res["alpha"], str(res["infinite"]).lower(), res["certified"]),
+    "scale": lambda res: (res["scale"], "false", True),
+    "nub": lambda res: ("", "false", res["certified"]),
+    **dict.fromkeys(("scale_link", "addition"),
+                    lambda res: (res.get("status"), "", res.get("status") == "PASS")),
+    "tidy": lambda res: ("", "", bool(res.get("tidy_above"))),
+    "cotrajectory": lambda res: ("", "", res.get("n_star") is not None),
+    "phi_n": lambda res: (res.get("bound_alpha"), "false", True),
+}
 
 
 def emit_csv(report: dict) -> str:
@@ -383,26 +400,7 @@ def emit_csv(report: dict) -> str:
     for entry in report.get("results", []):
         kind = entry["check"]["type"]
         res = entry.get("result", {})
-        if res.get("status") == "UNRESOLVED":
-            lines.append(f"{name},{kind},,,false")
-            continue
-        if kind == "entropy":
-            lines.append(
-                f"{name},entropy,{res['alpha']},{str(res['infinite']).lower()},"
-                f"{str(res['certified']).lower()}"
-            )
-        elif kind == "scale":
-            lines.append(f"{name},scale,{res['scale']},false,true")
-        elif kind == "nub":
-            lines.append(f"{name},nub,,false,{str(res['certified']).lower()}")
-        elif kind in ("scale_link", "addition"):
-            ok = res.get("status") == "PASS"
-            lines.append(f"{name},{kind},{res.get('status')},,{str(ok).lower()}")
-        elif kind == "tidy":
-            lines.append(f"{name},tidy,,,{str(bool(res.get('tidy_above'))).lower()}")
-        elif kind == "cotrajectory":
-            certified = res.get("n_star") is not None
-            lines.append(f"{name},cotrajectory,,,{str(certified).lower()}")
-        elif kind == "phi_n":
-            lines.append(f"{name},phi_n,{res.get('bound_alpha')},false,true")
+        unresolved = res.get("status") == "UNRESOLVED"
+        alpha, infinite, certified = ("", "", False) if unresolved else _CSV_COLUMNS[kind](res)
+        lines.append(f"{name},{kind},{alpha},{infinite},{str(certified).lower()}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from .backends.catalog import catalog_scenarios
 from .backends.product import make_product
 from .core import ClosedSubgroupSpec, TdlcSystem, UnresolvedError
 from .dynamics import FAIL, INCONCLUSIVE, PASS, SKIPPED
-from .scenario import build_subgroup, build_system
+from .scenario import build_subgroups, build_system
 
 SUITE_NAMES = ("indices", "cotrajectory", "addition", "scale-link", "all")
 _EXTRA_SUITES = ("limit-free", "products", "oracle", "monotonicity")
@@ -30,11 +30,7 @@ def _catalog_systems() -> list:
     out = []
     for data in catalog_scenarios():
         sys = build_system(data)
-        subgroups = {
-            name: build_subgroup(sys, ctor, f"{data['name']}.{name}")
-            for name, ctor in sorted(data.get("subgroups", {}).items())
-        }
-        out.append((data, sys, subgroups))
+        out.append((data, sys, build_subgroups(sys, data)))
     return out
 
 

@@ -13,7 +13,7 @@ from tdlc_entropy import cli, dynamics
 from tdlc_entropy.backends.catalog import catalog_scenarios
 from tdlc_entropy.core import ClosedSubgroupSpec
 from tdlc_entropy.dynamics import PASS, SKIPPED
-from tdlc_entropy.scenario import build_subgroup, build_system
+from tdlc_entropy.scenario import build_subgroups, build_system
 from tdlc_entropy.verify import (
     suite_cotrajectory,
     suite_indices,
@@ -31,11 +31,7 @@ def built_catalog():
     out = []
     for data in catalog_scenarios():
         sys = build_system(data)
-        subgroups = {
-            name: build_subgroup(sys, ctor, name)
-            for name, ctor in sorted(data.get("subgroups", {}).items())
-        }
-        out.append((data, sys, subgroups))
+        out.append((data, sys, build_subgroups(sys, data)))
     return out
 
 

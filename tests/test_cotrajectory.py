@@ -53,12 +53,12 @@ def mixed_diag():
 def test_minus_n_examples():
     sys = q2_half()
     u = sys.model.full_lattice()
-    assert cotraj.minus_n(sys, u, 3) == sys.model.lattice([[8]])
-    assert cotraj.minus_n(sys, u, 0) == u
+    assert cotraj.minus_chain(sys, u, 3)[3] == sys.model.lattice([[8]])
+    assert cotraj.minus_chain(sys, u, 0)[0] == u
 
     s = shift_z2()
     u = s.model.base_element(0)
-    got = cotraj.minus_n(s, u, 2)
+    got = cotraj.minus_chain(s, u, 2)[2]
     triv, full = s.model.alphabet.trivial_id, s.model.alphabet.full_id
     assert got == s.model.make_profile((full,), 0, (triv,) * 3, (full,))
 
@@ -66,13 +66,13 @@ def test_minus_n_examples():
 def test_plus_n_examples():
     sys = q2_half()
     u = sys.model.full_lattice()
-    assert cotraj.plus_n(sys, u, 3) == u  # Z_2 is already forward invariant
+    assert cotraj.plus_chain(sys, u, 3)[3] == u  # Z_2 is already forward invariant
 
     d = q2_double()
     u = d.model.full_lattice()
-    assert cotraj.plus_n(d, u, 1) == d.model.lattice([[2]])
-    assert cotraj.plus_n(d, u, 4) == d.model.lattice([[16]])
-    assert cotraj.plus_n(d, u, 0) == u
+    assert cotraj.plus_chain(d, u, 1)[1] == d.model.lattice([[2]])
+    assert cotraj.plus_chain(d, u, 4)[4] == d.model.lattice([[16]])
+    assert cotraj.plus_chain(d, u, 0)[0] == u
 
 
 def test_alpha_sequence_q2_half():
@@ -240,14 +240,14 @@ def test_stable_subgroup_below_plus_n():
     s = shift_z2()
     u = s.model.full_group()
     h = s.model.full_group()  # the whole group is stable under the shift
-    for n in range(5):
-        assert s.model.contains(cotraj.plus_n(s, u, n), h)
+    for un in cotraj.plus_chain(s, u, 4):
+        assert s.model.contains(un, h)
 
     f = finite_s3()
     a3 = next(x for x in f.model.all_subgroups() if len(x) == 3)
     u = f.model.full_group()
-    for n in range(5):
-        assert f.model.contains(cotraj.plus_n(f, u, n), a3)
+    for un in cotraj.plus_chain(f, u, 4):
+        assert f.model.contains(un, a3)
 
 
 def test_normalizer_descends_to_plus_n():
@@ -255,8 +255,7 @@ def test_normalizer_descends_to_plus_n():
     f = finite_s3()
     a3 = next(x for x in f.model.all_subgroups() if len(x) == 3)
     u = f.model.full_group()
-    for n in range(4):
-        un = cotraj.plus_n(f, u, n)
+    for un in cotraj.plus_chain(f, u, 3):
         norm = f.model.normalizer(un)
         assert f.model.contains(norm, a3)
 

@@ -1,13 +1,16 @@
+import copy
 import io
 import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdlc_entropy import cli
+from tdlc_entropy import cli, scenario
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.scenario import (
     ScenarioError,
+    build_subgroups,
     build_system,
     emit_csv,
     emit_json,
@@ -112,6 +115,12 @@ def test_cli_exit_codes(tmp_path):
         code, _ = run_cli(["entropy", str(huge)])
         assert code == cli.EXIT_INVALID
 
+    long_int = tmp_path / "long_int.json"  # past Python's integer parsing limit
+    long_int.write_text('{"schema": 1, "backend": "padic", "prime": ' + "7" * 5000
+                        + ', "dim": 1, "matrix": [["1/2"]]}')
+    code, _ = run_cli(["entropy", str(long_int)])
+    assert code == cli.EXIT_INVALID
+
     good = tmp_path / "good.json"
     good.write_text(json.dumps(find_scenario("q2_half")))
     code, out = run_cli(["entropy", str(good), "--probe", "3"])
@@ -178,3 +187,145 @@ def test_shipped_scenario_files_match_catalog():
         data = json.loads(path.read_text())
         validate_scenario(data)
         build_system(data)
+
+
+def run_report(tmp_path, capsys, data, *flags):
+    """Exit code and stderr of ``report`` on ``data`` written to a file."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli.main(["report", str(path), *flags])
+    return code, capsys.readouterr().err
+
+
+def with_fields(name, **fields):
+    return dict(find_scenario(name), **fields)
+
+
+@pytest.mark.parametrize("data,flags", [
+    (with_fields("q2_half", matrix=5), ()),
+    (with_fields("laurent_z3", alphabet=5), ()),
+    (with_fields("laurent_z3", sigma=5), ()),
+    ({"schema": 1, "backend": "finite", "table": 5, "endo": "identity"}, ()),
+    (with_fields("product_q2half_squared", factors=[5, 6]), ()),
+    (with_fields("q2_half", checks=[{"type": "cotrajectory", "n_max": "x"}]), ()),
+    (with_fields("q2_half", checks=[{"type": "cotrajectory", "n_max": 0}]), ()),
+    (with_fields("q2_half"), ("--probe", "0")),
+    (with_fields("q2_half", probe=True), ()),
+    (with_fields("q2_half", dim=True), ()),
+    (with_fields("finite_s3", subgroups={"A3": {"generated": 3}}), ()),
+    (with_fields("q2_half", checks=[{"type": "phi_n", "candidates": 5}]), ()),
+    (with_fields("finite_s3", endo=[0, 1, 2, 3, 4, -1]), ()),
+    (with_fields("finite_s3", subgroups={"A3": {"generated": [99]}}), ()),
+    (with_fields("shift_z4_compact", subgroups={"H2": {"constant_gens": [[1, 1]]}}), ()),
+], ids=[
+    "padic-matrix", "shift-alphabet", "shift-sigma", "finite-table", "product-factors",
+    "n_max-string", "n_max-zero", "probe-option-zero", "probe-true", "dim-true",
+    "subgroup-generated", "phi_n-candidates", "finite-endo-negative",
+    "subgroup-element-out-of-range", "subgroup-generator-not-in-alphabet",
+])
+def test_malformed_field_exits_2(tmp_path, capsys, data, flags):
+    code, err = run_report(tmp_path, capsys, data, *flags)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ")
+
+
+BOUNDS = [
+    # (scenario, fields at the limit, fields one past it, CLI flags at/past it)
+    ("finite_trivial", {"probe": 64}, {"probe": 65}, None),
+    ("finite_trivial", {"tidy_probe": 64}, {"tidy_probe": 65}, None),
+    ("finite_trivial", {"resolution": 64}, {"resolution": 65}, None),
+    ("finite_trivial", {}, {}, ("--probe", "64", "65")),
+    ("finite_trivial", {}, {}, ("--tidy-probe", "64", "65")),
+    ("finite_trivial", {}, {}, ("--resolution", "64", "65")),
+    ("finite_trivial", {"checks": [{"type": "cotrajectory", "n_max": 64}]},
+     {"checks": [{"type": "cotrajectory", "n_max": 65}]}, None),
+    ("laurent_z3", {"alphabet": [16]}, {"alphabet": [17]}, None),
+    ("laurent_z3", {"alphabet": [2, 8]}, {"alphabet": [2, 2, 2, 2, 2]}, None),
+    ("laurent_z3", {"shift": 16}, {"shift": 17}, None),
+    ("laurent_z3", {"shift": -16}, {"shift": -17}, None),
+    ("q2_half", {"dim": 8, "matrix": [[int(i == j) for j in range(8)] for i in range(8)]},
+     {"dim": 9, "matrix": [[int(i == j) for j in range(9)] for i in range(9)]}, None),
+]
+
+
+@pytest.mark.parametrize("name,at_limit,past_limit,flag", BOUNDS, ids=[
+    "probe", "tidy_probe", "resolution", "option-probe", "option-tidy-probe",
+    "option-resolution", "n_max", "alphabet-order", "alphabet-product-order", "shift",
+    "negative-shift", "dim",
+])
+def test_declared_bounds(tmp_path, capsys, monkeypatch, name, at_limit, past_limit, flag):
+    """The limit is accepted; one past it exits 2 before anything is built."""
+    base = with_fields(name, subgroups={}, checks=[])
+    flags_at, flags_past = ((flag[0], flag[1]), (flag[0], flag[2])) if flag else ((), ())
+    code, err = run_report(tmp_path, capsys, dict(base, **at_limit), *flags_at)
+    assert code == cli.EXIT_OK, err
+
+    def no_build(data):
+        raise AssertionError("built a system from out-of-bounds input")
+
+    monkeypatch.setattr(scenario, "build_system", no_build)
+    code, err = run_report(tmp_path, capsys, dict(base, **past_limit), *flags_past)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("endo", [[0, 1, 2, 3, 4, 256], [-1, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5.0]],
+                         ids=["above-255", "negative", "float"])
+def test_validation_bounds_every_entry_of_an_index_list(endo):
+    validate_scenario(with_fields("finite_s3", endo=[0, 1, 2, 3, 4, 255]))
+    with pytest.raises(ScenarioError, match="element indices"):
+        validate_scenario(with_fields("finite_s3", endo=endo))
+
+
+def test_validation_does_not_rewrite_the_scenario():
+    for data in catalog_scenarios():
+        before = copy.deepcopy(data)
+        validate_scenario(data)
+        sys = build_system(data)
+        build_subgroups(sys, data)
+        assert data == before
+
+
+def json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def field_paths(node, path=()):
+    """Paths of every field of the scenario tree (keys of nested objects)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from field_paths(value, path + (i,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wrongly_typed_field_fails_only_with_scenario_error(data):
+    """A field of a catalog scenario replaced by a value of another JSON type
+    either still builds or is refused with ScenarioError, never anything else."""
+    scenario_data = copy.deepcopy(data.draw(st.sampled_from(catalog_scenarios())))
+    path = data.draw(st.sampled_from(list(field_paths(scenario_data))))
+    parent = scenario_data
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    new = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != json_type(old)))
+    parent[path[-1]] = new
+    try:
+        validate_scenario(scenario_data)
+        sys = build_system(scenario_data)
+        build_subgroups(sys, scenario_data)
+    except ScenarioError:
+        pass
