@@ -17,6 +17,10 @@ computed by stacking constraints and converting back, which is exact and
 needs no iteration.  Each conversion is one elimination of an augmented
 matrix (``linalg.kernel_and_solutions``) that yields the kernel split and
 every particular solution at once.
+
+The contracting and expanding parts of Q_p^d under the matrix come from the
+Newton polygon of each irreducible factor over Q of its characteristic
+polynomial; ``polyfactor`` finds those factors exactly in pure Python.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from ..linalg import (
     transpose,
     zp_column_hnf,
 )
+from ..polyfactor import factor_rational as _rational_factor_list
 
 F = Fraction
 
@@ -786,22 +791,6 @@ def _poly_eval_matrix(coeffs, a):
         out = tuple(
             tuple(out[i][j] + (c if i == j else 0) for j in range(d)) for i in range(d)
         )
-    return out
-
-
-def _rational_factor_list(coeffs):
-    """Irreducible monic factors over Q of a monic polynomial, with multiplicity."""
-    import sympy
-
-    x = sympy.symbols("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for poly, mult in factors:
-        monic = poly.monic()
-        cs = [F(sympy.Rational(c).p, sympy.Rational(c).q) for c in monic.all_coeffs()]
-        cs.reverse()
-        out.append((tuple(cs), int(mult)))
     return out
 
 

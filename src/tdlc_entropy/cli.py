@@ -20,7 +20,7 @@ from .scenario import (
     emit_csv,
     emit_json,
     load_scenario_file,
-    run_scenario,
+    run_validated,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -103,12 +103,11 @@ def _run_scenario_command(args) -> int:
             return EXIT_INVALID
     else:
         checks = _COMMAND_CHECKS[args.command]
-    data = dict(data)
-    data["checks"] = checks
+    # the file passed validation; the checks put in its place are well formed
+    data = dict(data, checks=checks)
     try:
-        report, failures, unresolved = run_scenario(
-            data, probe=args.probe, tidy_probe=args.tidy_probe, resolution=args.resolution
-        )
+        report, failures, unresolved = run_validated(data, args.probe, args.tidy_probe,
+                                                     args.resolution)
     except ScenarioError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID

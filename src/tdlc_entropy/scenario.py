@@ -10,6 +10,7 @@ fields pass these checks; the data, which reports echo, is never rewritten.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
@@ -32,6 +33,8 @@ SCHEMA_VERSION = 1
 # the defaults of probe, tidy_probe and resolution, which like n_max lie in 1..PARAM_BOUND
 PARAMS = {"probe": 8, "tidy_probe": 16, "resolution": 8}
 PARAM_BOUND = 64
+# the most decimal digits of the numerator and of the denominator of a p-adic entry
+ENTRY_DIGITS = 20
 
 
 # a field type with its own test ``ok(value)``; ``text`` describes the valid values
@@ -39,9 +42,9 @@ Check = namedtuple("Check", "text ok")
 
 
 def _conforms(value, kind) -> bool:
-    """Whether a JSON value has a field type: ``int``, ``str``, ``Fraction``
-    (an integer or a string such as "1/2"), a ``range`` of integers, a tuple
-    of allowed strings, ``[t]`` (a list of values of type t) or a ``Check``."""
+    """Whether a JSON value has a field type: ``int``, ``str``, a ``range`` of
+    integers, a tuple of allowed strings, ``[t]`` (a list of values of type t)
+    or a ``Check``."""
     if isinstance(kind, list):
         ints = isinstance(value, list) and set(map(type, value)) <= {int}
         if ints and (kind[0] is int or isinstance(kind[0], range)):  # long integer rows
@@ -53,13 +56,7 @@ def _conforms(value, kind) -> bool:
         return type(value) is int and value in kind
     if isinstance(kind, tuple):
         return isinstance(value, str) and value in kind
-    if kind is Fraction and isinstance(value, str):
-        try:
-            Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return type(value) is (int if kind is Fraction else kind)  # JSON true is not an int
+    return type(value) is kind  # JSON true is not an int
 
 
 def _describe(kind) -> str:
@@ -71,7 +68,7 @@ def _describe(kind) -> str:
         return kind.text
     if isinstance(kind, tuple):
         return f"one of {list(kind)}"
-    return {int: "an integer", str: "a string", Fraction: 'a rational such as 3 or "1/2"'}[kind]
+    return {int: "an integer", str: "a string"}[kind]
 
 
 def _check_fields(obj, fields: dict, required, where: str) -> None:
@@ -126,6 +123,30 @@ _TRUE = Check("true", lambda v: v is True)
 _TAIL = ("full", "trivial")
 _PAIR = Check("a list of two subgroup constructors", lambda v: isinstance(v, list) and len(v) == 2)
 _ORDER = shift_backend.MAX_ALPHABET_ORDER
+_ENTRY_LIMIT = 10**ENTRY_DIGITS
+# Fraction("1e<n>") builds 10**n before any bound can be checked, so a string
+# whose exponent is beyond 4 * ENTRY_DIGITS is refused unparsed
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
+def _bounded_rational(value) -> bool:
+    """An integer, or a string that Fraction parses, whose numerator and
+    denominator in lowest terms have at most ENTRY_DIGITS digits."""
+    if isinstance(value, str):
+        try:
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > 4 * ENTRY_DIGITS:
+                return False
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+    elif type(value) is not int:
+        return False
+    return abs(value.numerator) < _ENTRY_LIMIT and value.denominator < _ENTRY_LIMIT
+
+
+_RATIONAL = Check(f'a rational such as 3 or "1/2" with numerator and denominator of at most '
+                  f'{ENTRY_DIGITS} digits', _bounded_rational)
 
 SPECS = {
     "finite": BackendSpec(
@@ -148,13 +169,13 @@ SPECS = {
         },
     ),
     "padic": BackendSpec(
-        fields={"prime": int, "dim": range(padic_backend.MAX_DIM + 1), "matrix": [[Fraction]]},
+        fields={"prime": int, "dim": range(padic_backend.MAX_DIM + 1), "matrix": [[_RATIONAL]]},
         required=("prime", "dim", "matrix"),
         model=lambda d: padic_backend.PadicModel(d["prime"], d["dim"]),
         endo=lambda m, d: m.endo(d["matrix"]),
         subgroups={
-            "lattice": ([[Fraction]], lambda m, c: m.lattice(c["lattice"])),
-            "subspace": ([[Fraction]], lambda m, c: m.closed_subgroup(c["subspace"])),
+            "lattice": ([[_RATIONAL]], lambda m, c: m.lattice(c["lattice"])),
+            "subspace": ([[_RATIONAL]], lambda m, c: m.closed_subgroup(c["subspace"])),
             "zero": (_TRUE, lambda m, c: m.zero_subgroup()),
             "full_lattice": (_TRUE, lambda m, c: m.full_lattice()),
             "whole": (_TRUE, lambda m, c: m.whole_space()),
@@ -349,7 +370,12 @@ def run_scenario(data: dict, probe: Optional[int] = None, tidy_probe: Optional[i
                  resolution: Optional[int] = None) -> tuple[dict, int, int]:
     """Full report for one scenario; returns (report, failures, unresolved).
     An option that is not None overrides the scenario field of its name."""
-    data = validate_scenario(data)
+    return run_validated(validate_scenario(data), probe, tidy_probe, resolution)
+
+
+def run_validated(data: dict, probe: Optional[int], tidy_probe: Optional[int],
+                  resolution: Optional[int]) -> tuple[dict, int, int]:
+    """``run_scenario`` on data that has passed ``validate_scenario``."""
     options = {"probe": probe, "tidy_probe": tidy_probe, "resolution": resolution}
     params = {key: data.get(key, default) if options[key] is None else options[key]
               for key, default in PARAMS.items()}

@@ -8,7 +8,10 @@ to alter an output updates the hash here and says why.
 
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from tdlc_entropy import cli
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 VERIFY_ALL_SHA256 = "34a85ba9aa6ef3c50e884d2af5dbc5e1a97a06133b67fa5365c7e30c95b9b836"
 
@@ -51,3 +55,38 @@ def test_scenario_report_bytes(filename):
 
 def test_verify_all_bytes():
     assert cli_sha256(["verify", "all"]) == VERIFY_ALL_SHA256
+
+
+# Runs verify all and the reports with every import of sympy failing, prints
+# their sha256 and the sympy modules loaded by the end.
+NO_SYMPY = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+sys.modules["sympy"] = None
+from tdlc_entropy import cli
+
+def sha256(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+hashes = {"verify all": sha256(["verify", "all"])}
+for path in sys.argv[1:]:
+    hashes[path] = sha256(["report", path, "--probe", "3", "--tidy-probe", "4", "--resolution", "4"])
+assert sys.modules.pop("sympy") is None
+print(json.dumps({"sha256": hashes, "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+"""
+
+
+def test_outputs_need_no_sympy():
+    """The outputs are the pinned ones with sympy unimportable, and no sympy
+    module is loaded: sympy is a test dependency only."""
+    paths = {os.path.join(SCENARIOS, name): digest for name, digest in REPORT_SHA256.items()}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY, *sorted(paths)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["sympy"] == []
+    assert out["sha256"] == {"verify all": VERIFY_ALL_SHA256, **paths}

@@ -218,11 +218,20 @@ def with_fields(name, **fields):
     (with_fields("finite_s3", endo=[0, 1, 2, 3, 4, -1]), ()),
     (with_fields("finite_s3", subgroups={"A3": {"generated": [99]}}), ()),
     (with_fields("shift_z4_compact", subgroups={"H2": {"constant_gens": [[1, 1]]}}), ()),
+    (with_fields("padic_mixed_2_half", matrix=[[f"{10**3000}/3", "0"], ["0", "1/2"]]), ()),
+    (with_fields("q2_half", matrix=[["1e1000000"]]), ()),
+    (with_fields("q2_half", matrix=[[True]]), ()),
+    (with_fields("q2_half", matrix=[[0.5]]), ()),
+    (with_fields("q2_half", subgroups={"L": {"lattice": [[f"1/{10**20}"]]}}, checks=[]), ()),
+    (with_fields("q2_half", subgroups={"V": {"subspace": [[10**20]]}}, checks=[]), ()),
 ], ids=[
     "padic-matrix", "shift-alphabet", "shift-sigma", "finite-table", "product-factors",
     "n_max-string", "n_max-zero", "probe-option-zero", "probe-true", "dim-true",
     "subgroup-generated", "phi_n-candidates", "finite-endo-negative",
     "subgroup-element-out-of-range", "subgroup-generator-not-in-alphabet",
+    "padic-entry-3001-digits", "padic-entry-huge-exponent", "padic-entry-true",
+    "padic-entry-float", "lattice-entry-denominator",
+    "subspace-entry-integer",
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, data, flags):
     code, err = run_report(tmp_path, capsys, data, *flags)
@@ -246,13 +255,17 @@ BOUNDS = [
     ("laurent_z3", {"shift": -16}, {"shift": -17}, None),
     ("q2_half", {"dim": 8, "matrix": [[int(i == j) for j in range(8)] for i in range(8)]},
      {"dim": 9, "matrix": [[int(i == j) for j in range(9)] for i in range(9)]}, None),
+    ("q2_half", {"matrix": [[f"{10**20 - 1}/{10**20 - 3}"]]},
+     {"matrix": [[f"{10**20}/{10**20 - 3}"]]}, None),
+    ("q2_half", {"matrix": [[f"-1/{10**20 - 1}"]]}, {"matrix": [[f"-1/{10**20}"]]}, None),
+    ("q2_half", {"matrix": [[-(10**20) + 1]]}, {"matrix": [[-(10**20)]]}, None),
 ]
 
 
 @pytest.mark.parametrize("name,at_limit,past_limit,flag", BOUNDS, ids=[
     "probe", "tidy_probe", "resolution", "option-probe", "option-tidy-probe",
     "option-resolution", "n_max", "alphabet-order", "alphabet-product-order", "shift",
-    "negative-shift", "dim",
+    "negative-shift", "dim", "entry-numerator", "entry-denominator", "entry-integer",
 ])
 def test_declared_bounds(tmp_path, capsys, monkeypatch, name, at_limit, past_limit, flag):
     """The limit is accepted; one past it exits 2 before anything is built."""
@@ -268,6 +281,18 @@ def test_declared_bounds(tmp_path, capsys, monkeypatch, name, at_limit, past_lim
     code, err = run_report(tmp_path, capsys, dict(base, **past_limit), *flags_past)
     assert code == cli.EXIT_INVALID
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["report", "tidy", "entropy"])
+def test_cli_validates_each_scenario_once(tmp_path, monkeypatch, command):
+    calls = []
+    validate = scenario.validate_scenario
+    monkeypatch.setattr(scenario, "validate_scenario", lambda data: calls.append(1) or validate(data))
+    path = tmp_path / "q2_half.json"
+    path.write_text(json.dumps(find_scenario("q2_half")))
+    code, _ = run_cli([command, str(path), "--probe", "3"])
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("endo", [[0, 1, 2, 3, 4, 256], [-1, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5.0]],
