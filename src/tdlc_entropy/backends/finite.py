@@ -19,6 +19,7 @@ from ..core import (
     RestrictionConstruction,
     TdlcSystem,
     UnsupportedSubgroupError,
+    chain_fixpoint,
 )
 from ..exact import IndexValue
 
@@ -423,25 +424,21 @@ class FiniteGroupModel:
 
     # -- dynamics hooks -------------------------------------------------------
 
-    def plus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup, probe: int):
-        current = U
-        for n in range(self.order + 1):
-            nxt = self.intersect(U, self.image(phi, current))
-            if nxt == current:
-                return current, "fixpoint", n, {"fixpoint_at": n}
-            current = nxt
-        raise InvariantViolation("decreasing chain did not stabilize in a finite group")
+    def plus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
+        n, chain = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
+                                  self.order + 1)
+        if n is None:
+            raise InvariantViolation("decreasing chain did not stabilize in a finite group")
+        return chain[n], "fixpoint", n, {"fixpoint_at": n}
 
-    def minus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup, probe: int):
-        current = U
-        for n in range(self.order + 1):
-            nxt = self.intersect(current, self.preimage(phi, current))
-            if nxt == current:
-                return current, {"method": "fixpoint", "fixpoint_at": n}
-            current = nxt
-        raise InvariantViolation("decreasing chain did not stabilize in a finite group")
+    def minus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
+        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
+                                  self.order + 1)
+        if n is None:
+            raise InvariantViolation("decreasing chain did not stabilize in a finite group")
+        return chain[n], {"method": "fixpoint", "fixpoint_at": n}
 
-    def alpha_stabilization(self, phi, U, minus_handles, alphas, n_max):
+    def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified stabilization index: the cotrajectory chain reaches its
         exact fixpoint, after which every alpha equals 1."""
         for n in range(len(minus_handles) - 1):
@@ -451,7 +448,7 @@ class FiniteGroupModel:
                 raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
         return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
 
-    def plus_plus_analysis(self, phi, u_plus: FiniteSubgroup, probe: int):
+    def plus_plus_analysis(self, phi, u_plus: FiniteSubgroup, tidy_probe: int):
         """Increasing image chain in a finite group always stabilizes; its
         union is that stable subgroup, hence closed."""
         chain = [u_plus]
@@ -463,7 +460,7 @@ class FiniteGroupModel:
             if indices[-1] is None:
                 raise InvariantViolation("phi^n U+ is not increasing")
             if nxt == current:
-                while len(indices) < probe + 1:
+                while len(indices) < tidy_probe + 1:
                     indices.append(IndexValue(1))
                 return {
                     "closed": True,
@@ -475,12 +472,12 @@ class FiniteGroupModel:
             chain.append(current)
         raise InvariantViolation("increasing chain did not stabilize in a finite group")
 
-    def entropy_base_certificate(self, phi, probed):
+    def entropy_base_certificate(self, probed):
         if all(entry[2].is_zero for entry in probed):
             return True, "finite group: every local entropy is 0"
         raise InvariantViolation("nonzero local entropy in a finite group")
 
-    def scale_candidates(self, phi, probe):
+    def scale_candidates(self, phi):
         # Complete enumeration: the scale minimum over this family is exact.
         return list(self.all_subgroups())
 

@@ -38,6 +38,8 @@ from ..core import (
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
+    chain_fixpoint,
+    image_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from ..linalg import (
@@ -63,8 +65,8 @@ from ..polyfactor import factor_rational as _rational_factor_list
 
 F = Fraction
 
-# At most this many literal steps of the U_n and U_{-n} chains, whatever the
-# probe; a chain that has not stopped by then goes to the structural route.
+# At most this many literal steps of the U_n and U_{-n} chains; a chain that
+# has not stopped by then goes to the structural route.
 CHAIN_STEP_CAP = 64
 
 # Largest dimension a scenario may ask for; it bounds charpoly and the
@@ -519,14 +521,14 @@ class PadicModel:
             raise InvariantViolation("generalized eigenspace has unexpected dimension")
         return rows
 
-    def plus_group_impl(self, phi: PadicEndo, U: PadicSubgroup, probe: int):
+    def plus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
         """U_+ as (handle, method, steps, certificate).
 
         Iterates U_{n+1} = U n phi(U_n) until it stops, for at most
-        ``min(probe, CHAIN_STEP_CAP)`` steps, then solves the limit on the
-        rational subspace of root valuations <= 0.  The chain is skipped, and
-        the certificate says why, when U is compact open, phi is invertible
-        and some root has valuation > 0: then no step can be a fixpoint.
+        ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
+        subspace of root valuations <= 0.  The chain is skipped, and the
+        certificate says why, when U is compact open, phi is invertible and
+        some root has valuation > 0: then no step can be a fixpoint.
         """
         # Proof of the skip: with U compact open and phi invertible every U_n
         # is a full-rank lattice, and a fixpoint L = U n phi(L) has
@@ -537,80 +539,68 @@ class PadicModel:
             and any(v is not None and v > 0 for v, _ in self.newton_polygon(phi))
         )
         skipped = {"chain_skipped": "contracting root, no lattice fixpoint"} if skip else {}
-        current = U
-        prefix = [U]
-        for n in range(0 if skip else min(probe, CHAIN_STEP_CAP)):
-            nxt = self.intersect(U, self.image(phi, current))
-            if nxt == current:
-                return current, "fixpoint", n, {"fixpoint_at": n}
-            current = nxt
-            prefix.append(current)
-        v_plus = self._slope_split(phi, lambda v: v is not None and v <= 0)
-        if v_plus is None:
-            raise UnresolvedError(
-                "a rational factor of the characteristic polynomial mixes "
-                "expanding and contracting root valuations"
-            )
-        if not v_plus:
-            result = self.zero_subgroup()
+        n, prefix = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
+                                   0 if skip else CHAIN_STEP_CAP)
+        if n is not None:
+            return prefix[n], "fixpoint", n, {"fixpoint_at": n}
+        result, dim, at = self._structural_core(phi, U, forward=True)
+        if at is None:
             return result, "structural", len(prefix), {"invariant_subspace_dim": 0, **skipped}
-        rest = self.restriction(phi, self.closed_subgroup(v_plus, ()))
-        sub = rest.system.model
-        u_sub = rest.restrict_handle(U)
-        cur = u_sub
-        for n in range(4 * probe + 16):
-            nxt = sub.intersect(u_sub, sub.image(rest.system.endo, cur))
-            if nxt == cur:
-                result = rest.embed(cur)
-                for h in prefix:
-                    if not self.contains(h, result):
-                        raise InvariantViolation("structural limit escaped an iterate")
-                cert = {
-                    "invariant_subspace_dim": len(v_plus),
-                    "restricted_fixpoint_at": n,
-                    **skipped,
-                }
-                return result, "structural", n, cert
-            cur = nxt
-        raise UnresolvedError("restricted forward iteration did not stabilize in bound")
+        for h in prefix:
+            if not self.contains(h, result):
+                raise InvariantViolation("structural limit escaped an iterate")
+        cert = {"invariant_subspace_dim": dim, "restricted_fixpoint_at": at, **skipped}
+        return result, "structural", at, cert
 
-    def minus_group_impl(self, phi: PadicEndo, U: PadicSubgroup, probe: int):
+    def minus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
         """U_- as (handle, certificate with its method).
 
         Iterates U_{-n-1} = U_{-n} n phi^-1(U_{-n}) until it stops, for at
-        most ``min(probe, CHAIN_STEP_CAP)`` steps, then solves the limit on
-        the rational subspace of root valuations >= 0 and zero roots.
+        most ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
+        subspace of root valuations >= 0 and zero roots.
         """
-        current = U
-        for n in range(min(probe, CHAIN_STEP_CAP)):
-            nxt = self.intersect(current, self.preimage(phi, current))
-            if nxt == current:
-                return current, {"method": "fixpoint", "fixpoint_at": n}
-            current = nxt
-        v_minus = self._slope_split(phi, lambda v: v is None or v >= 0)
-        if v_minus is None:
-            raise UnresolvedError(
-                "a rational factor of the characteristic polynomial mixes "
-                "bounded and unbounded forward directions"
-            )
-        if not v_minus:
-            return self.zero_subgroup(), {"method": "structural", "invariant_subspace_dim": 0}
-        rest = self.restriction(phi, self.closed_subgroup(v_minus, ()))
-        sub = rest.system.model
-        u_sub = rest.restrict_handle(U)
-        cur = u_sub
-        for n in range(4 * probe + 16):
-            nxt = sub.intersect(u_sub, sub.preimage(rest.system.endo, cur))
-            if nxt == cur:
-                return rest.embed(cur), {
-                    "method": "structural",
-                    "invariant_subspace_dim": len(v_minus),
-                    "restricted_fixpoint_at": n,
-                }
-            cur = nxt
-        raise UnresolvedError("restricted backward iteration did not stabilize in bound")
+        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
+                                  CHAIN_STEP_CAP)
+        if n is not None:
+            return chain[n], {"method": "fixpoint", "fixpoint_at": n}
+        result, dim, at = self._structural_core(phi, U, forward=False)
+        cert = {"method": "structural", "invariant_subspace_dim": dim}
+        if at is not None:
+            cert["restricted_fixpoint_at"] = at
+        return result, cert
 
-    def alpha_stabilization(self, phi, U, minus_handles, alphas, n_max):
+    def _structural_core(self, phi: PadicEndo, U: PadicSubgroup, forward: bool):
+        """The limit of the forward chain of U (U_+) or of its backward chain
+        (U_-), solved where that chain stops: on the rational subspace of
+        root valuations <= 0, or >= 0 with the zero roots.
+
+        Returns (handle, subspace dimension, step at which the restricted
+        chain stopped, None when the subspace is 0).
+        """
+        if forward:
+            rows = self._slope_split(phi, lambda v: v is not None and v <= 0)
+            mixed = "expanding and contracting root valuations"
+        else:
+            rows = self._slope_split(phi, lambda v: v is None or v >= 0)
+            mixed = "bounded and unbounded forward directions"
+        if rows is None:
+            raise UnresolvedError(
+                f"a rational factor of the characteristic polynomial mixes {mixed}"
+            )
+        if not rows:
+            return self.zero_subgroup(), 0, None
+        rest = self.restriction(phi, self.closed_subgroup(rows, ()))
+        sub, endo = rest.system.model, rest.system.endo
+        move = sub.image if forward else sub.preimage
+        u_sub = rest.restrict_handle(U)
+        n, chain = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
+                                  4 * CHAIN_STEP_CAP + 16)
+        if n is None:
+            direction = "forward" if forward else "backward"
+            raise UnresolvedError(f"restricted {direction} iteration did not stabilize in bound")
+        return rest.embed(chain[n]), len(rows), n
+
+    def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified once alpha reaches the Newton polygon prediction p^e:
         alpha is non-increasing and bounded below by its limit, so equality
         with the predicted limit pins the tail."""
@@ -622,27 +612,10 @@ class PadicModel:
                 raise InvariantViolation("alpha fell below the Newton polygon prediction")
         return None, {"criterion": "newton polygon", "predicted_alpha": predicted}
 
-    def plus_plus_analysis(self, phi, u_plus: PadicSubgroup, probe: int):
-        indices = []
-        current = u_plus
-        chain = [u_plus]
-        stabilized = None
-        for n in range(probe + 1):
-            nxt = self.image(phi, current)
-            if not self.contains(nxt, current):
-                raise InvariantViolation("phi^n U+ is not increasing")
-            indices.append(self.index(current, nxt))
-            if nxt == current and stabilized is None:
-                stabilized = n
-            current = nxt
-            chain.append(current)
+    def plus_plus_analysis(self, phi, u_plus: PadicSubgroup, tidy_probe: int):
+        indices, _, stabilized = image_chain(self, phi, u_plus, tidy_probe)
         if stabilized is not None:
-            return {
-                "closed": True,
-                "handle": chain[stabilized],
-                "indices": indices,
-                "certificate": {"method": "image chain stabilized", "steps": stabilized},
-            }
+            return stabilized
         v_neg = self._slope_split(phi, lambda v: v is not None and v < 0)
         if v_neg is None:
             raise UnresolvedError("no rational split between unit and expanding directions")
@@ -658,7 +631,7 @@ class PadicModel:
         shrunk = self.scale_handle(l_neg, F(1, self.p))
         covered = False
         img = l_neg
-        for k in range(1, probe + 1):
+        for k in range(1, tidy_probe + 1):
             img = self.image(phi, img)
             if self.contains(img, shrunk):
                 covered = True
@@ -678,13 +651,13 @@ class PadicModel:
 
     # -- dynamics hooks -------------------------------------------------------------
 
-    def entropy_base_certificate(self, phi, probed):
+    def entropy_base_certificate(self, probed):
         values = {entry[2] for entry in probed}
         if len(values) == 1:
             return True, "scaling a lattice by p commutes with the endomorphism"
         raise InvariantViolation("local entropy varied across commensurable lattices")
 
-    def scale_candidates(self, phi, probe):
+    def scale_candidates(self, phi):
         out = [self.full_lattice()]
         factors = _rational_factor_list(charpoly(phi.matrix))
         groups: dict = {}

@@ -159,23 +159,19 @@ class ProductModel:
 
     # -- dynamics hooks --------------------------------------------------------
 
-    def plus_group_impl(self, phi, U, probe):
-        results = [
-            f.plus_group_impl(phi.parts[i], U.parts[i], probe) for i, f in enumerate(self.factors)
-        ]
+    def plus_group_impl(self, phi, U):
+        results = [f.plus_group_impl(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors)]
         handle = ProductSubgroup(self, tuple(r[0] for r in results))
         method = "fixpoint" if all(r[1] == "fixpoint" for r in results) else "structural"
         steps = max(r[2] for r in results)
         return handle, method, steps, {"factors": [r[3] for r in results]}
 
-    def minus_group_impl(self, phi, U, probe):
-        results = [
-            f.minus_group_impl(phi.parts[i], U.parts[i], probe) for i, f in enumerate(self.factors)
-        ]
+    def minus_group_impl(self, phi, U):
+        results = [f.minus_group_impl(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors)]
         handle = ProductSubgroup(self, tuple(r[0] for r in results))
         return handle, {"factors": [r[1] for r in results]}
 
-    def alpha_stabilization(self, phi, U, minus_handles, alphas, n_max):
+    def alpha_stabilization(self, phi, U, minus_handles, alphas):
         certs = []
         n_star = 0
         for i, f in enumerate(self.factors):
@@ -186,16 +182,16 @@ class ProductModel:
                 if not ix.is_finite:
                     raise InvariantViolation("factor cotrajectory index is infinite")
                 f_alphas.append(ix.value)
-            ns, cert = f.alpha_stabilization(phi.parts[i], U.parts[i], handles, f_alphas, n_max)
+            ns, cert = f.alpha_stabilization(phi.parts[i], U.parts[i], handles, f_alphas)
             certs.append(cert)
             if ns is None:
                 return None, {"factors": certs}
             n_star = max(n_star, ns)
         return n_star, {"factors": certs}
 
-    def plus_plus_analysis(self, phi, u_plus, probe):
+    def plus_plus_analysis(self, phi, u_plus, tidy_probe):
         per = [
-            f.plus_plus_analysis(phi.parts[i], u_plus.parts[i], probe)
+            f.plus_plus_analysis(phi.parts[i], u_plus.parts[i], tidy_probe)
             for i, f in enumerate(self.factors)
         ]
         indices = []
@@ -211,15 +207,15 @@ class ProductModel:
             "certificate": {"factors": [p["certificate"] for p in per]},
         }
 
-    def entropy_base_certificate(self, phi, probed):
+    def entropy_base_certificate(self, probed):
         values = {entry[2] for entry in probed}
         if len(values) == 1:
             return True, "both factor bases certify eventual constancy"
         return False, "local entropy varied along the product base probe"
 
-    def scale_candidates(self, phi, probe):
-        left = self.factors[0].scale_candidates(phi.parts[0], probe)
-        right = self.factors[1].scale_candidates(phi.parts[1], probe)
+    def scale_candidates(self, phi):
+        left = self.factors[0].scale_candidates(phi.parts[0])
+        right = self.factors[1].scale_candidates(phi.parts[1])
         left = left[:4] or [self.factors[0].base_element(0)]
         right = right[:4] or [self.factors[1].base_element(0)]
         return [ProductSubgroup(self, (a, b)) for a in left for b in right]

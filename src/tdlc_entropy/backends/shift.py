@@ -24,13 +24,15 @@ from ..core import (
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
+    chain_fixpoint,
+    image_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 
 TAIL_MODES = ("compact", "laurent", "discrete")
 
-# At most this many literal steps of the U_n and U_{-n} chains, whatever the
-# probe; a chain that has not stopped by then goes to the closed-form limit.
+# At most this many literal steps of the U_n and U_{-n} chains; a chain that
+# has not stopped by then goes to the closed-form limit.
 CHAIN_STEP_CAP = 8
 
 # Largest alphabet order and |shift| a scenario may ask for: building an
@@ -546,15 +548,11 @@ class ShiftProfileModel:
 
     # -- dynamics hooks -----------------------------------------------------------------
 
-    def plus_group_impl(self, phi: ShiftEndo, U: Profile, probe: int):
-        current = U
-        prefix = [U]
-        for n in range(min(probe, CHAIN_STEP_CAP)):
-            nxt = self.intersect(U, self.image(phi, current))
-            if nxt == current:
-                return current, "fixpoint", n, {"fixpoint_at": n}
-            current = nxt
-            prefix.append(current)
+    def plus_group_impl(self, phi: ShiftEndo, U: Profile):
+        n, prefix = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
+                                   CHAIN_STEP_CAP)
+        if n is not None:
+            return prefix[n], "fixpoint", n, {"fixpoint_at": n}
         limit, info = self.limit_profile(U, phi.k, phi.sigma.image_id, self.alphabet.meet)
         if limit != self.intersect(U, self.image(phi, limit)):
             raise InvariantViolation("closed-form forward core is not a fixed point")
@@ -563,13 +561,11 @@ class ShiftProfileModel:
                 raise InvariantViolation("closed-form forward core escaped an iterate")
         return limit, "structural", len(prefix), dict(info)
 
-    def minus_group_impl(self, phi: ShiftEndo, U: Profile, probe: int):
-        current = U
-        for n in range(min(probe, CHAIN_STEP_CAP)):
-            nxt = self.intersect(current, self.preimage(phi, current))
-            if nxt == current:
-                return current, {"method": "fixpoint", "fixpoint_at": n}
-            current = nxt
+    def minus_group_impl(self, phi: ShiftEndo, U: Profile):
+        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
+                                  CHAIN_STEP_CAP)
+        if n is not None:
+            return chain[n], {"method": "fixpoint", "fixpoint_at": n}
         limit, info = self.limit_profile(U, -phi.k, phi.sigma.preimage_id, self.alphabet.meet)
         if limit != self.intersect(U, self.preimage(phi, limit)):
             raise InvariantViolation("closed-form cotrajectory is not a fixed point")
@@ -584,7 +580,7 @@ class ShiftProfileModel:
         hi = max(U.end, V.end)
         return tuple(i for i in range(lo, hi) if U.value_at(i) != V.value_at(i))
 
-    def alpha_stabilization(self, phi, U, minus_handles, alphas, n_max):
+    def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certify the alpha plateau via the closed-form cotrajectory cycle.
 
         Differences between consecutive cotrajectory terms must translate by
@@ -625,27 +621,10 @@ class ShiftProfileModel:
             "cycle_entry": info["cycle_entry"],
         }
 
-    def plus_plus_analysis(self, phi, u_plus: Profile, probe: int):
-        indices = []
-        chain = [u_plus]
-        current = u_plus
-        stabilized = None
-        for n in range(probe + 1):
-            nxt = self.image(phi, current)
-            if not self.contains(nxt, current):
-                raise InvariantViolation("phi^n U+ is not increasing")
-            indices.append(self.index(current, nxt))
-            if nxt == current and stabilized is None:
-                stabilized = n
-            current = nxt
-            chain.append(current)
+    def plus_plus_analysis(self, phi, u_plus: Profile, tidy_probe: int):
+        indices, last, stabilized = image_chain(self, phi, u_plus, tidy_probe)
         if stabilized is not None:
-            return {
-                "closed": True,
-                "handle": chain[stabilized],
-                "indices": indices,
-                "certificate": {"method": "image chain stabilized", "steps": stabilized},
-            }
+            return stabilized
         limit, info = self.limit_profile(u_plus, phi.k, phi.sigma.image_id, self.alphabet.join)
         drift = info.get("drift_side", "left")
         alpha = self.alphabet
@@ -669,7 +648,6 @@ class ShiftProfileModel:
         # the last iterate never matches the limit's pattern, every later
         # iterate stays short at infinitely many coordinates, so the union is
         # a proper dense subgroup of the limit profile.
-        last = chain[-1]
         pat = last.left if drift == "left" else last.right
         target = limit.left if drift == "left" else limit.right
         period = lcm(len(pat), len(target))
@@ -694,13 +672,13 @@ class ShiftProfileModel:
             },
         }
 
-    def entropy_base_certificate(self, phi, probed):
+    def entropy_base_certificate(self, probed):
         values = {entry[2] for entry in probed}
         if len(values) == 1:
             return True, "base elements are shift translates with matching tail patterns"
         return False, "local entropy varied along the base probe"
 
-    def scale_candidates(self, phi, probe):
+    def scale_candidates(self, phi):
         out = []
         if self.tail_mode == "compact":
             out.append(self.full_group())

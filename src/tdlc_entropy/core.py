@@ -24,10 +24,18 @@ Model protocol (duck-typed; every backend implements all of it):
     quotient(phi, H)         QuotientConstruction, or UnsupportedSubgroupError
     restriction(phi, H)      RestrictionConstruction, or UnsupportedSubgroupError
 
-plus the dynamics hooks used by the cotrajectory and dynamics modules
-(``plus_group_impl``, ``minus_group_impl``, ``alpha_stabilization``,
-``plus_plus_analysis``, ``entropy_base_certificate``, ``scale_candidates``,
-``nub_analysis``).  Every handle has ``describe()``, ``is_open`` and
+plus the dynamics hooks used by the cotrajectory and dynamics modules:
+
+    plus_group_impl(phi, U)   U_+ as (handle, method, steps, certificate)
+    minus_group_impl(phi, U)  U_- as (handle, certificate)
+    alpha_stabilization(phi, U, minus_handles, alphas)  certified plateau start
+    plus_plus_analysis(phi, u_plus, tidy_probe)  closedness of U_++
+    entropy_base_certificate(probed)  whether the probed base saturates h_top
+    scale_candidates(phi)     backend-specific subgroups for the scale
+    nub_analysis(phi, minimizing, resolution, scale_value=None)  the nub
+
+Each backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a
+chain depth.  Every handle has ``describe()``, ``is_open`` and
 ``is_compact``.
 """
 
@@ -161,6 +169,52 @@ def set_product(U, V):
     raises ``UnsupportedSubgroupError`` otherwise."""
     model = _same_backend(U, V)
     return model.set_product(U, V)
+
+
+def chain_fixpoint(step: Callable, start, max_steps: int):
+    """Iterate h -> step(h) from ``start`` until a fixpoint, at most
+    ``max_steps`` times.
+
+    Returns ``(n, chain)``: ``chain`` holds ``start`` and every new iterate,
+    and ``n`` is the first index with ``step(chain[n]) == chain[n]`` (then
+    ``chain[n]`` is the last entry), or None when no step met a fixpoint.
+    """
+    chain = [start]
+    for n in range(max_steps):
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            return n, chain
+        chain.append(nxt)
+    return None, chain
+
+
+def image_chain(model, phi, U, steps: int):
+    """The increasing chain U <= phi(U) <= ... over ``steps + 1`` images.
+
+    Returns ``(indices, last, analysis)``: the indices [phi^{n+1}(U) :
+    phi^n(U)] for n = 0..steps, the last image, and the closed
+    ``plus_plus_analysis`` result when the chain stabilized, else None.
+    """
+    indices = []
+    current = U
+    stabilized = None
+    for n in range(steps + 1):
+        nxt = model.image(phi, current)
+        if not model.contains(nxt, current):
+            raise InvariantViolation("phi^n U+ is not increasing")
+        indices.append(model.index(current, nxt))
+        if nxt == current and stabilized is None:
+            stabilized = n
+        current = nxt
+    if stabilized is None:
+        return indices, current, None
+    # from a fixed image on, every image is that same subgroup
+    return indices, current, {
+        "closed": True,
+        "handle": current,
+        "indices": indices,
+        "certificate": {"method": "image chain stabilized", "steps": stabilized},
+    }
 
 
 def base_family(sys: TdlcSystem, k: int):

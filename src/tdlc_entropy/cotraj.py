@@ -28,7 +28,7 @@ from . import core
 from .core import InvariantViolation, TdlcSystem, UnresolvedError
 from .exact import ExactEntropy, IndexValue, entropy_from_index
 
-DEFAULT_PROBE = 64
+DEFAULT_N_MAX = 64
 DEFAULT_TIDY_PROBE = 16
 
 
@@ -107,7 +107,7 @@ def plus_chain(sys: TdlcSystem, U, n: int):
     return out
 
 
-def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> CotrajectoryTable:
+def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> CotrajectoryTable:
     """The table of c_n and alpha_n for n <= n_max with inline invariants.
 
     Any violation of divisibility, monotonicity or the nested-chain structure
@@ -137,9 +137,7 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Cotrajecto
         if alphas and ratio.value > alphas[-1].value:
             raise InvariantViolation("alpha_n increased")
         alphas.append(ratio)
-    n_star, certificate = model.alpha_stabilization(
-        sys.endo, U, minus, [a.value for a in alphas], n_max
-    )
+    n_star, certificate = model.alpha_stabilization(sys.endo, U, minus, [a.value for a in alphas])
     if n_star is not None:
         if any(alphas[m] != alphas[n_star] for m in range(n_star, len(alphas))):
             raise InvariantViolation("certified plateau is not constant")
@@ -155,13 +153,13 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Cotrajecto
     return CotrajectoryTable(subgroup=U, rows=rows, n_star=n_star, certificate=certificate)
 
 
-def plus_group(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> PlusGroupResult:
+def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
     """The forward core U_+ = the intersection of all U_n, exactly."""
-    return sys.memo(("plus_group", U, probe), _plus_group, sys, U, probe)
+    return sys.memo(("plus_group", U), _plus_group, sys, U)
 
 
-def _plus_group(sys: TdlcSystem, U, probe: int) -> PlusGroupResult:
-    handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U, probe)
+def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
+    handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U)
     check = core.intersect(U, core.image(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
@@ -170,27 +168,27 @@ def _plus_group(sys: TdlcSystem, U, probe: int) -> PlusGroupResult:
     return PlusGroupResult(handle=handle, method=method, steps=steps, certificate=certificate)
 
 
-def minus_group(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE):
+def minus_group(sys: TdlcSystem, U):
     """The full cotrajectory U_-, from closed-form tails or finiteness."""
-    return sys.memo(("minus_group", U, probe), _minus_group, sys, U, probe)
+    return sys.memo(("minus_group", U), _minus_group, sys, U)
 
 
-def _minus_group(sys: TdlcSystem, U, probe: int):
-    handle, _ = sys.model.minus_group_impl(sys.endo, U, probe)
+def _minus_group(sys: TdlcSystem, U):
+    handle, _ = sys.model.minus_group_impl(sys.endo, U)
     check = core.intersect(U, core.preimage(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_- is not a fixed point of U n phi^{-1}(.)")
     return handle
 
 
-def htop_local(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> ExactEntropy:
+def htop_local(sys: TdlcSystem, U) -> ExactEntropy:
     """Local entropy at U through the forward core: log [phi(U_+) : U_+]."""
-    pg = plus_group(sys, U, probe)
+    pg = plus_group(sys, U)
     img = core.image(sys.endo, pg.handle)
     return entropy_from_index(core.index(pg.handle, img))
 
 
-def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> ExactEntropy:
+def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> ExactEntropy:
     """Local entropy at U as the certified stabilized alpha.
 
     This is the limit route; it must agree with ``htop_local`` on every
@@ -202,39 +200,38 @@ def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_PROBE) -> Exact
     return entropy_from_index(table.stable_alpha)
 
 
-def is_tidy_above(sys: TdlcSystem, U, probe: int = DEFAULT_PROBE) -> bool:
+def is_tidy_above(sys: TdlcSystem, U) -> bool:
     """U is tidy above when U = U_+ U_-."""
-    return sys.memo(("is_tidy_above", U, probe), _is_tidy_above, sys, U, probe)
+    return sys.memo(("is_tidy_above", U), _is_tidy_above, sys, U)
 
 
-def _is_tidy_above(sys: TdlcSystem, U, probe: int) -> bool:
-    plus = plus_group(sys, U, probe).handle
-    minus = minus_group(sys, U, probe)
+def _is_tidy_above(sys: TdlcSystem, U) -> bool:
+    plus = plus_group(sys, U).handle
+    minus = minus_group(sys, U)
     return core.set_product(plus, minus) == U
 
 
-def tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE,
-                         probe: int = DEFAULT_PROBE):
+def tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE):
     """The first cotrajectory subgroup U_{-n} that is tidy above."""
-    return sys.memo(("tidy_above_transform", U, tidy_probe, probe),
-                    _tidy_above_transform, sys, U, tidy_probe, probe)
+    return sys.memo(("tidy_above_transform", U, tidy_probe),
+                    _tidy_above_transform, sys, U, tidy_probe)
 
 
-def _tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int, probe: int):
+def _tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int):
     chain = minus_chain(sys, U, tidy_probe)
     for handle in chain:
-        if is_tidy_above(sys, handle, probe):
+        if is_tidy_above(sys, handle):
             return handle
     raise UnresolvedError(f"no tidy-above cotrajectory subgroup within {tidy_probe} steps")
 
 
-def is_tidy_below(sys: TdlcSystem, U, probe: int = DEFAULT_TIDY_PROBE) -> TidyBelowResult:
+def is_tidy_below(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE) -> TidyBelowResult:
     """U is tidy below when the forward images of U_+ have constant index
-    along the first ``probe`` steps and their union U_++ is closed; the
+    along the first ``tidy_probe`` steps and their union U_++ is closed; the
     backend's ``plus_plus_analysis`` certifies closedness."""
-    pg = plus_group(sys, U, probe=max(probe, DEFAULT_PROBE))
-    analysis = sys.model.plus_plus_analysis(sys.endo, pg.handle, probe)
-    constant = len(set(analysis["indices"][: probe + 1])) == 1
+    pg = plus_group(sys, U)
+    analysis = sys.model.plus_plus_analysis(sys.endo, pg.handle, tidy_probe)
+    constant = len(set(analysis["indices"][: tidy_probe + 1])) == 1
     return TidyBelowResult(
         value=bool(analysis["closed"]) and constant,
         certificate={

@@ -142,7 +142,7 @@ def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
     if best is None:
         raise UnresolvedError("no base element resolved")
     probed = [(k, core.base_family(sys, k), v) for k, v in table]
-    saturated, reason = sys.model.entropy_base_certificate(sys.endo, probed)
+    saturated, reason = sys.model.entropy_base_certificate(probed)
     if unresolved:
         saturated = False
         reason += "; some base elements were unresolved"
@@ -177,7 +177,7 @@ def _scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
             continue
         if t not in seen:
             seen.append(t)
-    for u in sys.model.scale_candidates(sys.endo, probe):
+    for u in sys.model.scale_candidates(sys.endo):
         if u not in seen:
             seen.append(u)
     return tuple(u for u in seen if u.is_compact and u.is_open)
@@ -218,7 +218,7 @@ def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
     except (UnsupportedSubgroupError, UnresolvedError):
         pass
     try:
-        tidy_below = cotraj.is_tidy_below(sys, witness, probe=tidy_probe).value
+        tidy_below = cotraj.is_tidy_below(sys, witness, tidy_probe).value
     except (UnsupportedSubgroupError, UnresolvedError):
         pass
     return ScaleReport(

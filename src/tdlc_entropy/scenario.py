@@ -330,7 +330,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                     entry["result"] = {"status": "SKIPPED", "reason": "subgroup is not compact open"}
                 else:
                     above = cotraj.is_tidy_above(sys, handle)
-                    below = cotraj.is_tidy_below(sys, handle, probe=tidy_probe)
+                    below = cotraj.is_tidy_below(sys, handle, tidy_probe)
                     entry["result"] = {
                         "tidy_above": above,
                         "tidy_below": below.value,

@@ -20,7 +20,6 @@ from .dynamics import FAIL, INCONCLUSIVE, PASS, SKIPPED
 from .scenario import build_subgroups, build_system
 
 SUITE_NAMES = ("indices", "cotrajectory", "addition", "scale-link", "all")
-_EXTRA_SUITES = ("limit-free", "products", "oracle", "monotonicity")
 
 INDEX_GROUPS = ("S3", "D4", "Q8", "Z12", "A4")
 

@@ -4,10 +4,16 @@ The dynamics layer calls these methods and attributes without ``hasattr``
 fallbacks; this test is what makes that safe.
 """
 
+import inspect
+
 import pytest
 
 from tdlc_entropy import core, cotraj
 from tdlc_entropy.backends.catalog import find_scenario
+from tdlc_entropy.backends.finite import FiniteGroupModel
+from tdlc_entropy.backends.padic import PadicModel
+from tdlc_entropy.backends.product import ProductModel
+from tdlc_entropy.backends.shift import ShiftProfileModel
 from tdlc_entropy.scenario import build_system
 
 PROTOCOL = (
@@ -19,12 +25,33 @@ PROTOCOL = (
     "entropy_base_certificate", "scale_candidates", "nub_analysis",
 )
 
+# the parameters of each dynamics hook, after self: no chain depth, nothing unread
+HOOK_PARAMETERS = {
+    "plus_group_impl": ("phi", "U"),
+    "minus_group_impl": ("phi", "U"),
+    "alpha_stabilization": ("phi", "U", "minus_handles", "alphas"),
+    "plus_plus_analysis": ("phi", "u_plus", "tidy_probe"),
+    "entropy_base_certificate": ("probed",),
+    "scale_candidates": ("phi",),
+    "nub_analysis": ("phi", "minimizing", "resolution", "scale_value"),
+}
+
+MODEL_CLASSES = (FiniteGroupModel, PadicModel, ShiftProfileModel, ProductModel)
+
 SYSTEMS = ("finite_s3", "q2_half", "shift_z2_compact", "product_q2half_laurent3")
 
 
 def test_protocol_list_matches_core_docstring():
     for name in PROTOCOL:
         assert name in core.__doc__
+    for name, params in HOOK_PARAMETERS.items():
+        assert f"{name}({', '.join(params)}" in core.__doc__
+
+
+@pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
+def test_hooks_take_exactly_the_documented_parameters(cls):
+    for name, params in HOOK_PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(cls, name)).parameters)[1:] == params, name
 
 
 @pytest.fixture(params=SYSTEMS)

@@ -199,16 +199,16 @@ def test_plus_group_fixpoint_and_structural():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
     u = q2.full_lattice()
-    handle, method, steps, cert = q2.plus_group_impl(half, u, 64)
+    handle, method, steps, cert = q2.plus_group_impl(half, u)
     assert handle == u and method == "fixpoint"
 
     double = q2.endo([[2]])
-    handle, method, steps, cert = q2.plus_group_impl(double, u, 8)
+    handle, method, steps, cert = q2.plus_group_impl(double, u)
     assert handle == q2.zero_subgroup() and method == "structural"
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    handle, method, steps, cert = m.plus_group_impl(mixed, m.full_lattice(), 8)
+    handle, method, steps, cert = m.plus_group_impl(mixed, m.full_lattice())
     assert handle == m.lattice([[0, 1]])
     assert method == "structural"
 
@@ -216,16 +216,16 @@ def test_plus_group_fixpoint_and_structural():
 def test_minus_group_examples():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
-    handle, cert = q2.minus_group_impl(half, q2.full_lattice(), 8)
+    handle, cert = q2.minus_group_impl(half, q2.full_lattice())
     assert handle == q2.zero_subgroup()
 
     ident = q2.identity_endo()
-    handle, cert = q2.minus_group_impl(ident, q2.full_lattice(), 8)
+    handle, cert = q2.minus_group_impl(ident, q2.full_lattice())
     assert handle == q2.full_lattice()
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    handle, cert = m.minus_group_impl(mixed, m.full_lattice(), 8)
+    handle, cert = m.minus_group_impl(mixed, m.full_lattice())
     assert handle == m.lattice([[1, 0]])
 
 
@@ -236,19 +236,19 @@ class FullChainModel(PadicModel):
         return ()
 
 
-def _forward_core(model, matrix, make_u, probe):
+def _forward_core(model, matrix, make_u):
     """U_+ of make_u(model) as (subspace, module, method), or "unresolved"."""
     try:
-        handle, method, _, _ = model.plus_group_impl(model.endo(matrix), make_u(model), probe)
+        handle, method, _, _ = model.plus_group_impl(model.endo(matrix), make_u(model))
     except UnresolvedError:
         return "unresolved"
     return handle.subspace, handle.module, method
 
 
-def assert_chain_skip_changes_nothing(p, matrix, make_u, probe=8):
+def assert_chain_skip_changes_nothing(p, matrix, make_u):
     dim = len(matrix)
-    assert _forward_core(PadicModel(p, dim), matrix, make_u, probe) == _forward_core(
-        FullChainModel(p, dim), matrix, make_u, probe
+    assert _forward_core(PadicModel(p, dim), matrix, make_u) == _forward_core(
+        FullChainModel(p, dim), matrix, make_u
     )
 
 
@@ -313,7 +313,7 @@ def test_plus_plus_analysis_expanding():
 def test_plus_plus_mixed_unit_directions():
     m = PadicModel(2, 2)
     phi = m.endo([[1, 0], [0, F(1, 2)]])
-    u_plus, *_ = m.plus_group_impl(phi, m.full_lattice(), 8)
+    u_plus, *_ = m.plus_group_impl(phi, m.full_lattice())
     assert u_plus == m.full_lattice()
     res = m.plus_plus_analysis(phi, u_plus, 8)
     assert res["closed"] is True
@@ -324,7 +324,7 @@ def test_plus_plus_mixed_unit_directions():
 def test_scale_candidates_adapted():
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    cands = m.scale_candidates(mixed, 4)
+    cands = m.scale_candidates(mixed)
     assert m.full_lattice() in cands
 
 

@@ -123,7 +123,7 @@ def test_plus_group_compact_shift(z2_model):
     m = z2_model
     phi = m.endo(1)
     u = m.base_element(0)
-    handle, method, steps, cert = m.plus_group_impl(phi, u, 64)
+    handle, method, steps, cert = m.plus_group_impl(phi, u)
     # trivial for i <= 0, full for i >= 1
     expected = m.make_profile((m.alphabet.trivial_id,), 1, (), (m.alphabet.full_id,))
     assert handle == expected
@@ -134,7 +134,7 @@ def test_minus_group_compact_shift(z2_model):
     m = z2_model
     phi = m.endo(1)
     u = m.base_element(0)
-    handle, cert = m.minus_group_impl(phi, u, 64)
+    handle, cert = m.minus_group_impl(phi, u)
     # full for i < 0, trivial for i >= 0
     expected = m.make_profile((m.alphabet.full_id,), 0, (), (m.alphabet.trivial_id,))
     assert handle == expected
@@ -155,9 +155,9 @@ def test_plus_group_laurent(laurent_z3):
     m = laurent_z3
     phi = m.endo(1)  # multiplication by t^{-1}
     u = m.base_element(0)
-    handle, method, steps, cert = m.plus_group_impl(phi, u, 64)
+    handle, method, steps, cert = m.plus_group_impl(phi, u)
     assert handle == u  # F[[t]] is its own forward core
-    hminus, _ = m.minus_group_impl(phi, u, 64)
+    hminus, _ = m.minus_group_impl(phi, u)
     assert hminus == m.trivial_subgroup()
     assert m.set_product(handle, hminus) == u  # tidy above
 

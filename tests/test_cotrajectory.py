@@ -176,15 +176,15 @@ def test_tidy_above_transform_returns_input_when_tidy():
 
 def test_tidy_below():
     sys = q2_half()
-    res = cotraj.is_tidy_below(sys, sys.model.full_lattice(), probe=8)
+    res = cotraj.is_tidy_below(sys, sys.model.full_lattice(), tidy_probe=8)
     assert res.value is True
 
     s = shift_z2()
-    res = cotraj.is_tidy_below(s, s.model.base_element(0), probe=8)
+    res = cotraj.is_tidy_below(s, s.model.base_element(0), tidy_probe=8)
     assert res.value is False  # union of forward images is dense, not closed
 
     f = finite_s3()
-    res = cotraj.is_tidy_below(f, f.model.full_group(), probe=8)
+    res = cotraj.is_tidy_below(f, f.model.full_group(), tidy_probe=8)
     assert res.value is True
 
 
@@ -279,10 +279,7 @@ def test_plus_group_is_computed_once_per_system(monkeypatch):
     u = sys.model.full_lattice()
     first = cotraj.plus_group(sys, u)
     assert cotraj.plus_group(sys, u) is first
-    assert cotraj.plus_group(sys, u, cotraj.DEFAULT_PROBE) is first  # defaults share the entry
     assert len(calls) == 1
-    assert cotraj.plus_group(sys, u, 8) == first
-    assert len(calls) == 2
 
 
 def test_systems_built_from_one_scenario_share_no_entries(monkeypatch):
@@ -311,7 +308,7 @@ def test_unresolved_is_raised_again_not_cached(monkeypatch):
     calls = count_calls(monkeypatch, m, "plus_group_impl")
     for _ in range(2):
         with pytest.raises(UnresolvedError):
-            cotraj.plus_group(sys, m.full_lattice(), probe=12)
+            cotraj.plus_group(sys, m.full_lattice())
     assert len(calls) == 2
 
 
@@ -394,7 +391,7 @@ def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
     takes no step on the outer model."""
     m = PadicModel(2, 1)
     images = count_calls(monkeypatch, m, "image")
-    handle, method, steps, cert = m.plus_group_impl(m.endo([[2]]), m.full_lattice(), 8)
+    handle, method, steps, cert = m.plus_group_impl(m.endo([[2]]), m.full_lattice())
     assert (handle, method, steps) == (m.zero_subgroup(), "structural", 1)
     assert "chain_skipped" in cert
     assert len(images) == 0
@@ -404,11 +401,10 @@ def test_singular_contracting_map_still_iterates(monkeypatch):
     """A singular phi keeps the forward chain: the skip needs phi invertible."""
     m = PadicModel(2, 2)
     images = count_calls(monkeypatch, m, "image")
-    handle, method, steps, cert = m.plus_group_impl(m.endo([[2, 0], [0, 0]]),
-                                                    m.full_lattice(), 8)
+    handle, method, steps, cert = m.plus_group_impl(m.endo([[2, 0], [0, 0]]), m.full_lattice())
     assert (handle, method) == (m.zero_subgroup(), "structural")
     assert "chain_skipped" not in cert
-    assert len(images) == 8
+    assert len(images) == padic.CHAIN_STEP_CAP
 
 
 def test_htop_routes_agree_where_chains_are_skipped():

@@ -23,6 +23,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 VERIFY_ALL_SHA256 = "34a85ba9aa6ef3c50e884d2af5dbc5e1a97a06133b67fa5365c7e30c95b9b836"
 
+SMALL_PROBES = ["--probe", "3", "--tidy-probe", "4", "--resolution", "4"]
+
 # report SCENARIO --probe 3 --tidy-probe 4 --resolution 4
 REPORT_SHA256 = {
     "finite_s3.json": "7f7c1d54c92fbdc447e2dfd9e88db450724f0655e696b40038c5f2fce49114d4",
@@ -31,6 +33,16 @@ REPORT_SHA256 = {
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
+}
+
+# report SCENARIO, at the scenario's own probe, tidy_probe and resolution
+DEFAULT_REPORT_SHA256 = {
+    "finite_s3.json": "6fb534c8dd28f80f3514f9c34bd5dbdb4d89bdf86765bf89453baf22fb0dc194",
+    "laurent_z3.json": "4ea0dc06658017f210c00d3e89659831e8ab6211f0650c2a957662f2493b5ba3",
+    "padic_diag.json": "a8bdc4b1470fd262555872338648ef58f8c8cad1001fe74b90639ce1fa1c03f8",
+    "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
+    "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
+    "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
 }
 
 
@@ -43,14 +55,19 @@ def cli_sha256(argv):
 
 
 def test_every_shipped_scenario_is_pinned():
-    assert sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json")) == sorted(REPORT_SHA256)
+    shipped = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
+    assert shipped == sorted(REPORT_SHA256) == sorted(DEFAULT_REPORT_SHA256)
 
 
-@pytest.mark.parametrize("filename", sorted(REPORT_SHA256))
-def test_scenario_report_bytes(filename):
+@pytest.mark.parametrize("filename, options, digest", [
+    *(pytest.param(name, SMALL_PROBES, digest, id=name)
+      for name, digest in sorted(REPORT_SHA256.items())),
+    *(pytest.param(name, [], digest, id=f"{name}-defaults")
+      for name, digest in sorted(DEFAULT_REPORT_SHA256.items())),
+])
+def test_scenario_report_bytes(filename, options, digest):
     path = os.path.join(SCENARIOS, filename)
-    argv = ["report", path, "--probe", "3", "--tidy-probe", "4", "--resolution", "4"]
-    assert cli_sha256(argv) == REPORT_SHA256[filename]
+    assert cli_sha256(["report", path, *options]) == digest
 
 
 def test_verify_all_bytes():

@@ -28,7 +28,7 @@ def mixed_slope_system():
 def test_plus_group_unresolved():
     sys = mixed_slope_system()
     with pytest.raises(UnresolvedError):
-        cotraj.plus_group(sys, sys.model.full_lattice(), probe=12)
+        cotraj.plus_group(sys, sys.model.full_lattice())
 
 
 def test_limit_route_still_certified_by_oracle():
