@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..core import (
-    BackendMismatchError,
     InvariantViolation,
     QuotientConstruction,
     RestrictionConstruction,
     TdlcSystem,
     UnsupportedSubgroupError,
     chain_fixpoint,
+    check_model,
+    cotrajectory_fixpoint,
+    image_chain,
 )
 from ..exact import IndexValue
 
@@ -41,6 +43,10 @@ class FiniteSubgroup:
     def is_compact(self) -> bool:
         return True
 
+    @property
+    def is_normal(self) -> bool:
+        return len(self.model.normalizer(self)) == self.model.order
+
     def __len__(self):
         return len(self.members)
 
@@ -57,14 +63,6 @@ class FiniteEndo:
 
     model: "FiniteGroupModel"
     mapping: tuple[int, ...]
-
-    @property
-    def kernel_trivial(self) -> bool:
-        return self.mapping.count(self.model.identity) == 1
-
-    @property
-    def surjective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -269,20 +267,15 @@ class FiniteGroupModel:
 
     # -- subgroup operations -------------------------------------------------
 
-    def _check_same(self, *handles):
-        for h in handles:
-            if h.model is not self:
-                raise BackendMismatchError("handle belongs to a different group")
-
     def intersect(self, U: FiniteSubgroup, V: FiniteSubgroup) -> FiniteSubgroup:
-        self._check_same(U, V)
+        check_model(self, U, V)
         return FiniteSubgroup(self, tuple(sorted(set(U.members) & set(V.members))))
 
     def set_mul(self, A: Iterable[int], B: Iterable[int]) -> frozenset:
         return frozenset(self.table[a][b] for a in A for b in B)
 
     def set_product(self, U: FiniteSubgroup, V: FiniteSubgroup) -> FiniteSubgroup:
-        self._check_same(U, V)
+        check_model(self, U, V)
         uv = self.set_mul(U.members, V.members)
         vu = self.set_mul(V.members, U.members)
         if uv != vu:
@@ -290,11 +283,11 @@ class FiniteGroupModel:
         return FiniteSubgroup(self, tuple(sorted(uv)))
 
     def image(self, phi: FiniteEndo, U: FiniteSubgroup) -> FiniteSubgroup:
-        self._check_same(U)
+        check_model(self, U)
         return FiniteSubgroup(self, tuple(sorted({phi.mapping[x] for x in U.members})))
 
     def preimage(self, phi: FiniteEndo, U: FiniteSubgroup) -> FiniteSubgroup:
-        self._check_same(U)
+        check_model(self, U)
         mem = set(U.members)
         return FiniteSubgroup(
             self, tuple(x for x in range(self.order) if phi.mapping[x] in mem)
@@ -302,12 +295,12 @@ class FiniteGroupModel:
 
     def contains(self, U: FiniteSubgroup, V: FiniteSubgroup) -> bool:
         """V <= U"""
-        self._check_same(U, V)
+        check_model(self, U, V)
         return set(V.members) <= set(U.members)
 
     def index(self, V: FiniteSubgroup, U: FiniteSubgroup) -> IndexValue:
         """Exact [U:V]; requires V <= U."""
-        self._check_same(U, V)
+        check_model(self, U, V)
         if not set(V.members) <= set(U.members):
             raise ValueError("index requires V <= U")
         return IndexValue(len(U.members) // len(V.members))
@@ -331,7 +324,7 @@ class FiniteGroupModel:
 
     def normalized_core(self, K: FiniteSubgroup, C: FiniteSubgroup) -> FiniteSubgroup:
         """L = the intersection of the C-conjugates of K; C normalizes L, L <= K."""
-        self._check_same(K, C)
+        check_model(self, K, C)
         core = set(K.members)
         for x in C.members:
             core &= {self.conjugate(k, x) for k in K.members}
@@ -344,29 +337,14 @@ class FiniteGroupModel:
 
     # -- subgroup specs, quotients, restrictions -----------------------------
 
-    def subgroup_flags(self, phi: FiniteEndo, H: FiniteSubgroup) -> dict:
-        self._check_same(H)
-        mem = set(H.members)
-        img = {phi.mapping[x] for x in mem}
-        normal = all({self.conjugate(x, g) for x in mem} == mem for g in range(self.order))
-        ker = {x for x in range(self.order) if phi.mapping[x] == self.identity}
-        return {
-            "normal": normal,
-            "compact": True,
-            "phi_invariant": img <= mem,
-            "phi_stable": img == mem,
-            "contains_kernel": ker <= mem,
-        }
-
     def quotient(self, phi: FiniteEndo, H: FiniteSubgroup) -> QuotientConstruction:
-        self._check_same(H)
-        flags = self.subgroup_flags(phi, H)
-        if not flags["normal"]:
+        check_model(self, H)
+        if not H.is_normal:
             raise UnsupportedSubgroupError(
                 "finite quotient needs a normal subgroup; compact non-normal "
                 "subgroups are handled through the neighborhood-base route"
             )
-        if not flags["phi_invariant"]:
+        if not self.contains(H, self.image(phi, H)):
             raise UnsupportedSubgroupError("H is not phi-invariant")
         hset = set(H.members)
         coset_of = {}
@@ -402,8 +380,8 @@ class FiniteGroupModel:
         return QuotientConstruction(system=system, project=project)
 
     def restriction(self, phi: FiniteEndo, H: FiniteSubgroup) -> RestrictionConstruction:
-        self._check_same(H)
-        if not self.subgroup_flags(phi, H)["phi_invariant"]:
+        check_model(self, H)
+        if not self.contains(H, self.image(phi, H)):
             raise UnsupportedSubgroupError("H is not phi-invariant")
         elements = list(H.members)
         pos = {x: i for i, x in enumerate(elements)}
@@ -441,36 +419,12 @@ class FiniteGroupModel:
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified stabilization index: the cotrajectory chain reaches its
         exact fixpoint, after which every alpha equals 1."""
-        for n in range(len(minus_handles) - 1):
-            if minus_handles[n + 1] == minus_handles[n]:
-                if all(a == 1 for a in alphas[n:]):
-                    return n, {"criterion": "cotrajectory fixpoint", "fixpoint_at": n}
-                raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
-        return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
+        return cotrajectory_fixpoint(minus_handles, alphas)
 
     def plus_plus_analysis(self, phi, u_plus: FiniteSubgroup, tidy_probe: int):
-        """Increasing image chain in a finite group always stabilizes; its
-        union is that stable subgroup, hence closed."""
-        chain = [u_plus]
-        indices = []
-        current = u_plus
-        for _ in range(self.order + 1):
-            nxt = self.image(phi, current)
-            indices.append(self.index(current, nxt) if self.contains(nxt, current) else None)
-            if indices[-1] is None:
-                raise InvariantViolation("phi^n U+ is not increasing")
-            if nxt == current:
-                while len(indices) < tidy_probe + 1:
-                    indices.append(IndexValue(1))
-                return {
-                    "closed": True,
-                    "handle": current,
-                    "indices": indices,
-                    "certificate": {"method": "finite stabilization", "steps": len(chain) - 1},
-                }
-            current = nxt
-            chain.append(current)
-        raise InvariantViolation("increasing chain did not stabilize in a finite group")
+        """U+ <= phi(U+) and |phi(U+)| <= |U+| force phi(U+) = U+, so the image
+        chain stops at step 0 and U_++ = U+ is closed."""
+        return image_chain(self, phi, u_plus, tidy_probe)[2]
 
     def entropy_base_certificate(self, probed):
         if all(entry[2].is_zero for entry in probed):

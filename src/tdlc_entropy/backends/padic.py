@@ -31,7 +31,6 @@ from math import gcd
 from typing import Optional
 
 from ..core import (
-    BackendMismatchError,
     InvariantViolation,
     QuotientConstruction,
     RestrictionConstruction,
@@ -39,6 +38,7 @@ from ..core import (
     UnresolvedError,
     UnsupportedSubgroupError,
     chain_fixpoint,
+    check_model,
     image_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -96,8 +96,8 @@ class PadicSubgroup:
         return len(self.subspace) + len(self.module) == self.model.dim
 
     @property
-    def rank(self) -> int:
-        return len(self.module)
+    def is_normal(self) -> bool:
+        return True
 
     def describe(self) -> str:
         if not self.subspace and not self.module:
@@ -122,10 +122,6 @@ class PadicEndo:
     @property
     def kernel_trivial(self) -> bool:
         return self.model.dim == 0 or det(self.matrix) != 0
-
-    @property
-    def surjective(self) -> bool:
-        return self.kernel_trivial
 
 
 class PadicModel:
@@ -201,11 +197,6 @@ class PadicModel:
 
     def kernel_handle(self, phi: PadicEndo) -> PadicSubgroup:
         return self.closed_subgroup(rational_kernel(phi.matrix), ())
-
-    def _check_same(self, *handles):
-        for h in handles:
-            if h.model is not self:
-                raise BackendMismatchError("handle belongs to a different group")
 
     # -- constraint form -------------------------------------------------------
 
@@ -321,7 +312,7 @@ class PadicModel:
 
     def contains(self, U: PadicSubgroup, V: PadicSubgroup) -> bool:
         """V <= U"""
-        self._check_same(U, V)
+        check_model(self, U, V)
         steps = self._int_basis(U)
         # A line lies in V + L only if it lies in V.
         rows = steps[: len(U.subspace)]
@@ -335,7 +326,7 @@ class PadicModel:
         share pivot rows and the transition matrix is triangular with
         diagonal p**(a_t(V) - a_t(U)): [U:V] = p**(sum a(V) - sum a(U)).
         """
-        self._check_same(U, V)
+        check_model(self, U, V)
         if not self.contains(U, V):
             raise ValueError("index requires V <= U")
         if V.subspace != U.subspace or len(V.module) < len(U.module):
@@ -352,17 +343,17 @@ class PadicModel:
     # -- subgroup operations ----------------------------------------------------
 
     def intersect(self, U: PadicSubgroup, V: PadicSubgroup) -> PadicSubgroup:
-        self._check_same(U, V)
+        check_model(self, U, V)
         nu, du = self.constraint_form(U)
         nv, dv = self.constraint_form(V)
         return self.from_constraints(tuple(nu) + tuple(nv), tuple(du) + tuple(dv))
 
     def set_product(self, U: PadicSubgroup, V: PadicSubgroup) -> PadicSubgroup:
-        self._check_same(U, V)
+        check_model(self, U, V)
         return self.closed_subgroup(U.subspace + V.subspace, U.module + V.module)
 
     def image(self, phi: PadicEndo, U: PadicSubgroup) -> PadicSubgroup:
-        self._check_same(U)
+        check_model(self, U)
         a = phi.matrix
         return self.closed_subgroup(
             [mat_vec(a, row) for row in U.subspace],
@@ -370,26 +361,15 @@ class PadicModel:
         )
 
     def preimage(self, phi: PadicEndo, U: PadicSubgroup) -> PadicSubgroup:
-        self._check_same(U)
+        check_model(self, U)
         n, d = self.constraint_form(U)
         a = phi.matrix
         return self.from_constraints(mat_mul(n, a), mat_mul(d, a))
 
     # -- specs, quotient, restriction -------------------------------------------
 
-    def subgroup_flags(self, phi: PadicEndo, H: PadicSubgroup) -> dict:
-        self._check_same(H)
-        img = self.image(phi, H)
-        return {
-            "normal": True,
-            "compact": H.is_compact,
-            "phi_invariant": self.contains(H, img),
-            "phi_stable": img == H,
-            "contains_kernel": self.contains(H, self.kernel_handle(phi)),
-        }
-
     def quotient(self, phi: PadicEndo, H: PadicSubgroup) -> QuotientConstruction:
-        self._check_same(H)
+        check_model(self, H)
         if H.module:
             raise UnsupportedSubgroupError(
                 "can only quotient by a rational subspace in this backend"
@@ -425,7 +405,7 @@ class PadicModel:
         return QuotientConstruction(system=system, project=project)
 
     def restriction(self, phi: PadicEndo, H: PadicSubgroup) -> RestrictionConstruction:
-        self._check_same(H)
+        check_model(self, H)
         if H.module:
             raise UnsupportedSubgroupError(
                 "can only restrict to a rational subspace in this backend"

@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import (
-    BackendMismatchError,
     InvariantViolation,
     QuotientConstruction,
     RestrictionConstruction,
     TdlcSystem,
+    check_model,
 )
 from ..exact import IndexValue
 
@@ -31,6 +31,10 @@ class ProductSubgroup:
     def is_compact(self) -> bool:
         return all(p.is_compact for p in self.parts)
 
+    @property
+    def is_normal(self) -> bool:
+        return all(p.is_normal for p in self.parts)
+
     def describe(self) -> str:
         return " x ".join(p.describe() for p in self.parts)
 
@@ -39,14 +43,6 @@ class ProductSubgroup:
 class ProductEndo:
     model: "ProductModel"
     parts: tuple
-
-    @property
-    def kernel_trivial(self) -> bool:
-        return all(p.kernel_trivial for p in self.parts)
-
-    @property
-    def surjective(self) -> bool:
-        return all(p.surjective for p in self.parts)
 
 
 class ProductModel:
@@ -59,11 +55,6 @@ class ProductModel:
     def pair(self, h1, h2) -> ProductSubgroup:
         return ProductSubgroup(self, (h1, h2))
 
-    def _check_same(self, *handles):
-        for h in handles:
-            if h.model is not self:
-                raise BackendMismatchError("handle belongs to a different product group")
-
     def _zip(self, method, *handles, extra=()):
         return ProductSubgroup(
             self,
@@ -74,31 +65,31 @@ class ProductModel:
         )
 
     def intersect(self, U, V):
-        self._check_same(U, V)
+        check_model(self, U, V)
         return self._zip("intersect", U, V)
 
     def set_product(self, U, V):
-        self._check_same(U, V)
+        check_model(self, U, V)
         return self._zip("set_product", U, V)
 
     def image(self, phi, U):
-        self._check_same(U)
+        check_model(self, U)
         return ProductSubgroup(
             self, tuple(f.image(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors))
         )
 
     def preimage(self, phi, U):
-        self._check_same(U)
+        check_model(self, U)
         return ProductSubgroup(
             self, tuple(f.preimage(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors))
         )
 
     def contains(self, U, V) -> bool:
-        self._check_same(U, V)
+        check_model(self, U, V)
         return all(f.contains(U.parts[i], V.parts[i]) for i, f in enumerate(self.factors))
 
     def index(self, V, U) -> IndexValue:
-        self._check_same(U, V)
+        check_model(self, U, V)
         out = IndexValue(1)
         for i, f in enumerate(self.factors):
             out = out * f.index(V.parts[i], U.parts[i])
@@ -123,13 +114,8 @@ class ProductModel:
             self, tuple(f.kernel_handle(phi.parts[i]) for i, f in enumerate(self.factors))
         )
 
-    def subgroup_flags(self, phi: ProductEndo, H: ProductSubgroup) -> dict:
-        self._check_same(H)
-        per = [f.subgroup_flags(phi.parts[i], H.parts[i]) for i, f in enumerate(self.factors)]
-        return {key: all(p[key] for p in per) for key in per[0]}
-
     def quotient(self, phi: ProductEndo, H: ProductSubgroup) -> QuotientConstruction:
-        self._check_same(H)
+        check_model(self, H)
         qs = [f.quotient(phi.parts[i], H.parts[i]) for i, f in enumerate(self.factors)]
         qmodel = ProductModel(qs[0].system.model, qs[1].system.model, name=f"{self.name}/H")
         qendo = ProductEndo(qmodel, (qs[0].system.endo, qs[1].system.endo))
@@ -141,7 +127,7 @@ class ProductModel:
         return QuotientConstruction(system=system, project=project)
 
     def restriction(self, phi: ProductEndo, H: ProductSubgroup) -> RestrictionConstruction:
-        self._check_same(H)
+        check_model(self, H)
         rs = [f.restriction(phi.parts[i], H.parts[i]) for i, f in enumerate(self.factors)]
         rmodel = ProductModel(rs[0].system.model, rs[1].system.model, name=f"{self.name}|H")
         rendo = ProductEndo(rmodel, (rs[0].system.endo, rs[1].system.endo))

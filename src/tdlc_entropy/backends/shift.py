@@ -25,6 +25,8 @@ from ..core import (
     UnresolvedError,
     UnsupportedSubgroupError,
     chain_fixpoint,
+    check_model,
+    cotrajectory_fixpoint,
     image_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -162,14 +164,6 @@ class AlphabetHom:
             for j in range(len(codomain.subgroup_sets))
         )
 
-    @property
-    def surjective(self) -> bool:
-        return self.image_id[self.domain.full_id] == self.codomain.full_id
-
-    @property
-    def injective(self) -> bool:
-        return self.preimage_id[self.codomain.trivial_id] == self.domain.trivial_id
-
     def compose(self, other: "AlphabetHom") -> "AlphabetHom":
         """self after other"""
         if other.codomain is not self.domain:
@@ -245,6 +239,10 @@ class Profile:
         return self.left == (triv,) and self.right == (triv,)
 
     @property
+    def is_normal(self) -> bool:
+        return True
+
+    @property
     def is_open(self) -> bool:
         mode = self.model.tail_mode
         full = self.model.alphabet.full_id
@@ -268,14 +266,6 @@ class ShiftEndo:
     model: "ShiftProfileModel"
     k: int
     sigma: AlphabetHom
-
-    @property
-    def kernel_trivial(self) -> bool:
-        return self.sigma.injective
-
-    @property
-    def surjective(self) -> bool:
-        return self.sigma.surjective
 
 
 class ShiftProfileModel:
@@ -370,11 +360,6 @@ class ShiftProfileModel:
     def kernel_handle(self, phi: ShiftEndo) -> Profile:
         return self.constant_profile(phi.sigma.preimage_id[self.alphabet.trivial_id])
 
-    def _check_same(self, *handles):
-        for h in handles:
-            if h.model is not self:
-                raise BackendMismatchError("handle belongs to a different shift group")
-
     # -- pointwise operations ----------------------------------------------------
 
     def _pointwise(self, U: Profile, V: Profile, table) -> Profile:
@@ -390,11 +375,11 @@ class ShiftProfileModel:
         return self.make_profile(left, lo, window, right)
 
     def intersect(self, U: Profile, V: Profile) -> Profile:
-        self._check_same(U, V)
+        check_model(self, U, V)
         return self._pointwise(U, V, self.alphabet.meet)
 
     def set_product(self, U: Profile, V: Profile) -> Profile:
-        self._check_same(U, V)
+        check_model(self, U, V)
         return self._pointwise(U, V, self.alphabet.join)
 
     def _mapped(self, U: Profile, shift: int, value_map) -> Profile:
@@ -405,11 +390,11 @@ class ShiftProfileModel:
         return self.make_profile(left, U.start - shift, window, right)
 
     def image(self, phi: ShiftEndo, U: Profile) -> Profile:
-        self._check_same(U)
+        check_model(self, U)
         return self._mapped(U, phi.k, phi.sigma.image_id)
 
     def preimage(self, phi: ShiftEndo, U: Profile) -> Profile:
-        self._check_same(U)
+        check_model(self, U)
         return self._mapped(U, -phi.k, phi.sigma.preimage_id)
 
     def translate(self, U: Profile, t: int) -> Profile:
@@ -428,7 +413,7 @@ class ShiftProfileModel:
 
     def contains(self, U: Profile, V: Profile) -> bool:
         """V <= U, checked pointwise over a representative range."""
-        self._check_same(U, V)
+        check_model(self, U, V)
         alpha = self.alphabet
         return all(
             alpha.contains_id(U.value_at(i), V.value_at(i)) for i in self._probe_positions(U, V)
@@ -436,7 +421,7 @@ class ShiftProfileModel:
 
     def index(self, V: Profile, U: Profile) -> IndexValue:
         """Exact [U:V]; infinite unless the tail patterns agree."""
-        self._check_same(U, V)
+        check_model(self, U, V)
         if not self.contains(U, V):
             raise ValueError("index requires V <= U")
         if U.left != V.left or U.right != V.right:
@@ -588,13 +573,9 @@ class ShiftProfileModel:
         covering a full cycle of phases then pins the value forever, since
         alpha is non-increasing.
         """
-        for n in range(len(minus_handles) - 1):
-            if minus_handles[n + 1] == minus_handles[n]:
-                if all(a == 1 for a in alphas[n:]):
-                    return n, {"criterion": "cotrajectory fixpoint", "fixpoint_at": n}
-                raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
-        if phi.k == 0:
-            return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
+        n, cert = cotrajectory_fixpoint(minus_handles, alphas)
+        if n is not None or phi.k == 0:
+            return n, cert
         _, info = self.limit_profile(U, -phi.k, phi.sigma.preimage_id, self.alphabet.meet)
         q = max(info.get("steps_per_cycle", 1), 1)
         need = q + 1
@@ -721,24 +702,13 @@ class ShiftProfileModel:
 
     # -- specs, quotient, restriction ---------------------------------------------------
 
-    def subgroup_flags(self, phi: ShiftEndo, H: Profile) -> dict:
-        self._check_same(H)
-        img = self.image(phi, H)
-        return {
-            "normal": True,
-            "compact": H.is_compact,
-            "phi_invariant": self.contains(H, img),
-            "phi_stable": img == H,
-            "contains_kernel": self.contains(H, self.kernel_handle(phi)),
-        }
-
     def _constant_value(self, H: Profile) -> Optional[int]:
         if H.left == H.right and len(H.left) == 1 and not H.window:
             return H.left[0]
         return None
 
     def quotient(self, phi: ShiftEndo, H: Profile) -> QuotientConstruction:
-        self._check_same(H)
+        check_model(self, H)
         f0 = self._constant_value(H)
         if f0 is None:
             raise UnsupportedSubgroupError(
@@ -772,7 +742,7 @@ class ShiftProfileModel:
         return QuotientConstruction(system=system, project=project)
 
     def restriction(self, phi: ShiftEndo, H: Profile) -> RestrictionConstruction:
-        self._check_same(H)
+        check_model(self, H)
         f0 = self._constant_value(H)
         if f0 is None:
             raise UnsupportedSubgroupError(

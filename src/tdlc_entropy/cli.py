@@ -9,6 +9,7 @@ input, 3 resource limit under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 import time
@@ -30,7 +31,9 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tdlc-entropy",
         description="Exact entropy, scale, tidy subgroups and nub for "

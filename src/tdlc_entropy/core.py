@@ -1,10 +1,11 @@
-"""Backend-independent contract: systems, subgroup specs, and the operations
-every backend implements.
+"""Backend-independent contract: systems, subgroup specs, the operations
+every backend implements, and the algorithms written once on top of them.
 
 A backend supplies a *model* (the ambient group), *endomorphism* objects and
 immutable, canonical *subgroup handles*.  Handles compare equal exactly when
 they denote the same subgroup.  The free functions here dispatch to the
-model carried by each handle and check that operands share a backend.
+model carried by each handle; every model checks with ``check_model`` that
+its operands are its own.
 
 Model protocol (duck-typed; every backend implements all of it):
 
@@ -20,7 +21,6 @@ Model protocol (duck-typed; every backend implements all of it):
     trivial_subgroup()       the trivial subgroup {1}
     endo_power(phi, n)
     kernel_handle(phi)
-    subgroup_flags(phi, H)   recomputed flags for ClosedSubgroupSpec
     quotient(phi, H)         QuotientConstruction, or UnsupportedSubgroupError
     restriction(phi, H)      RestrictionConstruction, or UnsupportedSubgroupError
 
@@ -35,8 +35,10 @@ plus the dynamics hooks used by the cotrajectory and dynamics modules:
     nub_analysis(phi, minimizing, resolution, scale_value=None)  the nub
 
 Each backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a
-chain depth.  Every handle has ``describe()``, ``is_open`` and
-``is_compact``.
+chain depth.  Every handle has ``describe()``, ``is_open``, ``is_compact``
+and ``is_normal``.  What follows from these primitives alone is written
+here once: the subgroup flags (``ClosedSubgroupSpec.verify``), the
+fixpoint chain, the image chain and the cotrajectory fixpoint plateau.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ class UnresolvedError(RuntimeError):
     """
 
 
-def _same_backend(*handles):
-    models = {id(h.model) for h in handles}
-    if len(models) != 1:
-        raise BackendMismatchError("handles belong to different ambient groups")
-    return handles[0].model
+def check_model(model, *handles):
+    """Raise ``BackendMismatchError`` unless every handle belongs to ``model``."""
+    for h in handles:
+        if h.model is not model:
+            raise BackendMismatchError("handle belongs to a different ambient group")
 
 
 _MISSING = object()
@@ -106,7 +108,7 @@ class TdlcSystem:
 
 @dataclass(frozen=True)
 class ClosedSubgroupSpec:
-    """A closed subgroup with flags recomputed by the backend.
+    """A closed subgroup with flags recomputed from the model's primitives.
 
     User-supplied flags are advisory only; ``verify`` derives every flag from
     the handle itself so the additivity-check preconditions are sound.
@@ -121,8 +123,16 @@ class ClosedSubgroupSpec:
 
     @classmethod
     def verify(cls, sys: TdlcSystem, handle) -> "ClosedSubgroupSpec":
-        flags = sys.model.subgroup_flags(sys.endo, handle)
-        return cls(handle=handle, **flags)
+        model, phi = sys.model, sys.endo
+        img = model.image(phi, handle)
+        return cls(
+            handle=handle,
+            normal=handle.is_normal,
+            compact=handle.is_compact,
+            phi_invariant=model.contains(handle, img),
+            phi_stable=img == handle,
+            contains_kernel=model.contains(handle, model.kernel_handle(phi)),
+        )
 
 
 @dataclass(frozen=True)
@@ -140,8 +150,7 @@ class RestrictionConstruction:
 
 def intersect(U, V):
     """Canonical handle for U n V; open iff both operands are open."""
-    model = _same_backend(U, V)
-    return model.intersect(U, V)
+    return U.model.intersect(U, V)
 
 
 def image(phi, U):
@@ -160,15 +169,13 @@ def preimage(phi, U):
 
 def index(V, U) -> IndexValue:
     """Exact index [U:V].  Requires V <= U; infinite when V is not open in U."""
-    model = _same_backend(U, V)
-    return model.index(V, U)
+    return U.model.index(V, U)
 
 
 def set_product(U, V):
     """The subgroup UV.  Requires UV = VU; the finite backend checks it and
     raises ``UnsupportedSubgroupError`` otherwise."""
-    model = _same_backend(U, V)
-    return model.set_product(U, V)
+    return U.model.set_product(U, V)
 
 
 def chain_fixpoint(step: Callable, start, max_steps: int):
@@ -189,32 +196,46 @@ def chain_fixpoint(step: Callable, start, max_steps: int):
 
 
 def image_chain(model, phi, U, steps: int):
-    """The increasing chain U <= phi(U) <= ... over ``steps + 1`` images.
+    """The increasing chain U <= phi(U) <= ... over at most ``steps + 1`` images.
 
     Returns ``(indices, last, analysis)``: the indices [phi^{n+1}(U) :
     phi^n(U)] for n = 0..steps, the last image, and the closed
-    ``plus_plus_analysis`` result when the chain stabilized, else None.
+    ``plus_plus_analysis`` result when the chain stabilized, else None.  The
+    chain stops at the first fixed image: every later image is that same
+    subgroup, so every later index is 1.
     """
     indices = []
     current = U
-    stabilized = None
     for n in range(steps + 1):
         nxt = model.image(phi, current)
         if not model.contains(nxt, current):
             raise InvariantViolation("phi^n U+ is not increasing")
+        if nxt == current:
+            indices += [IndexValue(1)] * (steps + 1 - n)
+            return indices, current, {
+                "closed": True,
+                "handle": current,
+                "indices": indices,
+                "certificate": {"method": "image chain stabilized", "steps": n},
+            }
         indices.append(model.index(current, nxt))
-        if nxt == current and stabilized is None:
-            stabilized = n
         current = nxt
-    if stabilized is None:
-        return indices, current, None
-    # from a fixed image on, every image is that same subgroup
-    return indices, current, {
-        "closed": True,
-        "handle": current,
-        "indices": indices,
-        "certificate": {"method": "image chain stabilized", "steps": stabilized},
-    }
+    return indices, current, None
+
+
+def cotrajectory_fixpoint(minus_handles, alphas):
+    """``alpha_stabilization`` by an exact fixpoint of the cotrajectory chain.
+
+    Returns ``(n, certificate)`` with n the first index where U_{-n-1} =
+    U_{-n}, after which every alpha is 1, or ``(None, certificate)`` when the
+    computed chain has no fixpoint.
+    """
+    for n in range(len(minus_handles) - 1):
+        if minus_handles[n + 1] == minus_handles[n]:
+            if all(a == 1 for a in alphas[n:]):
+                return n, {"criterion": "cotrajectory fixpoint", "fixpoint_at": n}
+            raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
+    return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
 
 
 def base_family(sys: TdlcSystem, k: int):

@@ -183,7 +183,8 @@ def _scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
     return tuple(u for u in seen if u.is_compact and u.is_open)
 
 
-def scale(sys: TdlcSystem, probe: int = 8, tidy_probe: int = 16) -> ScaleReport:
+def scale(sys: TdlcSystem, probe: int = 8,
+          tidy_probe: int = cotraj.DEFAULT_TIDY_PROBE) -> ScaleReport:
     """Minimum displacement index over the probe family, with tidy witness.
 
     The reported value is certified optimal through the witness's tidiness
@@ -373,7 +374,7 @@ def verify_scale_entropy_link(sys: TdlcSystem, probe: int = 8, resolution: int =
     return Verdict(FAIL, "scale-entropy link failed", details)
 
 
-def entropy_lower_bound_phiN(sys: TdlcSystem, candidates, probe: int = 8):
+def entropy_lower_bound_phiN(sys: TdlcSystem, candidates):
     """max log [phi(M) : M] over verified compact M with M <= phi(M).
 
     Candidates violating the precondition are rejected individually.  The

@@ -31,7 +31,7 @@ class ScenarioError(ValueError):
 
 SCHEMA_VERSION = 1
 # the defaults of probe, tidy_probe and resolution, which like n_max lie in 1..PARAM_BOUND
-PARAMS = {"probe": 8, "tidy_probe": 16, "resolution": 8}
+PARAMS = {"probe": 8, "tidy_probe": cotraj.DEFAULT_TIDY_PROBE, "resolution": 8}
 PARAM_BOUND = 64
 # the most decimal digits of the numerator and of the denominator of a p-adic entry
 ENTRY_DIGITS = 20
@@ -347,7 +347,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                 unresolved += table.n_star is None
             elif kind == "phi_n":
                 cands = [subgroups[name] for name in chk["candidates"]]
-                best, accepted, rejected = dynamics.entropy_lower_bound_phiN(sys, cands, probe)
+                best, accepted, rejected = dynamics.entropy_lower_bound_phiN(sys, cands)
                 total = dynamics.topological_entropy(sys, probe).value
                 if not best <= total:
                     raise core.InvariantViolation("lower bound exceeded the entropy")

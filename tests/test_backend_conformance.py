@@ -1,12 +1,17 @@
-"""Every backend model implements the whole protocol documented in ``core``.
+"""Every backend model implements the whole protocol documented in ``core``,
+and the library outside the backends reads every name in it.
 
 The dynamics layer calls these methods and attributes without ``hasattr``
 fallbacks; this test is what makes that safe.
 """
 
+import ast
 import inspect
+import pathlib
 
 import pytest
+
+import tdlc_entropy
 
 from tdlc_entropy import core, cotraj
 from tdlc_entropy.backends.catalog import find_scenario
@@ -19,7 +24,7 @@ from tdlc_entropy.scenario import build_system
 PROTOCOL = (
     "name", "kind",
     "base_element", "intersect", "set_product", "image", "preimage", "index", "contains",
-    "full_group", "trivial_subgroup", "endo_power", "kernel_handle", "subgroup_flags",
+    "full_group", "trivial_subgroup", "endo_power", "kernel_handle",
     "quotient", "restriction",
     "plus_group_impl", "minus_group_impl", "alpha_stabilization", "plus_plus_analysis",
     "entropy_base_certificate", "scale_candidates", "nub_analysis",
@@ -39,6 +44,17 @@ HOOK_PARAMETERS = {
 MODEL_CLASSES = (FiniteGroupModel, PadicModel, ShiftProfileModel, ProductModel)
 
 SYSTEMS = ("finite_s3", "q2_half", "shift_z2_compact", "product_q2half_laurent3")
+
+
+def test_every_protocol_name_is_read_outside_the_backends():
+    """A hook that only backends and tests call belongs out of the protocol."""
+    package = pathlib.Path(tdlc_entropy.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert set(PROTOCOL) - read == set()
 
 
 def test_protocol_list_matches_core_docstring():
@@ -79,3 +95,4 @@ def test_every_built_handle_describes_itself(system):
     for h in handles:
         assert isinstance(h.describe(), str)
         assert isinstance(h.is_open, bool) and isinstance(h.is_compact, bool)
+        assert isinstance(h.is_normal, bool)

@@ -11,7 +11,7 @@ from tdlc_entropy.backends.finite import (
     symmetric_group,
     trivial_group,
 )
-from tdlc_entropy.core import UnsupportedSubgroupError
+from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem, UnsupportedSubgroupError
 from tdlc_entropy.exact import IndexValue
 
 
@@ -213,15 +213,16 @@ def test_snake_example_s3():
 
 def test_subgroup_flags():
     g = symmetric_group(3)
-    phi = g.identity_endo()
+    sys = TdlcSystem(g, g.identity_endo())
     a3 = next(s for s in g.all_subgroups() if len(s) == 3)
-    flags = g.subgroup_flags(phi, a3)
-    assert flags == {
-        "normal": True,
-        "compact": True,
-        "phi_invariant": True,
-        "phi_stable": True,
-        "contains_kernel": True,
-    }
+    spec = ClosedSubgroupSpec.verify(sys, a3)
+    assert spec == ClosedSubgroupSpec(
+        handle=a3,
+        normal=True,
+        compact=True,
+        phi_invariant=True,
+        phi_stable=True,
+        contains_kernel=True,
+    )
     transposition = next(s for s in g.all_subgroups() if len(s) == 2)
-    assert not g.subgroup_flags(phi, transposition)["normal"]
+    assert not ClosedSubgroupSpec.verify(sys, transposition).normal

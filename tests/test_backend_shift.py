@@ -1,7 +1,7 @@
 import pytest
 
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet, matrix_hom
-from tdlc_entropy.core import UnsupportedSubgroupError
+from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem, UnsupportedSubgroupError
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 
@@ -199,20 +199,18 @@ def test_quotient_and_restriction_z4():
 
 def test_subgroup_flags_shift(z2_model):
     m = z2_model
-    phi = m.endo(1)
-    g = m.full_group()
-    flags = m.subgroup_flags(phi, g)
-    assert flags["phi_stable"] and flags["contains_kernel"] and flags["compact"]
-    u0 = m.base_element(0)
-    assert not m.subgroup_flags(phi, u0)["phi_invariant"]
+    sys = TdlcSystem(m, m.endo(1))
+    spec = ClosedSubgroupSpec.verify(sys, m.full_group())
+    assert spec.phi_stable and spec.contains_kernel and spec.compact
+    assert not ClosedSubgroupSpec.verify(sys, m.base_element(0)).phi_invariant
 
 
 def test_sigma_with_kernel():
     m = ShiftProfileModel(cyclic_alphabet([4]), "compact")
     sigma = matrix_hom(m.alphabet, (4,), [[2]])  # x -> 2x on Z/4
     phi = m.endo(1, sigma)
-    assert not phi.kernel_trivial
     ker = m.kernel_handle(phi)
+    assert ker != m.trivial_subgroup()
     two = m.alphabet.subgroup_id({(0,), (2,)})
     assert ker == m.constant_profile(two)
 

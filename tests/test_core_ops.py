@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from tdlc_entropy import core
+from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
+from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
 from tdlc_entropy.core import BackendMismatchError, ClosedSubgroupSpec, TdlcSystem
 
@@ -78,6 +80,21 @@ def test_backend_mismatch_rejected():
     m2 = PadicModel(2, 1)
     with pytest.raises(BackendMismatchError):
         core.intersect(m1.full_lattice(), m2.full_lattice())
+
+
+def test_product_flags_are_the_factor_flags_joined():
+    """The flags of a pair, computed on the product, are the factor flags joined by 'and'."""
+    s3 = symmetric_group(3)
+    left = TdlcSystem(s3, s3.identity_endo())
+    q2 = PadicModel(2, 1)
+    right = TdlcSystem(q2, q2.endo([[F(1, 2)]]))
+    prod = make_product(left, right)
+    for h1 in s3.all_subgroups():
+        for h2 in (q2.zero_subgroup(), q2.full_lattice(), q2.whole_space()):
+            spec = ClosedSubgroupSpec.verify(prod, prod.model.pair(h1, h2))
+            f1, f2 = ClosedSubgroupSpec.verify(left, h1), ClosedSubgroupSpec.verify(right, h2)
+            for flag in ("normal", "compact", "phi_invariant", "phi_stable", "contains_kernel"):
+                assert getattr(spec, flag) == (getattr(f1, flag) and getattr(f2, flag)), flag
 
 
 def test_base_family_monotone_everywhere():

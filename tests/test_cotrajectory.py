@@ -386,6 +386,21 @@ def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
     assert (len(images), len(dets)) == (0, 0)
 
 
+@pytest.mark.parametrize("make_sys", [q2_half, shift_z2], ids=["padic", "shift"])
+def test_image_chain_stops_at_a_stable_forward_core(monkeypatch, make_sys):
+    """Op-count gate: on a phi-stable U+ the image chain takes one image, not
+    tidy_probe + 1, and pads its indices with 1."""
+    sys = make_sys()
+    model = sys.model
+    u_plus = model.full_group()
+    images = count_calls(monkeypatch, type(model), "image")
+    res = model.plus_plus_analysis(sys.endo, u_plus, 6)
+    assert len(images) == 1
+    assert res["closed"] and res["handle"] == u_plus
+    assert res["indices"] == [IndexValue(1)] * 7
+    assert res["certificate"] == {"method": "image chain stabilized", "steps": 0}
+
+
 def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
     """Op-count gate: phi = 2 has no forward lattice fixpoint, so the chain
     takes no step on the outer model."""

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -354,3 +355,17 @@ def test_wrongly_typed_field_fails_only_with_scenario_error(data):
         build_subgroups(sys, scenario_data)
     except ScenarioError:
         pass
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    path = tmp_path / "finite_s3.json"
+    path.write_text(json.dumps(find_scenario("finite_s3")))
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(1) or add_subparsers(self, **kw))
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, _ = run_cli(["entropy", str(path), "--probe", "2"])
+        assert code == cli.EXIT_OK
+    assert len(built) == 1
