@@ -435,6 +435,9 @@ class FiniteGroupModel:
         # Complete enumeration: the scale minimum over this family is exact.
         return list(self.all_subgroups())
 
+    def scale_oracle(self, phi):
+        return None
+
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
         """Exact nub: the subgroup list is complete, so intersect all
         minimizing subgroups."""

@@ -584,7 +584,7 @@ class PadicModel:
         """Certified once alpha reaches the Newton polygon prediction p^e:
         alpha is non-increasing and bounded below by its limit, so equality
         with the predicted limit pins the tail."""
-        predicted = self.p ** self.entropy_exponent(phi)
+        predicted = self.scale_oracle(phi)
         for n, a in enumerate(alphas):
             if a == predicted:
                 return n, {"criterion": "newton polygon", "predicted_alpha": predicted}
@@ -658,6 +658,11 @@ class PadicModel:
                 pieces.extend(met.module)
             out.append(self.lattice(pieces))
         return out
+
+    def scale_oracle(self, phi):
+        """The Newton-polygon scale p^e, the product of the roots' |lambda|_p > 1
+        (Gloeckner 1998)."""
+        return self.p ** self.entropy_exponent(phi)
 
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
         witness = minimizing[0]

@@ -7,6 +7,7 @@ indices multiply, so the factor backends certify their own parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..core import (
     InvariantViolation,
@@ -52,123 +53,102 @@ class ProductModel:
         self.factors = (left, right)
         self.name = name or f"{left.name} x {right.name}"
 
-    def pair(self, h1, h2) -> ProductSubgroup:
-        return ProductSubgroup(self, (h1, h2))
+    def pair(self, *parts) -> ProductSubgroup:
+        return ProductSubgroup(self, parts)
 
-    def _zip(self, method, *handles, extra=()):
-        return ProductSubgroup(
-            self,
-            tuple(
-                getattr(f, method)(*[h.parts[i] for h in handles], *extra)
-                for i, f in enumerate(self.factors)
-            ),
-        )
+    def _zip(self, method, *shares):
+        """Lazily, per factor: ``method`` (a factor method's name, or a function
+        taking the factor first) on the factor's entry of each share.  A share
+        holds one entry per factor, as the ``parts`` of a handle do."""
+        return (getattr(f, method)(*a) if isinstance(method, str) else method(f, *a)
+                for f, *a in zip(self.factors, *shares))
+
+    def _columns(self, handles) -> list:
+        """The share of a list of handles: per factor, the list of its parts."""
+        return [[h.parts[i] for h in handles] for i in range(len(self.factors))]
+
+    def _system(self, constructions, name) -> TdlcSystem:
+        """The product of the factor systems of ``constructions``."""
+        model = ProductModel(*(c.system.model for c in constructions), name=name)
+        endo = ProductEndo(model, tuple(c.system.endo for c in constructions))
+        return TdlcSystem(model, endo, name=name)
 
     def intersect(self, U, V):
         check_model(self, U, V)
-        return self._zip("intersect", U, V)
+        return self.pair(*self._zip("intersect", U.parts, V.parts))
 
     def set_product(self, U, V):
         check_model(self, U, V)
-        return self._zip("set_product", U, V)
+        return self.pair(*self._zip("set_product", U.parts, V.parts))
 
     def image(self, phi, U):
         check_model(self, U)
-        return ProductSubgroup(
-            self, tuple(f.image(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors))
-        )
+        return self.pair(*self._zip("image", phi.parts, U.parts))
 
     def preimage(self, phi, U):
         check_model(self, U)
-        return ProductSubgroup(
-            self, tuple(f.preimage(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors))
-        )
+        return self.pair(*self._zip("preimage", phi.parts, U.parts))
 
     def contains(self, U, V) -> bool:
         check_model(self, U, V)
-        return all(f.contains(U.parts[i], V.parts[i]) for i, f in enumerate(self.factors))
+        return all(self._zip("contains", U.parts, V.parts))
 
     def index(self, V, U) -> IndexValue:
         check_model(self, U, V)
-        out = IndexValue(1)
-        for i, f in enumerate(self.factors):
-            out = out * f.index(V.parts[i], U.parts[i])
-        return out
+        left, right = self._zip("index", V.parts, U.parts)
+        return left * right
 
     def base_element(self, k: int) -> ProductSubgroup:
-        return ProductSubgroup(self, tuple(f.base_element(k) for f in self.factors))
+        return self.pair(*self._zip("base_element", repeat(k)))
 
     def full_group(self) -> ProductSubgroup:
-        return ProductSubgroup(self, tuple(f.full_group() for f in self.factors))
+        return self.pair(*self._zip("full_group"))
 
     def trivial_subgroup(self) -> ProductSubgroup:
-        return ProductSubgroup(self, tuple(f.trivial_subgroup() for f in self.factors))
+        return self.pair(*self._zip("trivial_subgroup"))
 
     def endo_power(self, phi: ProductEndo, n: int) -> ProductEndo:
-        return ProductEndo(
-            self, tuple(f.endo_power(phi.parts[i], n) for i, f in enumerate(self.factors))
-        )
+        return ProductEndo(self, tuple(self._zip("endo_power", phi.parts, repeat(n))))
 
     def kernel_handle(self, phi: ProductEndo) -> ProductSubgroup:
-        return ProductSubgroup(
-            self, tuple(f.kernel_handle(phi.parts[i]) for i, f in enumerate(self.factors))
-        )
+        return self.pair(*self._zip("kernel_handle", phi.parts))
 
     def quotient(self, phi: ProductEndo, H: ProductSubgroup) -> QuotientConstruction:
         check_model(self, H)
-        qs = [f.quotient(phi.parts[i], H.parts[i]) for i, f in enumerate(self.factors)]
-        qmodel = ProductModel(qs[0].system.model, qs[1].system.model, name=f"{self.name}/H")
-        qendo = ProductEndo(qmodel, (qs[0].system.endo, qs[1].system.endo))
-        system = TdlcSystem(qmodel, qendo, name=f"{self.name}/H")
-
-        def project(U: ProductSubgroup) -> ProductSubgroup:
-            return ProductSubgroup(qmodel, (qs[0].project(U.parts[0]), qs[1].project(U.parts[1])))
-
-        return QuotientConstruction(system=system, project=project)
+        qs = tuple(self._zip("quotient", phi.parts, H.parts))
+        system = self._system(qs, f"{self.name}/H")
+        return QuotientConstruction(
+            system=system, project=lambda U: _apply(system.model, [q.project for q in qs], U)
+        )
 
     def restriction(self, phi: ProductEndo, H: ProductSubgroup) -> RestrictionConstruction:
         check_model(self, H)
-        rs = [f.restriction(phi.parts[i], H.parts[i]) for i, f in enumerate(self.factors)]
-        rmodel = ProductModel(rs[0].system.model, rs[1].system.model, name=f"{self.name}|H")
-        rendo = ProductEndo(rmodel, (rs[0].system.endo, rs[1].system.endo))
-        system = TdlcSystem(rmodel, rendo, name=f"{self.name}|H")
-
-        def embed(U: ProductSubgroup) -> ProductSubgroup:
-            return ProductSubgroup(self, (rs[0].embed(U.parts[0]), rs[1].embed(U.parts[1])))
-
-        def restrict_handle(U: ProductSubgroup) -> ProductSubgroup:
-            return ProductSubgroup(
-                rmodel, (rs[0].restrict_handle(U.parts[0]), rs[1].restrict_handle(U.parts[1]))
-            )
-
-        return RestrictionConstruction(system=system, embed=embed, restrict_handle=restrict_handle)
+        rs = tuple(self._zip("restriction", phi.parts, H.parts))
+        system = self._system(rs, f"{self.name}|H")
+        return RestrictionConstruction(
+            system=system,
+            embed=lambda U: _apply(self, [r.embed for r in rs], U),
+            restrict_handle=lambda U: _apply(system.model, [r.restrict_handle for r in rs], U),
+        )
 
     # -- dynamics hooks --------------------------------------------------------
 
     def plus_group_impl(self, phi, U):
-        results = [f.plus_group_impl(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors)]
-        handle = ProductSubgroup(self, tuple(r[0] for r in results))
+        results = tuple(self._zip("plus_group_impl", phi.parts, U.parts))
+        handle = self.pair(*(r[0] for r in results))
         method = "fixpoint" if all(r[1] == "fixpoint" for r in results) else "structural"
         steps = max(r[2] for r in results)
         return handle, method, steps, {"factors": [r[3] for r in results]}
 
     def minus_group_impl(self, phi, U):
-        results = [f.minus_group_impl(phi.parts[i], U.parts[i]) for i, f in enumerate(self.factors)]
-        handle = ProductSubgroup(self, tuple(r[0] for r in results))
-        return handle, {"factors": [r[1] for r in results]}
+        results = tuple(self._zip("minus_group_impl", phi.parts, U.parts))
+        return self.pair(*(r[0] for r in results)), {"factors": [r[1] for r in results]}
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         certs = []
         n_star = 0
-        for i, f in enumerate(self.factors):
-            handles = [h.parts[i] for h in minus_handles]
-            f_alphas = []
-            for n in range(len(handles) - 1):
-                ix = f.index(handles[n + 1], handles[n])
-                if not ix.is_finite:
-                    raise InvariantViolation("factor cotrajectory index is infinite")
-                f_alphas.append(ix.value)
-            ns, cert = f.alpha_stabilization(phi.parts[i], U.parts[i], handles, f_alphas)
+        for ns, cert in self._zip(_factor_alpha_stabilization, phi.parts, U.parts,
+                                  self._columns(minus_handles)):
             certs.append(cert)
             if ns is None:
                 return None, {"factors": certs}
@@ -176,20 +156,14 @@ class ProductModel:
         return n_star, {"factors": certs}
 
     def plus_plus_analysis(self, phi, u_plus, tidy_probe):
-        per = [
-            f.plus_plus_analysis(phi.parts[i], u_plus.parts[i], tidy_probe)
-            for i, f in enumerate(self.factors)
-        ]
-        indices = []
-        for n in range(min(len(p["indices"]) for p in per)):
-            indices.append(per[0]["indices"][n] * per[1]["indices"][n])
+        per = tuple(self._zip("plus_plus_analysis", phi.parts, u_plus.parts, repeat(tidy_probe)))
         handle = None
         if all(p["handle"] is not None for p in per):
-            handle = ProductSubgroup(self, tuple(p["handle"] for p in per))
+            handle = self.pair(*(p["handle"] for p in per))
         return {
             "closed": all(p["closed"] for p in per),
             "handle": handle,
-            "indices": indices,
+            "indices": [a * b for a, b in zip(per[0]["indices"], per[1]["indices"])],
             "certificate": {"factors": [p["certificate"] for p in per]},
         }
 
@@ -200,24 +174,44 @@ class ProductModel:
         return False, "local entropy varied along the product base probe"
 
     def scale_candidates(self, phi):
-        left = self.factors[0].scale_candidates(phi.parts[0])
-        right = self.factors[1].scale_candidates(phi.parts[1])
-        left = left[:4] or [self.factors[0].base_element(0)]
-        right = right[:4] or [self.factors[1].base_element(0)]
-        return [ProductSubgroup(self, (a, b)) for a in left for b in right]
+        left, right = self._zip(
+            lambda f, phi: f.scale_candidates(phi)[:4] or [f.base_element(0)], phi.parts
+        )
+        return [self.pair(a, b) for a in left for b in right]
+
+    def scale_oracle(self, phi):
+        """The scale of a product is the product of the factor scales."""
+        out = 1
+        for s in self._zip("scale_oracle", phi.parts):
+            if s is None:
+                return None
+            out *= s
+        return out
 
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
-        results = []
-        for i, f in enumerate(self.factors):
-            parts = []
-            for m in minimizing:
-                if m.parts[i] not in parts:
-                    parts.append(m.parts[i])
-            results.append(f.nub_analysis(phi.parts[i], parts, resolution, scale_value=None))
-        handle = ProductSubgroup(self, tuple(r[0] for r in results))
-        certified = all(r[1] for r in results)
-        reason = "; ".join(r[2] for r in results)
-        return handle, certified, reason
+        results = tuple(self._zip(
+            # each factor sees its distinct parts, in order; it gets no scale value
+            lambda f, phi, parts, res: f.nub_analysis(phi, list(dict.fromkeys(parts)), res),
+            phi.parts, self._columns(minimizing), repeat(resolution),
+        ))
+        handle = self.pair(*(r[0] for r in results))
+        return handle, all(r[1] for r in results), "; ".join(r[2] for r in results)
+
+
+def _apply(model, maps, U) -> ProductSubgroup:
+    """The handle of ``model`` whose parts are the ``maps`` of U's parts."""
+    return model.pair(*(m(u) for m, u in zip(maps, U.parts)))
+
+
+def _factor_alpha_stabilization(model, phi, U, handles):
+    """A factor's plateau, read off the indices along its part of the chain."""
+    alphas = []
+    for n in range(len(handles) - 1):
+        ix = model.index(handles[n + 1], handles[n])
+        if not ix.is_finite:
+            raise InvariantViolation("factor cotrajectory index is infinite")
+        alphas.append(ix.value)
+    return model.alpha_stabilization(phi, U, handles, alphas)
 
 
 def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name="") -> TdlcSystem:

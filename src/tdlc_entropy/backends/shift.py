@@ -667,6 +667,9 @@ class ShiftProfileModel:
             out.append(self.trivial_subgroup())
         return out
 
+    def scale_oracle(self, phi):
+        return None
+
     def nub_analysis(self, phi, minimizing, resolution, scale_value=None):
         inter = minimizing[0]
         for u in minimizing[1:]:

@@ -3,48 +3,23 @@ every backend implements, and the algorithms written once on top of them.
 
 A backend supplies a *model* (the ambient group), *endomorphism* objects and
 immutable, canonical *subgroup handles*.  Handles compare equal exactly when
-they denote the same subgroup.  The free functions here dispatch to the
-model carried by each handle; every model checks with ``check_model`` that
-its operands are its own.
+they denote the same subgroup.  Callers reach the operations through
+the system's model; every model checks with ``check_model`` that its
+operands are its own.
 
-Model protocol (duck-typed; every backend implements all of it):
-
-    name, kind               display name and backend tag
-    base_element(k)          k-th member of the canonical neighborhood base
-    intersect(U, V)          U n V
-    set_product(U, V)        the subgroup UV (abelian backends: U + V)
-    image(phi, U)            phi(U)
-    preimage(phi, U)         phi^{-1}(U), possibly non-compact
-    index(V, U)              exact [U:V], infinite when V is not open in U
-    contains(U, V)           V <= U
-    full_group()             the whole group G
-    trivial_subgroup()       the trivial subgroup {1}
-    endo_power(phi, n)
-    kernel_handle(phi)
-    quotient(phi, H)         QuotientConstruction, or UnsupportedSubgroupError
-    restriction(phi, H)      RestrictionConstruction, or UnsupportedSubgroupError
-
-plus the dynamics hooks used by the cotrajectory and dynamics modules:
-
-    plus_group_impl(phi, U)   U_+ as (handle, method, steps, certificate)
-    minus_group_impl(phi, U)  U_- as (handle, certificate)
-    alpha_stabilization(phi, U, minus_handles, alphas)  certified plateau start
-    plus_plus_analysis(phi, u_plus, tidy_probe)  closedness of U_++
-    entropy_base_certificate(probed)  whether the probed base saturates h_top
-    scale_candidates(phi)     backend-specific subgroups for the scale
-    nub_analysis(phi, minimizing, resolution, scale_value=None)  the nub
-
-Each backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a
-chain depth.  Every handle has ``describe()``, ``is_open``, ``is_compact``
-and ``is_normal``.  What follows from these primitives alone is written
-here once: the subgroup flags (``ClosedSubgroupSpec.verify``), the
-fixpoint chain, the image chain and the cotrajectory fixpoint plateau.
+The protocol every backend model implements is ``Backend``, the one list
+of its names.  Models match it structurally; none inherits from it.  Each
+backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a chain
+depth.  Every handle has ``describe()``, ``is_open``, ``is_compact`` and
+``is_normal``.  What follows from these primitives alone is written here
+once: the subgroup flags (``ClosedSubgroupSpec.verify``), the fixpoint
+chain, the image chain and the cotrajectory fixpoint plateau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Protocol
 
 from .exact import IndexValue
 
@@ -76,6 +51,58 @@ def check_model(model, *handles):
             raise BackendMismatchError("handle belongs to a different ambient group")
 
 
+class Backend(Protocol):
+    """The ambient group of a system: its primitives, then its dynamics hooks."""
+
+    name: str  # display name
+    kind: str  # backend tag
+
+    def base_element(self, k):
+        """k-th member of the canonical compact open neighborhood base of 1."""
+    def intersect(self, U, V):
+        """U n V, open iff both operands are open."""
+    def set_product(self, U, V):
+        """UV (U + V if abelian); ``UnsupportedSubgroupError`` unless UV = VU."""
+    def image(self, phi, U):
+        """phi(U), compact when U is; its openness is never asserted."""
+    def preimage(self, phi, U):
+        """phi^{-1}(U), possibly non-compact: meet it with a compact open U first."""
+    def index(self, V, U) -> IndexValue:
+        """Exact [U:V] for V <= U, infinite when V is not open in U."""
+    def contains(self, U, V) -> bool:
+        """Whether V <= U."""
+    def full_group(self):
+        """The whole group G."""
+    def trivial_subgroup(self):
+        """The trivial subgroup {1}."""
+    def endo_power(self, phi, n):
+        """phi^n."""
+    def kernel_handle(self, phi):
+        """ker phi."""
+    def quotient(self, phi, H) -> QuotientConstruction:
+        """The induced system on G/H, or ``UnsupportedSubgroupError``."""
+    def restriction(self, phi, H) -> RestrictionConstruction:
+        """The system (H, phi|_H), or ``UnsupportedSubgroupError``."""
+
+    # dynamics hooks, called by ``cotraj`` and ``dynamics``
+    def plus_group_impl(self, phi, U) -> tuple:
+        """U_+ as (handle, method, steps, certificate)."""
+    def minus_group_impl(self, phi, U) -> tuple:
+        """U_- as (handle, certificate)."""
+    def alpha_stabilization(self, phi, U, minus_handles, alphas) -> tuple:
+        """(certified plateau start or None, certificate) of the alpha table."""
+    def plus_plus_analysis(self, phi, u_plus, tidy_probe) -> Optional[dict]:
+        """Closedness of U_++ with its handle, indices and certificate."""
+    def entropy_base_certificate(self, probed) -> tuple:
+        """(certified, reason): whether the probed base saturates h_top."""
+    def scale_candidates(self, phi) -> list:
+        """Backend-specific subgroups added to the scale search."""
+    def scale_oracle(self, phi) -> Optional[int]:
+        """The scale predicted without a search, or None when there is none."""
+    def nub_analysis(self, phi, minimizing, resolution, scale_value) -> tuple:
+        """(nub handle, certified, reason) from the minimizing subgroups found."""
+
+
 _MISSING = object()
 
 
@@ -88,7 +115,7 @@ class TdlcSystem:
     live exactly as long as it does.  The cache takes no part in equality.
     """
 
-    model: Any
+    model: Backend
     endo: Any
     name: str = ""
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -146,36 +173,6 @@ class RestrictionConstruction:
     system: TdlcSystem
     embed: Callable[[Any], Any]            # handle in H  ->  handle in G
     restrict_handle: Callable[[Any], Any]  # handle in G  ->  handle in H (meet with H)
-
-
-def intersect(U, V):
-    """Canonical handle for U n V; open iff both operands are open."""
-    return U.model.intersect(U, V)
-
-
-def image(phi, U):
-    """Compact handle phi(U); openness of the result is never asserted."""
-    return U.model.image(phi, U)
-
-
-def preimage(phi, U):
-    """Handle for phi^{-1}(U); may be non-compact and is flagged as such.
-
-    Downstream code always meets the result with a compact open handle
-    before taking an index.
-    """
-    return U.model.preimage(phi, U)
-
-
-def index(V, U) -> IndexValue:
-    """Exact index [U:V].  Requires V <= U; infinite when V is not open in U."""
-    return U.model.index(V, U)
-
-
-def set_product(U, V):
-    """The subgroup UV.  Requires UV = VU; the finite backend checks it and
-    raises ``UnsupportedSubgroupError`` otherwise."""
-    return U.model.set_product(U, V)
 
 
 def chain_fixpoint(step: Callable, start, max_steps: int):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import core
 from .core import InvariantViolation, TdlcSystem, UnresolvedError
 from .exact import ExactEntropy, IndexValue, entropy_from_index
 
@@ -88,7 +87,7 @@ def _preimage_chain(sys: TdlcSystem, U, n: int):
     """The preimages phi^{-j}(U) for j = 0..n, each from the previous one."""
     out = [U]
     for _ in range(n):
-        out.append(core.preimage(sys.endo, out[-1]))
+        out.append(sys.model.preimage(sys.endo, out[-1]))
     return out
 
 
@@ -96,14 +95,14 @@ def minus_chain(sys: TdlcSystem, U, n: int):
     pre = _preimage_chain(sys, U, n)
     out = [U]
     for j in range(1, n + 1):
-        out.append(core.intersect(out[-1], pre[j]))
+        out.append(sys.model.intersect(out[-1], pre[j]))
     return out
 
 
 def plus_chain(sys: TdlcSystem, U, n: int):
     out = [U]
     for _ in range(n):
-        out.append(core.intersect(U, core.image(sys.endo, out[-1])))
+        out.append(sys.model.intersect(U, sys.model.image(sys.endo, out[-1])))
     return out
 
 
@@ -122,7 +121,7 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> Cotrajecto
     for n, handle in enumerate(minus):
         if n > 0 and not model.contains(minus[n - 1], handle):
             raise InvariantViolation("cotrajectory chain is not decreasing")
-        c = core.index(handle, U)
+        c = model.index(handle, U)
         if not c.is_finite:
             raise InvariantViolation("cotrajectory index must be finite for compact open U")
         cs.append(c)
@@ -131,7 +130,7 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> Cotrajecto
         if not cs[n].divides(cs[n + 1]):
             raise InvariantViolation("c_n does not divide c_{n+1}")
         ratio = cs[n + 1].divide_exact(cs[n])
-        direct = core.index(minus[n + 1], minus[n])
+        direct = model.index(minus[n + 1], minus[n])
         if direct != ratio:
             raise InvariantViolation("alpha_n disagrees with the index quotient")
         if alphas and ratio.value > alphas[-1].value:
@@ -160,10 +159,10 @@ def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
 
 def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
     handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U)
-    check = core.intersect(U, core.image(sys.endo, handle))
+    check = sys.model.intersect(U, sys.model.image(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
-    if not core.index(handle, core.image(sys.endo, handle)).is_finite:
+    if not sys.model.index(handle, sys.model.image(sys.endo, handle)).is_finite:
         raise InvariantViolation("[phi(U_+) : U_+] must be finite")
     return PlusGroupResult(handle=handle, method=method, steps=steps, certificate=certificate)
 
@@ -175,7 +174,7 @@ def minus_group(sys: TdlcSystem, U):
 
 def _minus_group(sys: TdlcSystem, U):
     handle, _ = sys.model.minus_group_impl(sys.endo, U)
-    check = core.intersect(U, core.preimage(sys.endo, handle))
+    check = sys.model.intersect(U, sys.model.preimage(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_- is not a fixed point of U n phi^{-1}(.)")
     return handle
@@ -184,8 +183,8 @@ def _minus_group(sys: TdlcSystem, U):
 def htop_local(sys: TdlcSystem, U) -> ExactEntropy:
     """Local entropy at U through the forward core: log [phi(U_+) : U_+]."""
     pg = plus_group(sys, U)
-    img = core.image(sys.endo, pg.handle)
-    return entropy_from_index(core.index(pg.handle, img))
+    img = sys.model.image(sys.endo, pg.handle)
+    return entropy_from_index(sys.model.index(pg.handle, img))
 
 
 def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> ExactEntropy:
@@ -208,7 +207,7 @@ def is_tidy_above(sys: TdlcSystem, U) -> bool:
 def _is_tidy_above(sys: TdlcSystem, U) -> bool:
     plus = plus_group(sys, U).handle
     minus = minus_group(sys, U)
-    return core.set_product(plus, minus) == U
+    return sys.model.set_product(plus, minus) == U
 
 
 def tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE):
@@ -244,12 +243,12 @@ def is_tidy_below(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE) -> T
 
 def is_minimizing(sys: TdlcSystem, U, scale_value: int) -> bool:
     """U attains the scale: [phi(U) : U n phi(U)] equals the given value."""
-    img = core.image(sys.endo, U)
-    meet = core.intersect(U, img)
-    return core.index(meet, img) == IndexValue(scale_value)
+    img = sys.model.image(sys.endo, U)
+    meet = sys.model.intersect(U, img)
+    return sys.model.index(meet, img) == IndexValue(scale_value)
 
 
 def displacement_index(sys: TdlcSystem, U) -> IndexValue:
     """[phi(U) : U n phi(U)], the quantity the scale minimizes."""
-    img = core.image(sys.endo, U)
-    return core.index(core.intersect(U, img), img)
+    img = sys.model.image(sys.endo, U)
+    return sys.model.index(sys.model.intersect(U, img), img)

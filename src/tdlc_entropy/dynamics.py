@@ -206,12 +206,8 @@ def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
         if best is None or v.value < best:
             best = v.value
             witness = u
-    oracle = None
-    if hasattr(sys.model, "entropy_exponent"):
-        try:
-            oracle = sys.model.p ** sys.model.entropy_exponent(sys.endo) == best
-        except UnresolvedError:
-            oracle = None
+    predicted = sys.model.scale_oracle(sys.endo)
+    oracle = None if predicted is None else predicted == best
     tidy_above = None
     tidy_below = None
     try:
@@ -260,14 +256,11 @@ def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8) -> NubReport:
 
 
 def _open_subgroups_containing(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int) -> list:
-    """Compact open subgroups containing the compact subgroup H, in order:
-    every one in a finite group, otherwise the products base(k) H, k <= probe."""
-    model = sys.model
-    if hasattr(model, "all_subgroups"):
-        return [s for s in model.all_subgroups() if model.contains(s, H.handle)]
+    """Compact open subgroups containing the compact subgroup H, in order: the
+    products base(k) H, k <= probe (in a finite group, G and H itself)."""
     family = []
     for k in range(probe + 1):
-        k_h = core.set_product(core.base_family(sys, k), H.handle)
+        k_h = sys.model.set_product(core.base_family(sys, k), H.handle)
         if k_h.is_compact and k_h.is_open and k_h not in family:
             family.append(k_h)
     return family
@@ -388,11 +381,11 @@ def entropy_lower_bound_phiN(sys: TdlcSystem, candidates):
         if not m.is_compact:
             rejected.append((m, "not compact"))
             continue
-        img = core.image(sys.endo, m)
+        img = sys.model.image(sys.endo, m)
         if not sys.model.contains(img, m):
             rejected.append((m, "M is not inside phi(M)"))
             continue
-        ix = core.index(m, img)
+        ix = sys.model.index(m, img)
         if not ix.is_finite:
             rejected.append((m, "[phi(M):M] is infinite"))
             continue

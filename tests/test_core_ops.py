@@ -79,7 +79,7 @@ def test_backend_mismatch_rejected():
     m1 = PadicModel(2, 1)
     m2 = PadicModel(2, 1)
     with pytest.raises(BackendMismatchError):
-        core.intersect(m1.full_lattice(), m2.full_lattice())
+        m1.intersect(m1.full_lattice(), m2.full_lattice())
 
 
 def test_product_flags_are_the_factor_flags_joined():

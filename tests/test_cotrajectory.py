@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import cli, core, cotraj, linalg
+from tdlc_entropy import cli, cotraj, linalg
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
@@ -223,15 +223,15 @@ def test_forward_backward_identities_small_probe():
         plus = cotraj.plus_chain(sys, u, nmax + 1)
         for n in range(nmax + 1):
             phin = sys.model.endo_power(sys.endo, n)
-            assert core.image(phin, minus[n]) == plus[n]
+            assert sys.model.image(phin, minus[n]) == plus[n]
             for k in range(n + 1):
                 phik = sys.model.endo_power(sys.endo, k)
-                lhs = core.image(phik, minus[n])
-                rhs = core.intersect(plus[k], minus[n - k])
+                lhs = sys.model.image(phik, minus[n])
+                rhs = sys.model.intersect(plus[k], minus[n - k])
                 assert lhs == rhs
         for n in range(nmax):
-            lhs = core.index(plus[n + 1], core.image(sys.endo, plus[n]))
-            rhs = core.index(minus[n + 1], minus[n])
+            lhs = sys.model.index(plus[n + 1], sys.model.image(sys.endo, plus[n]))
+            rhs = sys.model.index(minus[n + 1], minus[n])
             assert lhs == rhs
 
 

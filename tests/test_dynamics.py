@@ -1,6 +1,8 @@
+import pathlib
 from fractions import Fraction
 
-from tdlc_entropy import dynamics
+from tdlc_entropy import cotraj, dynamics
+from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.finite import cyclic_group, symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
@@ -8,8 +10,10 @@ from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
 from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem
 from tdlc_entropy.dynamics import PASS, SKIPPED
 from tdlc_entropy.exact import ExactEntropy, ZERO_ENTROPY
+from tdlc_entropy.scenario import build_system, load_scenario_file, run_scenario
 
 F = Fraction
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def q2_half():
@@ -226,3 +230,38 @@ def test_product_formula_cross_backend():
     sp = dynamics.scale(prod, probe=3).value
     sd = dynamics.scale(padic_diag(), probe=3).value
     assert sp == sd == 4
+
+
+def test_finite_quotient_entropy_through_the_base_builder():
+    """In a finite group the base(k) H builder yields H itself, and its
+    supremum equals the one over every subgroup containing H."""
+    for data in catalog_scenarios():
+        if data["backend"] != "finite":
+            continue
+        sys = build_system(data)
+        model = sys.model
+        for h in model.all_subgroups():
+            spec = ClosedSubgroupSpec.verify(sys, h)
+            assert h in dynamics._open_subgroups_containing(sys, spec, probe=2)
+            over_all = max(cotraj.htop_local(sys, s)
+                           for s in model.all_subgroups() if model.contains(s, h))
+            assert dynamics._quotient_entropy(sys, spec, probe=2) == over_all
+
+
+def test_scale_oracle_on_the_catalog():
+    for data in catalog_scenarios():
+        sys = build_system(data)
+        predicted = sys.model.scale_oracle(sys.endo)
+        if data["backend"] == "padic":
+            assert predicted == sys.model.p ** sys.model.entropy_exponent(sys.endo)
+        elif data["backend"] in ("finite", "shift"):
+            assert predicted is None
+    squared = build_system(find_scenario("product_q2half_squared"))
+    assert squared.model.scale_oracle(squared.endo) == 4
+    s = dynamics.scale(squared, probe=3)
+    assert s.value == 4 and s.oracle_agreement is True
+    mixed = build_system(find_scenario("product_q2half_laurent3"))
+    assert mixed.model.scale_oracle(mixed.endo) is None
+    report, _, _ = run_scenario(load_scenario_file(str(SCENARIOS / "product.json")))
+    scales = [r["result"] for r in report["results"] if r["check"]["type"] == "scale"]
+    assert scales and all(r["oracle_agreement"] is None for r in scales)

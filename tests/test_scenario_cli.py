@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdlc_entropy import cli, scenario
+from tdlc_entropy import cli, scenario, verify
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.scenario import (
     ScenarioError,
@@ -175,9 +175,15 @@ def test_cli_tidy_command(tmp_path):
 
 
 def test_cli_verify_exit_zero():
-    code, out = run_cli(["verify", "indices"])
-    assert code == cli.EXIT_OK
-    assert json.loads(out)["summary"]["FAIL"] == 0
+    """The CLI runs every suite ``run_suite`` knows (``all`` runs in the
+    golden-output gate) and refuses any other name."""
+    for name in verify._SUITES:
+        code, out = run_cli(["verify", name])
+        assert code == cli.EXIT_OK, name
+        assert json.loads(out)["summary"]["FAIL"] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "no-such-suite"])
+    assert exc.value.code == cli.EXIT_INVALID
 
 
 def test_shipped_scenario_files_match_catalog():
