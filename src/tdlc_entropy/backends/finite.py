@@ -171,12 +171,13 @@ class FiniteGroupModel:
     # -- handles ------------------------------------------------------------
 
     def subgroup(self, members: Iterable[int]) -> FiniteSubgroup:
-        mem = tuple(sorted(set(members)))
+        memset = set(members)
+        mem = tuple(sorted(memset))
         for a in mem:
             for b in mem:
-                if self.table[a][b] not in set(mem):
+                if self.table[a][b] not in memset:
                     raise ValueError("element set is not closed under multiplication")
-            if self.inverse[a] not in set(mem):
+            if self.inverse[a] not in memset:
                 raise ValueError("element set is not closed under inverses")
         return FiniteSubgroup(self, mem)
 

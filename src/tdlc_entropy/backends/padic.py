@@ -165,16 +165,10 @@ class PadicModel:
     def full_lattice(self) -> PadicSubgroup:
         return self.closed_subgroup((), self._base_cols)
 
-    def zero_subgroup(self) -> PadicSubgroup:
+    def trivial_subgroup(self) -> PadicSubgroup:
         return self.closed_subgroup((), ())
 
-    def trivial_subgroup(self) -> PadicSubgroup:
-        return self.zero_subgroup()
-
     def full_group(self) -> PadicSubgroup:
-        return self.whole_space()
-
-    def whole_space(self) -> PadicSubgroup:
         return self.closed_subgroup(identity_matrix(self.dim), ())
 
     def scale_handle(self, U: PadicSubgroup, c: Fraction) -> PadicSubgroup:
@@ -221,7 +215,7 @@ class PadicModel:
         """The closed subgroup {x : N x = 0, D x p-integral}."""
         v0 = rational_kernel(n_rows) if n_rows else identity_matrix(self.dim)
         if not v0:
-            return self.zero_subgroup()
+            return self.trivial_subgroup()
         if not d_rows:
             return self.closed_subgroup(v0, ())
         # x = V0^T t; with no N, V0 = I and t is x itself.
@@ -568,7 +562,7 @@ class PadicModel:
                 f"a rational factor of the characteristic polynomial mixes {mixed}"
             )
         if not rows:
-            return self.zero_subgroup(), 0, None
+            return self.trivial_subgroup(), 0, None
         rest = self.restriction(phi, self.closed_subgroup(rows, ()))
         sub, endo = rest.system.model, rest.system.endo
         move = sub.image if forward else sub.preimage
@@ -676,7 +670,7 @@ class PadicModel:
             if scale_value is not None and self.index(v, a) != IndexValue(scale_value):
                 raise InvariantViolation("scaled witness stopped being minimizing")
         return (
-            self.zero_subgroup(),
+            self.trivial_subgroup(),
             True,
             "p-power scaling chain of the witness is minimizing and intersects to 0",
         )

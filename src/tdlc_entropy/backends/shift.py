@@ -2,6 +2,10 @@
 alphabet F, and the endomorphism is a shift by k composed with a coordinate
 endomorphism of F.
 
+The alphabet is a ``finite.FiniteGroupModel``: its subgroup lattice, its
+endomorphisms and the quotient and restriction of F by a subgroup F0 come
+from the finite backend.
+
 Subgroups are *profiles*: an explicit window of subgroup values plus a
 periodic pattern on each side, indexed by absolute residue so equality of
 handles is equality of subgroups.  Limit subgroups along the dynamics are
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core import (
     BackendMismatchError,
@@ -30,6 +34,7 @@ from ..core import (
     image_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
+from .finite import FiniteEndo, FiniteGroupModel
 
 TAIL_MODES = ("compact", "laurent", "discrete")
 
@@ -45,83 +50,41 @@ MAX_SHIFT = 16
 
 
 class Alphabet:
-    """A finite abelian group with its complete subgroup lattice."""
+    """A finite abelian group as subgroup ids: id i is
+    ``group.all_subgroups()[i]``, and ``elements[x]`` labels element x."""
 
-    def __init__(self, elements, add: Callable, name=""):
-        self.elements = tuple(sorted(set(elements)))
-        if not self.elements:
-            raise ValueError("alphabet must be non-empty")
-        self.name = name or f"F{len(self.elements)}"
-        self._add = {(a, b): add(a, b) for a in self.elements for b in self.elements}
-        zero = None
-        for e in self.elements:
-            if all(self._add[(e, x)] == x for x in self.elements):
-                zero = e
-                break
-        if zero is None:
-            raise ValueError("alphabet has no zero element")
-        self.zero = zero
-        for a in self.elements:
-            for b in self.elements:
-                if self._add[(a, b)] != self._add[(b, a)]:
-                    raise ValueError("alphabet must be abelian")
-        self.subgroup_sets = self._enumerate_subgroups()
-        self._set_to_id = {s: i for i, s in enumerate(self.subgroup_sets)}
-        self.trivial_id = self._set_to_id[frozenset({zero})]
-        self.full_id = self._set_to_id[frozenset(self.elements)]
-        n = len(self.subgroup_sets)
-        self.meet = tuple(
-            tuple(self._set_to_id[self.subgroup_sets[i] & self.subgroup_sets[j]] for j in range(n))
-            for i in range(n)
+    def __init__(self, group: FiniteGroupModel, elements=None):
+        t = group.table
+        if any(t[a][b] != t[b][a] for a in range(group.order) for b in range(a)):
+            raise ValueError("alphabet must be abelian")
+        self.group = group
+        self.name = group.name
+        self.elements = tuple(range(group.order)) if elements is None else tuple(elements)
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        self.subgroups = group.all_subgroups()
+        self.id_of = {S: i for i, S in enumerate(self.subgroups)}
+        self.subgroup_sets = tuple(
+            frozenset(self.elements[x] for x in S.members) for S in self.subgroups
         )
-        self.join = tuple(
-            tuple(
-                self._set_to_id[self._closure(self.subgroup_sets[i] | self.subgroup_sets[j])]
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        self.trivial_id = self.id_of[group.trivial_subgroup()]
+        self.full_id = self.id_of[group.full_group()]
+        self.meet = self._table(group.intersect)
+        self.join = self._table(group.set_product)
+
+    def _table(self, op):
+        return tuple(tuple(self.id_of[op(S, T)] for T in self.subgroups) for S in self.subgroups)
 
     def add(self, a, b):
-        return self._add[(a, b)]
-
-    def _closure(self, subset) -> frozenset:
-        els = set(subset) | {self.zero}
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(els):
-                    z = self._add[(x, y)]
-                    if z not in els:
-                        els.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(els)
-
-    def _enumerate_subgroups(self):
-        found = {frozenset({self.zero})}
-        frontier = list(found)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.elements:
-                    if g not in h:
-                        k = self._closure(h | {g})
-                        if k not in found:
-                            found.add(k)
-                            nxt.append(k)
-            frontier = nxt
-        return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+        return self.elements[self.group.mul(self._index[a], self._index[b])]
 
     def subgroup_id(self, members) -> int:
-        key = frozenset(members)
-        if key not in self._set_to_id:
-            raise ValueError("element set is not a subgroup of the alphabet")
-        return self._set_to_id[key]
+        return self.id_of[self.group.subgroup(self._index[x] for x in members)]
+
+    def generated_id(self, gens) -> int:
+        return self.id_of[self.group.generated_subgroup(self._index[g] for g in gens)]
 
     def order_of(self, sid: int) -> int:
-        return len(self.subgroup_sets[sid])
+        return len(self.subgroups[sid])
 
     def contains_id(self, big: int, small: int) -> bool:
         return self.subgroup_sets[small] <= self.subgroup_sets[big]
@@ -131,66 +94,28 @@ def cyclic_alphabet(orders, name="") -> Alphabet:
     orders = tuple(int(n) for n in orders)
     if not orders or any(n < 1 for n in orders):
         raise ValueError("cyclic orders must be positive")
-    elements = list(itertools.product(*[range(n) for n in orders]))
-
-    def add(a, b):
-        return tuple((x + y) % n for x, y, n in zip(a, b, orders))
-
+    elements = tuple(itertools.product(*[range(n) for n in orders]))
+    index = {x: i for i, x in enumerate(elements)}
+    table = [
+        [index[tuple((x + y) % n for x, y, n in zip(a, b, orders))] for b in elements]
+        for a in elements
+    ]
     label = "x".join(f"Z{n}" for n in orders)
-    return Alphabet(elements, add, name=name or label)
+    return Alphabet(FiniteGroupModel(table, name=name or label), elements)
 
 
-class AlphabetHom:
-    """An additive map between alphabets with subgroup image/preimage tables."""
-
-    def __init__(self, domain: Alphabet, codomain: Alphabet, mapping: dict):
-        self.domain = domain
-        self.codomain = codomain
-        self.mapping = dict(mapping)
-        for a in domain.elements:
-            for b in domain.elements:
-                if self.mapping[domain.add(a, b)] != codomain.add(self.mapping[a], self.mapping[b]):
-                    raise ValueError("mapping is not additive")
-        self.image_id = tuple(
-            codomain.subgroup_id(
-                codomain._closure({self.mapping[x] for x in s})
-            )
-            for s in domain.subgroup_sets
-        )
-        self.preimage_id = tuple(
-            domain.subgroup_id(
-                {x for x in domain.elements if self.mapping[x] in codomain.subgroup_sets[j]}
-            )
-            for j in range(len(codomain.subgroup_sets))
-        )
-
-    def compose(self, other: "AlphabetHom") -> "AlphabetHom":
-        """self after other"""
-        if other.codomain is not self.domain:
-            raise BackendMismatchError("homomorphisms do not compose")
-        return AlphabetHom(
-            other.domain,
-            self.codomain,
-            {x: self.mapping[other.mapping[x]] for x in other.domain.elements},
-        )
-
-
-def identity_hom(alphabet: Alphabet) -> AlphabetHom:
-    return AlphabetHom(alphabet, alphabet, {x: x for x in alphabet.elements})
-
-
-def matrix_hom(alphabet: Alphabet, orders, matrix) -> AlphabetHom:
+def matrix_hom(alphabet: Alphabet, orders, matrix) -> FiniteEndo:
     """The additive self-map of a cyclic-orders alphabet given by an integer matrix."""
     r = len(orders)
     matrix = [list(map(int, row)) for row in matrix]
     if len(matrix) != r or any(len(row) != r for row in matrix):
         raise ValueError("sigma matrix has wrong shape")
-    mapping = {}
-    for x in alphabet.elements:
-        mapping[x] = tuple(
-            sum(matrix[j][i] * x[i] for i in range(r)) % orders[j] for j in range(r)
-        )
-    return AlphabetHom(alphabet, alphabet, mapping)
+    return alphabet.group.endo(
+        alphabet._index[
+            tuple(sum(matrix[j][i] * x[i] for i in range(r)) % orders[j] for j in range(r))
+        ]
+        for x in alphabet.elements
+    )
 
 
 def _minimal_pattern(pat):
@@ -261,11 +186,16 @@ class Profile:
 
 @dataclass(frozen=True)
 class ShiftEndo:
-    """x maps to sigma applied coordinatewise after a shift by k."""
+    """x maps to sigma applied coordinatewise after a shift by k.
+
+    ``image_id`` and ``preimage_id`` are sigma on the alphabet's subgroup ids.
+    """
 
     model: "ShiftProfileModel"
     k: int
-    sigma: AlphabetHom
+    sigma: FiniteEndo
+    image_id: tuple
+    preimage_id: tuple
 
 
 class ShiftProfileModel:
@@ -341,24 +271,29 @@ class ShiftProfileModel:
             return self.make_profile((alpha.trivial_id,), k, (), (alpha.full_id,))
         return self.trivial_subgroup()
 
-    def endo(self, k: int, sigma: Optional[AlphabetHom] = None) -> ShiftEndo:
+    def endo(self, k: int, sigma: Optional[FiniteEndo] = None) -> ShiftEndo:
+        alpha = self.alphabet
+        group = alpha.group
         if sigma is None:
-            sigma = identity_hom(self.alphabet)
-        if sigma.domain is not self.alphabet or sigma.codomain is not self.alphabet:
+            sigma = group.identity_endo()
+        if sigma.model is not group:
             raise BackendMismatchError("sigma must be an endomorphism of the alphabet")
-        return ShiftEndo(self, int(k), sigma)
+        return ShiftEndo(
+            self,
+            int(k),
+            sigma,
+            tuple(alpha.id_of[group.image(sigma, S)] for S in alpha.subgroups),
+            tuple(alpha.id_of[group.preimage(sigma, S)] for S in alpha.subgroups),
+        )
 
     def identity_endo(self) -> ShiftEndo:
         return self.endo(0)
 
     def endo_power(self, phi: ShiftEndo, n: int) -> ShiftEndo:
-        sigma = identity_hom(self.alphabet)
-        for _ in range(n):
-            sigma = phi.sigma.compose(sigma)
-        return ShiftEndo(self, phi.k * n, sigma)
+        return self.endo(phi.k * n, self.alphabet.group.endo_power(phi.sigma, n))
 
     def kernel_handle(self, phi: ShiftEndo) -> Profile:
-        return self.constant_profile(phi.sigma.preimage_id[self.alphabet.trivial_id])
+        return self.constant_profile(phi.preimage_id[self.alphabet.trivial_id])
 
     # -- pointwise operations ----------------------------------------------------
 
@@ -391,11 +326,11 @@ class ShiftProfileModel:
 
     def image(self, phi: ShiftEndo, U: Profile) -> Profile:
         check_model(self, U)
-        return self._mapped(U, phi.k, phi.sigma.image_id)
+        return self._mapped(U, phi.k, phi.image_id)
 
     def preimage(self, phi: ShiftEndo, U: Profile) -> Profile:
         check_model(self, U)
-        return self._mapped(U, -phi.k, phi.sigma.preimage_id)
+        return self._mapped(U, -phi.k, phi.preimage_id)
 
     def translate(self, U: Profile, t: int) -> Profile:
         """The shift automorphism by t applied to the handle."""
@@ -538,7 +473,7 @@ class ShiftProfileModel:
                                    CHAIN_STEP_CAP)
         if n is not None:
             return prefix[n], "fixpoint", n, {"fixpoint_at": n}
-        limit, info = self.limit_profile(U, phi.k, phi.sigma.image_id, self.alphabet.meet)
+        limit, info = self.limit_profile(U, phi.k, phi.image_id, self.alphabet.meet)
         if limit != self.intersect(U, self.image(phi, limit)):
             raise InvariantViolation("closed-form forward core is not a fixed point")
         for h in prefix:
@@ -551,7 +486,7 @@ class ShiftProfileModel:
                                   CHAIN_STEP_CAP)
         if n is not None:
             return chain[n], {"method": "fixpoint", "fixpoint_at": n}
-        limit, info = self.limit_profile(U, -phi.k, phi.sigma.preimage_id, self.alphabet.meet)
+        limit, info = self.limit_profile(U, -phi.k, phi.preimage_id, self.alphabet.meet)
         if limit != self.intersect(U, self.preimage(phi, limit)):
             raise InvariantViolation("closed-form cotrajectory is not a fixed point")
         cert = dict(info)
@@ -576,7 +511,7 @@ class ShiftProfileModel:
         n, cert = cotrajectory_fixpoint(minus_handles, alphas)
         if n is not None or phi.k == 0:
             return n, cert
-        _, info = self.limit_profile(U, -phi.k, phi.sigma.preimage_id, self.alphabet.meet)
+        _, info = self.limit_profile(U, -phi.k, phi.preimage_id, self.alphabet.meet)
         q = max(info.get("steps_per_cycle", 1), 1)
         need = q + 1
         n_star = None
@@ -606,7 +541,7 @@ class ShiftProfileModel:
         indices, last, stabilized = image_chain(self, phi, u_plus, tidy_probe)
         if stabilized is not None:
             return stabilized
-        limit, info = self.limit_profile(u_plus, phi.k, phi.sigma.image_id, self.alphabet.join)
+        limit, info = self.limit_profile(u_plus, phi.k, phi.image_id, self.alphabet.join)
         drift = info.get("drift_side", "left")
         alpha = self.alphabet
         ambient_tail = (
@@ -632,7 +567,7 @@ class ShiftProfileModel:
         pat = last.left if drift == "left" else last.right
         target = limit.left if drift == "left" else limit.right
         period = lcm(len(pat), len(target))
-        img = phi.sigma.image_id
+        img = phi.image_id
         seen = set()
         cur = tuple(pat[r % len(pat)] for r in range(period))
         goal = tuple(target[r % len(target)] for r in range(period))
@@ -718,31 +653,12 @@ class ShiftProfileModel:
                 "can only quotient by a constant-profile subgroup in this backend"
             )
         alpha = self.alphabet
-        f0set = alpha.subgroup_sets[f0]
-        cosets = {}
-        for x in alpha.elements:
-            coset = frozenset(alpha.add(x, h) for h in f0set)
-            cosets[x] = min(coset)
-        reps = sorted(set(cosets.values()))
-        qalpha = Alphabet(reps, lambda a, b: cosets[alpha.add(a, b)], name=f"{alpha.name}/F0")
-        pi = AlphabetHom(alpha, qalpha, dict(cosets))
-        qsigma = AlphabetHom(
-            qalpha, qalpha, {r: cosets[phi.sigma.mapping[r]] for r in reps}
-        )
+        q = alpha.group.quotient(phi.sigma, alpha.subgroups[f0])
+        qalpha = Alphabet(q.system.model)
         qmodel = ShiftProfileModel(qalpha, self.tail_mode, name=f"{self.name}/H")
-        qendo = ShiftEndo(qmodel, phi.k, qsigma)
-        system = TdlcSystem(qmodel, qendo, name=f"{self.name}/H")
-
-        def project(U: Profile) -> Profile:
-            m = pi.image_id
-            return qmodel.make_profile(
-                tuple(m[v] for v in U.left),
-                U.start,
-                tuple(m[v] for v in U.window),
-                tuple(m[v] for v in U.right),
-            )
-
-        return QuotientConstruction(system=system, project=project)
+        system = TdlcSystem(qmodel, qmodel.endo(phi.k, q.system.endo), name=f"{self.name}/H")
+        pi = tuple(qalpha.id_of[q.project(S)] for S in alpha.subgroups)
+        return QuotientConstruction(system=system, project=lambda U: qmodel._mapped(U, 0, pi))
 
     def restriction(self, phi: ShiftEndo, H: Profile) -> RestrictionConstruction:
         check_model(self, H)
@@ -752,36 +668,15 @@ class ShiftProfileModel:
                 "can only restrict to a constant-profile subgroup in this backend"
             )
         alpha = self.alphabet
-        f0set = alpha.subgroup_sets[f0]
-        salpha = Alphabet(sorted(f0set), alpha.add, name=f"{alpha.name}|F0")
-        if any(phi.sigma.mapping[x] not in f0set for x in f0set):
-            raise UnsupportedSubgroupError("H is not carried into itself")
-        ssigma = AlphabetHom(salpha, salpha, {x: phi.sigma.mapping[x] for x in salpha.elements})
+        F0 = alpha.subgroups[f0]
+        r = alpha.group.restriction(phi.sigma, F0)
+        salpha = Alphabet(r.system.model, tuple(alpha.elements[x] for x in F0.members))
         smodel = ShiftProfileModel(salpha, self.tail_mode, name=f"{self.name}|H")
-        sendo = ShiftEndo(smodel, phi.k, ssigma)
-        system = TdlcSystem(smodel, sendo, name=f"{self.name}|H")
-        up_id = tuple(
-            alpha.subgroup_id(salpha.subgroup_sets[j]) for j in range(len(salpha.subgroup_sets))
+        system = TdlcSystem(smodel, smodel.endo(phi.k, r.system.endo), name=f"{self.name}|H")
+        up = tuple(alpha.id_of[r.embed(S)] for S in salpha.subgroups)
+        down = tuple(salpha.id_of[r.restrict_handle(S)] for S in alpha.subgroups)
+        return RestrictionConstruction(
+            system=system,
+            embed=lambda U: self._mapped(U, 0, up),
+            restrict_handle=lambda U: smodel._mapped(U, 0, down),
         )
-        down_id = tuple(
-            salpha.subgroup_id(alpha.subgroup_sets[j] & f0set)
-            for j in range(len(alpha.subgroup_sets))
-        )
-
-        def embed(U: Profile) -> Profile:
-            return self.make_profile(
-                tuple(up_id[v] for v in U.left),
-                U.start,
-                tuple(up_id[v] for v in U.window),
-                tuple(up_id[v] for v in U.right),
-            )
-
-        def restrict_handle(U: Profile) -> Profile:
-            return smodel.make_profile(
-                tuple(down_id[v] for v in U.left),
-                U.start,
-                tuple(down_id[v] for v in U.window),
-                tuple(down_id[v] for v in U.right),
-            )
-
-        return RestrictionConstruction(system=system, embed=embed, restrict_handle=restrict_handle)

@@ -158,13 +158,3 @@ def entropy_add(a: ExactEntropy, b: ExactEntropy) -> ExactEntropy:
     """Exact sum: log(alpha) + log(beta) = log(alpha*beta); infinity absorbs."""
     return a + b
 
-
-def entropy_max(values) -> ExactEntropy:
-    """Maximum of a non-empty iterable of entropies (exact comparison)."""
-    best = None
-    for v in values:
-        if best is None or best < v:
-            best = v
-    if best is None:
-        raise ExactArithmeticError("entropy_max of empty iterable")
-    return best

@@ -104,13 +104,10 @@ def _valid_fragment(frag, common: dict, where: str, required=()) -> bool:
 BackendSpec = namedtuple("BackendSpec", "fields required model endo subgroups")
 
 
-def _generated_id(alpha, gens) -> int:
-    return alpha.subgroup_id(alpha._closure([tuple(g) for g in gens]))
-
-
 def _window_profile(model, ctor):
     alpha = model.alphabet
-    values = {int(pos): _generated_id(alpha, gens) for pos, gens in ctor["window"].items()}
+    values = {int(pos): alpha.generated_id(map(tuple, gens))
+              for pos, gens in ctor["window"].items()}
     left, right = (getattr(alpha, ctor.get(side, "full") + "_id") for side in ("left", "right"))
     return model.window_profile(values, left, right, fill=alpha.full_id)
 
@@ -176,9 +173,9 @@ SPECS = {
         subgroups={
             "lattice": ([[_RATIONAL]], lambda m, c: m.lattice(c["lattice"])),
             "subspace": ([[_RATIONAL]], lambda m, c: m.closed_subgroup(c["subspace"])),
-            "zero": (_TRUE, lambda m, c: m.zero_subgroup()),
+            "zero": (_TRUE, lambda m, c: m.trivial_subgroup()),
             "full_lattice": (_TRUE, lambda m, c: m.full_lattice()),
-            "whole": (_TRUE, lambda m, c: m.whole_space()),
+            "whole": (_TRUE, lambda m, c: m.full_group()),
             "scaled": (_BASE_INDEX, lambda m, c: m.base_element(c["scaled"])),
         },
     ),
@@ -200,7 +197,7 @@ SPECS = {
             "constant": (_TAIL, lambda m, c: m.constant_profile(
                 getattr(m.alphabet, c["constant"] + "_id"))),
             "constant_gens": ([[int]], lambda m, c: m.constant_profile(
-                _generated_id(m.alphabet, c["constant_gens"]))),
+                m.alphabet.generated_id(map(tuple, c["constant_gens"])))),
             "base": (_BASE_INDEX, lambda m, c: m.base_element(c["base"])),
             "step": (int, lambda m, c: m.make_profile(
                 (m.alphabet.trivial_id,), c["step"], (), (m.alphabet.full_id,))),

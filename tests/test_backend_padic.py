@@ -101,8 +101,8 @@ def test_member_and_contains(q2_2):
 
 
 def test_whole_space_and_zero(q2_2):
-    whole = q2_2.whole_space()
-    zero = q2_2.zero_subgroup()
+    whole = q2_2.full_group()
+    zero = q2_2.trivial_subgroup()
     assert whole.is_open and not whole.is_compact
     assert zero.is_compact and not zero.is_open
     assert q2_2.intersect(whole, q2_2.full_lattice()) == q2_2.full_lattice()
@@ -204,7 +204,7 @@ def test_plus_group_fixpoint_and_structural():
 
     double = q2.endo([[2]])
     handle, method, steps, cert = q2.plus_group_impl(double, u)
-    assert handle == q2.zero_subgroup() and method == "structural"
+    assert handle == q2.trivial_subgroup() and method == "structural"
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
@@ -217,7 +217,7 @@ def test_minus_group_examples():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
     handle, cert = q2.minus_group_impl(half, q2.full_lattice())
-    assert handle == q2.zero_subgroup()
+    assert handle == q2.trivial_subgroup()
 
     ident = q2.identity_endo()
     handle, cert = q2.minus_group_impl(ident, q2.full_lattice())
@@ -287,7 +287,7 @@ def test_chain_skip_agrees_on_singular_and_mixed_maps(p, matrix):
 
 
 @pytest.mark.parametrize("make_u", [
-    lambda m: m.whole_space(),
+    lambda m: m.full_group(),
     lambda m: m.closed_subgroup([[1, 0]], [[0, 1]]),
     lambda m: m.lattice([[1, 0]]),
     lambda m: m.lattice([[0, 1]]),
@@ -302,7 +302,7 @@ def test_plus_plus_analysis_expanding():
     half = q2.endo([[F(1, 2)]])
     res = q2.plus_plus_analysis(half, q2.full_lattice(), 8)
     assert res["closed"] is True
-    assert res["handle"] == q2.whole_space()
+    assert res["handle"] == q2.full_group()
     assert all(ix == IndexValue(2) for ix in res["indices"])
 
     ident = q2.identity_endo()

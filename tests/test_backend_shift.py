@@ -1,6 +1,15 @@
-import pytest
+import itertools
+from math import gcd, prod
 
-from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet, matrix_hom
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tdlc_entropy.backends.shift import (
+    MAX_ALPHABET_ORDER,
+    ShiftProfileModel,
+    cyclic_alphabet,
+    matrix_hom,
+)
 from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem, UnsupportedSubgroupError
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
@@ -230,3 +239,194 @@ def test_brute_force_window_oracle(z4_model):
         assert m.alphabet.subgroup_sets[got_meet.value_at(i)] == sa & sb
         joined = {m.alphabet.add(x, y) for x in sa for y in sb}
         assert m.alphabet.subgroup_sets[got_join.value_at(i)] == joined
+
+
+# -- differential test against the alphabet's own group theory ------------------
+# RefAlphabet and RefHom are the shift backend's subgroup lattice and
+# homomorphism tables from before the alphabet became a view over a
+# FiniteGroupModel, kept as the reference the finite engine must reproduce.
+
+
+class RefAlphabet:
+    def __init__(self, elements, add):
+        self.elements = tuple(sorted(set(elements)))
+        self._add = {(a, b): add(a, b) for a in self.elements for b in self.elements}
+        self.zero = next(e for e in self.elements
+                         if all(self._add[(e, x)] == x for x in self.elements))
+        self.subgroup_sets = self._enumerate_subgroups()
+        self._set_to_id = {s: i for i, s in enumerate(self.subgroup_sets)}
+        n = len(self.subgroup_sets)
+        self.meet = tuple(
+            tuple(self._set_to_id[self.subgroup_sets[i] & self.subgroup_sets[j]] for j in range(n))
+            for i in range(n)
+        )
+        self.join = tuple(
+            tuple(
+                self._set_to_id[self._closure(self.subgroup_sets[i] | self.subgroup_sets[j])]
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    def add(self, a, b):
+        return self._add[(a, b)]
+
+    def _closure(self, subset):
+        els = set(subset) | {self.zero}
+        frontier = list(els)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in list(els):
+                    z = self._add[(x, y)]
+                    if z not in els:
+                        els.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        return frozenset(els)
+
+    def _enumerate_subgroups(self):
+        found = {frozenset({self.zero})}
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g in self.elements:
+                    if g not in h:
+                        k = self._closure(h | {g})
+                        if k not in found:
+                            found.add(k)
+                            nxt.append(k)
+            frontier = nxt
+        return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+
+    def subgroup_id(self, members):
+        return self._set_to_id[frozenset(members)]
+
+
+class RefHom:
+    def __init__(self, domain, codomain, mapping):
+        self.domain = domain
+        self.codomain = codomain
+        self.mapping = dict(mapping)
+        for a in domain.elements:
+            for b in domain.elements:
+                assert self.mapping[domain.add(a, b)] == codomain.add(self.mapping[a],
+                                                                      self.mapping[b])
+        self.image_id = tuple(
+            codomain.subgroup_id(codomain._closure({self.mapping[x] for x in s}))
+            for s in domain.subgroup_sets
+        )
+        self.preimage_id = tuple(
+            domain.subgroup_id(
+                {x for x in domain.elements if self.mapping[x] in codomain.subgroup_sets[j]}
+            )
+            for j in range(len(codomain.subgroup_sets))
+        )
+
+    def compose(self, other):
+        """self after other"""
+        return RefHom(other.domain, self.codomain,
+                      {x: self.mapping[other.mapping[x]] for x in other.domain.elements})
+
+
+def ref_cyclic_alphabet(orders):
+    return RefAlphabet(itertools.product(*[range(n) for n in orders]),
+                       lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, orders)))
+
+
+def ref_matrix_hom(alpha, orders, matrix):
+    r = len(orders)
+    return RefHom(alpha, alpha, {
+        x: tuple(sum(matrix[j][i] * x[i] for i in range(r)) % orders[j] for j in range(r))
+        for x in alpha.elements
+    })
+
+
+def ref_quotient(alpha, sigma, f0):
+    """(F/F0, the projection, the induced sigma) as the shift backend built them."""
+    cosets = {x: min(alpha.add(x, h) for h in alpha.subgroup_sets[f0]) for x in alpha.elements}
+    reps = sorted(set(cosets.values()))
+    qalpha = RefAlphabet(reps, lambda a, b: cosets[alpha.add(a, b)])
+    pi = RefHom(alpha, qalpha, cosets)
+    qsigma = RefHom(qalpha, qalpha, {r: cosets[sigma.mapping[r]] for r in reps})
+    return qalpha, pi, qsigma
+
+
+def ref_restriction(alpha, sigma, f0):
+    """(F0, the embedding and restriction id tables, sigma on F0)."""
+    f0set = alpha.subgroup_sets[f0]
+    salpha = RefAlphabet(f0set, alpha.add)
+    ssigma = RefHom(salpha, salpha, {x: sigma.mapping[x] for x in salpha.elements})
+    up_id = tuple(alpha.subgroup_id(s) for s in salpha.subgroup_sets)
+    down_id = tuple(salpha.subgroup_id(s & f0set) for s in alpha.subgroup_sets)
+    return salpha, up_id, down_id, ssigma
+
+
+@st.composite
+def alphabets_with_sigma(draw):
+    """Cyclic orders with product <= MAX_ALPHABET_ORDER and an integer matrix
+    that matrix_hom accepts: entry (j, i) is a multiple of
+    orders[j] / gcd(orders[j], orders[i])."""
+    orders = draw(st.lists(st.integers(1, MAX_ALPHABET_ORDER), min_size=1, max_size=4)
+                  .filter(lambda o: prod(o) <= MAX_ALPHABET_ORDER))
+    matrix = [[draw(st.integers(-3, 3)) * (oj // gcd(oj, oi)) for oi in orders]
+              for oj in orders]
+    return orders, matrix
+
+
+def _relabelled(model, U, table):
+    return model.make_profile(tuple(table[v] for v in U.left), U.start,
+                              tuple(table[v] for v in U.window), tuple(table[v] for v in U.right))
+
+
+@settings(max_examples=30, deadline=None)
+@example(([2, 2, 2, 2], [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))
+@example(([4, 4], [[1, 2], [0, 3]]))
+@example(([2, 4], [[1, 1], [0, 3]]))
+@given(alphabets_with_sigma())
+def test_alphabet_matches_reference(case):
+    orders, matrix = case
+    alpha, ref = cyclic_alphabet(orders), ref_cyclic_alphabet(orders)
+    assert alpha.elements == ref.elements
+    assert alpha.subgroup_sets == ref.subgroup_sets
+    assert (alpha.meet, alpha.join) == (ref.meet, ref.join)
+
+    m = ShiftProfileModel(alpha, "compact")
+    phi = m.endo(1, matrix_hom(alpha, orders, matrix))
+    ref_sigma = ref_matrix_hom(ref, orders, matrix)
+    power = RefHom(ref, ref, {x: x for x in ref.elements})
+    for n in range(4):
+        phin = m.endo_power(phi, n)
+        assert (phin.image_id, phin.preimage_id) == (power.image_id, power.preimage_id)
+        power = ref_sigma.compose(power)
+
+    profiles = [m.base_element(0), m.base_element(1)]
+    for f0 in range(len(ref.subgroup_sets)):
+        if not ref.subgroup_sets[ref_sigma.image_id[f0]] <= ref.subgroup_sets[f0]:
+            continue
+        H = m.constant_profile(f0)
+        constants = [m.constant_profile(v) for v in range(len(ref.subgroup_sets))]
+
+        qalpha, pi, qsigma = ref_quotient(ref, ref_sigma, f0)
+        q = m.quotient(phi, H)
+        qmodel = q.system.model
+        assert len(qmodel.alphabet.elements) == len(qalpha.elements)
+        assert [qmodel.alphabet.order_of(i) for i in range(len(qalpha.subgroup_sets))] == [
+            len(s) for s in qalpha.subgroup_sets]
+        assert (q.system.endo.image_id, q.system.endo.preimage_id) == (
+            qsigma.image_id, qsigma.preimage_id)
+        for U in constants + profiles:
+            assert q.project(U) == _relabelled(qmodel, U, pi.image_id)
+
+        salpha, up_id, down_id, ssigma = ref_restriction(ref, ref_sigma, f0)
+        r = m.restriction(phi, H)
+        smodel = r.system.model
+        assert smodel.alphabet.subgroup_sets == salpha.subgroup_sets
+        assert (r.system.endo.image_id, r.system.endo.preimage_id) == (
+            ssigma.image_id, ssigma.preimage_id)
+        for U in constants + profiles:
+            assert r.restrict_handle(U) == _relabelled(smodel, U, down_id)
+        sub_profiles = [smodel.constant_profile(v) for v in range(len(salpha.subgroup_sets))]
+        for U in sub_profiles + [smodel.base_element(0), smodel.base_element(1)]:
+            assert r.embed(U) == _relabelled(m, U, up_id)

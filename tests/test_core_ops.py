@@ -90,7 +90,7 @@ def test_product_flags_are_the_factor_flags_joined():
     right = TdlcSystem(q2, q2.endo([[F(1, 2)]]))
     prod = make_product(left, right)
     for h1 in s3.all_subgroups():
-        for h2 in (q2.zero_subgroup(), q2.full_lattice(), q2.whole_space()):
+        for h2 in (q2.trivial_subgroup(), q2.full_lattice(), q2.full_group()):
             spec = ClosedSubgroupSpec.verify(prod, prod.model.pair(h1, h2))
             f1, f2 = ClosedSubgroupSpec.verify(left, h1), ClosedSubgroupSpec.verify(right, h2)
             for flag in ("normal", "compact", "phi_invariant", "phi_stable", "contains_kernel"):

@@ -125,7 +125,7 @@ def test_plus_group_examples():
 
 def test_minus_group_examples():
     sys = q2_half()
-    assert cotraj.minus_group(sys, sys.model.full_lattice()) == sys.model.zero_subgroup()
+    assert cotraj.minus_group(sys, sys.model.full_lattice()) == sys.model.trivial_subgroup()
     s = shift_z2()
     u = s.model.base_element(0)
     triv, full = s.model.alphabet.trivial_id, s.model.alphabet.full_id
@@ -407,7 +407,7 @@ def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
     m = PadicModel(2, 1)
     images = count_calls(monkeypatch, m, "image")
     handle, method, steps, cert = m.plus_group_impl(m.endo([[2]]), m.full_lattice())
-    assert (handle, method, steps) == (m.zero_subgroup(), "structural", 1)
+    assert (handle, method, steps) == (m.trivial_subgroup(), "structural", 1)
     assert "chain_skipped" in cert
     assert len(images) == 0
 
@@ -417,7 +417,7 @@ def test_singular_contracting_map_still_iterates(monkeypatch):
     m = PadicModel(2, 2)
     images = count_calls(monkeypatch, m, "image")
     handle, method, steps, cert = m.plus_group_impl(m.endo([[2, 0], [0, 0]]), m.full_lattice())
-    assert (handle, method) == (m.zero_subgroup(), "structural")
+    assert (handle, method) == (m.trivial_subgroup(), "structural")
     assert "chain_skipped" not in cert
     assert len(images) == padic.CHAIN_STEP_CAP
 

@@ -95,7 +95,7 @@ def test_nub_examples():
     sys = q2_half()
     rep = dynamics.nub(sys, resolution=6, probe=4)
     assert rep.certified
-    assert rep.handle == sys.model.zero_subgroup()
+    assert rep.handle == sys.model.trivial_subgroup()
 
     sys = finite_s3()
     rep = dynamics.nub(sys, resolution=6, probe=4)
@@ -136,10 +136,10 @@ def test_addition_theorem_shift_z4():
 
 def test_addition_theorem_degenerate_cases():
     sys = q2_half()
-    triv = ClosedSubgroupSpec.verify(sys, sys.model.zero_subgroup())
+    triv = ClosedSubgroupSpec.verify(sys, sys.model.trivial_subgroup())
     v = dynamics.verify_addition_theorem(sys, triv, probe=3)
     assert v.status == PASS and v.details["h_subgroup"] == "0"
-    whole = ClosedSubgroupSpec.verify(sys, sys.model.whole_space())
+    whole = ClosedSubgroupSpec.verify(sys, sys.model.full_group())
     v = dynamics.verify_addition_theorem(sys, whole, probe=3)
     assert v.status == PASS and v.details["h_quotient"] == "0"
 

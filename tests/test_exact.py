@@ -10,7 +10,6 @@ from tdlc_entropy.exact import (
     IndexValue,
     entropy_add,
     entropy_from_index,
-    entropy_max,
 )
 
 alphas = st.integers(min_value=1, max_value=10**12)
@@ -55,7 +54,6 @@ def test_ordering():
     assert ExactEntropy(2) < ExactEntropy(3)
     assert ExactEntropy(3) <= INFINITE_ENTROPY
     assert not INFINITE_ENTROPY <= ExactEntropy(3)
-    assert entropy_max([ExactEntropy(2), ExactEntropy(8), ExactEntropy(3)]) == ExactEntropy(8)
 
 
 @given(entropies, entropies)

@@ -33,6 +33,7 @@ REPORT_SHA256 = {
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
+    "shift_z2xz4_sigma.json": "74ccab8fd818ec9e6914572aea8357854119b46dd7bd3fea2e47a37d230b5359",
 }
 
 # report SCENARIO, at the scenario's own probe, tidy_probe and resolution
@@ -43,6 +44,7 @@ DEFAULT_REPORT_SHA256 = {
     "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
+    "shift_z2xz4_sigma.json": "bb1247bcabc1624fbb291de2e226cd4150ca6d810d78c586ddc30eb369e3bac0",
 }
 
 
