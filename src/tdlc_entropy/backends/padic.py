@@ -12,9 +12,13 @@ too: each vector is cleared of denominators once and eliminated against the
 basis fraction-free, tracking only the p-adic valuation of its denominator.
 
 Each subgroup also has a dual description by constraints: x lies in the
-subgroup iff N x = 0 and D x is p-integral.  Intersections and preimages are
-computed by stacking constraints and converting back, which is exact and
-needs no iteration.  Each conversion is one elimination of an augmented
+subgroup iff N x = 0 and D x is p-integral.  That set is the annihilator of
+the dual subgroup span(N) + Z_(p) D, and the constraints of a canonical
+handle are exactly its annihilator, so one conversion, ``constraint_form``,
+serves both directions: ``from_constraints`` takes the handle of
+span(N) + Z_(p) D and returns the handle of its constraints.  Intersections
+and preimages stack constraints and take that annihilator, which is exact
+and needs no iteration.  Each conversion is one elimination of an augmented
 matrix (``linalg.kernel_and_solutions``) that yields the kernel split and
 every particular solution at once.
 
@@ -50,7 +54,6 @@ from ..linalg import (
     frac,
     frac_matrix,
     identity_matrix,
-    integer_kernel,
     kernel_and_solutions,
     mat_mul,
     mat_pow,
@@ -148,14 +151,8 @@ class PadicModel:
     # -- handle construction --------------------------------------------------
 
     def closed_subgroup(self, subspace_rows=(), module_cols=()) -> PadicSubgroup:
-        rows, piv = rref(frac_matrix(subspace_rows)) if subspace_rows else ((), ())
-        cols = [list(map(frac, c)) for c in module_cols]
-        for c in cols:
-            for r, pc in zip(rows, piv):
-                if c[pc] != 0:
-                    f = c[pc]
-                    for i in range(self.dim):
-                        c[i] -= f * r[i]
+        rows = rref(frac_matrix(subspace_rows))[0] if subspace_rows else ()
+        cols = [_reduce_mod_rows(rows, c) for c in module_cols]
         module, _ = zp_column_hnf(cols, self.dim, self.p)
         return PadicSubgroup(self, rows, module)
 
@@ -212,45 +209,12 @@ class PadicModel:
         return n_rows, d_rows
 
     def from_constraints(self, n_rows, d_rows) -> PadicSubgroup:
-        """The closed subgroup {x : N x = 0, D x p-integral}."""
-        v0 = rational_kernel(n_rows) if n_rows else identity_matrix(self.dim)
-        if not v0:
-            return self.trivial_subgroup()
-        if not d_rows:
-            return self.closed_subgroup(v0, ())
-        # x = V0^T t; with no N, V0 = I and t is x itself.
-        if n_rows:
-            v0t = transpose(v0)
-            e = mat_mul(d_rows, v0t)  # m x s
-        else:
-            e = d_rows
-        m = len(e)
-        # The image of e is {y : cuts y = 0}; there are m cuts exactly when e = 0.
-        cuts = rational_kernel(transpose(e))
-        if len(cuts) == m:
-            gens = []
-        elif cuts:
-            gens = integer_kernel(cuts)
-        else:
-            gens = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-        kern, sols = kernel_and_solutions(e, gens)
-        if None in sols:
-            raise InvariantViolation("integral image generator left the column space")
-        if n_rows:
-            kern = [mat_vec(v0t, t) for t in kern]
-            sols = [mat_vec(v0t, t) for t in sols]
-        return self.closed_subgroup(kern, sols)
+        """The closed subgroup {x : N x = 0, D x p-integral}: the annihilator
+        of span(N) + Z_(p) D, which is what ``constraint_form`` reads off a
+        canonical handle of that dual subgroup."""
+        return self.closed_subgroup(*self.constraint_form(self.closed_subgroup(n_rows, d_rows)))
 
     # -- membership, containment, index ---------------------------------------
-
-    def _reduce_mod_subspace(self, U: PadicSubgroup, x):
-        x = list(map(frac, x))
-        for r, pc in zip(U.subspace, _pivot_columns(U.subspace)):
-            if x[pc] != 0:
-                f = x[pc]
-                for i in range(self.dim):
-                    x[i] -= f * r[i]
-        return x
 
     def _int_basis(self, U: PadicSubgroup) -> list:
         """U's basis cleared to ints, as elimination steps (ints, pivot, shift).
@@ -373,7 +337,7 @@ class PadicModel:
         dprime = len(nonpiv)
 
         def project_vec(x):
-            rem = self._reduce_mod_subspace(H, x)
+            rem = _reduce_mod_rows(H.subspace, x)
             return tuple(rem[j] for j in nonpiv)
 
         a = phi.matrix
@@ -382,11 +346,8 @@ class PadicModel:
             unit = [F(1) if i == j else F(0) for i in range(self.dim)]
             cols.append(project_vec(mat_vec(a, unit)))
         qmatrix = transpose(cols) if cols else ()
-        qbase = [project_vec(col) for col in self._base_cols]
-        qmodel = PadicModel(self.p, dprime, name=f"{self.name}/H")
-        projected = tuple(c for c in (tuple(map(frac, col)) for col in qbase) if any(c))
-        if projected:
-            qmodel._base_cols = projected
+        projected = tuple(c for c in map(project_vec, self._base_cols) if any(c))
+        qmodel = PadicModel(self.p, dprime, projected, name=f"{self.name}/H")
         qendo = qmodel.endo(qmatrix)
         system = TdlcSystem(qmodel, qendo, name=f"{self.name}/H")
 
@@ -427,9 +388,9 @@ class PadicModel:
                 raise UnsupportedSubgroupError("H is not carried into itself")
             cols.append(t)
         smatrix = transpose(cols) if cols else ()
-        submodel = PadicModel(self.p, s, name=f"{self.name}|H")
-        base_meet = self.intersect(self.full_lattice(), PadicSubgroup(self, rows, ()))
-        submodel._base_cols = tuple(coords(c) for c in base_meet.module)
+        base_meet = self.intersect(self.full_lattice(), H)
+        submodel = PadicModel(self.p, s, tuple(coords(c) for c in base_meet.module),
+                              name=f"{self.name}|H")
         sendo = submodel.endo(smatrix)
         system = TdlcSystem(submodel, sendo, name=f"{self.name}|H")
 
@@ -440,7 +401,7 @@ class PadicModel:
             )
 
         def restrict_handle(U: PadicSubgroup) -> PadicSubgroup:
-            met = self.intersect(U, PadicSubgroup(self, rows, ()))
+            met = self.intersect(U, H)
             return submodel.closed_subgroup(
                 [coords(r) for r in met.subspace], [coords(c) for c in met.module]
             )
@@ -632,24 +593,15 @@ class PadicModel:
         raise InvariantViolation("local entropy varied across commensurable lattices")
 
     def scale_candidates(self, phi):
+        """The full lattice and, when every slope has a rational eigenspace,
+        the lattice cut into its pieces, one per root valuation."""
         out = [self.full_lattice()]
-        factors = _rational_factor_list(charpoly(phi.matrix))
-        groups: dict = {}
-        for coeffs, mult in factors:
-            vals = _root_valuations(coeffs, self.p)
-            if len({v for v, _ in vals}) != 1:
-                return out
-            v = vals[0][0]
-            poly = groups.get(v, (F(1),))
-            for _ in range(mult):
-                poly = _poly_mul(poly, coeffs)
-            groups[v] = poly
-        if len(groups) > 1:
+        vals = dict.fromkeys(v for v, _ in self.newton_polygon(phi))
+        splits = [self._slope_split(phi, lambda w, v=v: w == v) for v in vals]
+        if len(splits) > 1 and None not in splits:
             pieces = []
-            for v, poly in sorted(groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
-                rows = rational_kernel(_poly_eval_matrix(poly, phi.matrix))
-                met = self.intersect(self.full_lattice(), self.closed_subgroup(rows, ()))
-                pieces.extend(met.module)
+            for rows in splits:
+                pieces.extend(self.intersect(out[0], self.closed_subgroup(rows, ())).module)
             out.append(self.lattice(pieces))
         return out
 
@@ -713,6 +665,16 @@ def _first_nonzero(v) -> int:
 def _pivot_columns(rows) -> tuple:
     """Pivot columns of rows already in reduced row echelon form."""
     return tuple(_first_nonzero(row) for row in rows)
+
+
+def _reduce_mod_rows(rows, x) -> list:
+    """x minus its part along the rref ``rows``: zero at each of their pivots."""
+    x = list(map(frac, x))
+    for r in rows:
+        f = x[_first_nonzero(r)]
+        if f:
+            x = [a - f * b for a, b in zip(x, r)]
+    return x
 
 
 def _hermite_pivots(module, p: int) -> tuple[tuple, int]:

@@ -137,7 +137,7 @@ def _run_verify_command(args) -> int:
     if summary.get("FAIL"):
         return EXIT_FAIL
     if summary.get("INCONCLUSIVE") and args.strict:
-        return EXIT_FAIL
+        return EXIT_RESOURCE
     return EXIT_OK
 
 

@@ -9,6 +9,9 @@ Gauss-Jordan with content division, ``zp_column_hnf`` carries each column as
 (integer vector, denominator), and ``integer_kernel`` is Euclidean
 elimination.  ``kernel_and_solutions`` reads a kernel basis and any number of
 particular solutions off a single ``rref``.
+
+The library no longer calls ``integer_kernel``; it stays only because
+``perfbench/tracer.py`` wraps it by name.
 """
 
 from __future__ import annotations

@@ -4,9 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdlc_entropy.backends.padic import PadicModel
+from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
 from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError
-from tdlc_entropy.linalg import det, pval, transpose
+from tdlc_entropy.linalg import (
+    charpoly,
+    det,
+    identity_matrix,
+    integer_kernel,
+    kernel_and_solutions,
+    mat_mul,
+    mat_vec,
+    pval,
+    rational_kernel,
+    transpose,
+)
+from tdlc_entropy.polyfactor import factor_rational
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 F = Fraction
@@ -478,3 +490,168 @@ def test_primality_check_without_trial_division():
     for large in ((2**31 - 1) * (2**61 - 1), 2**89 - 1):
         with pytest.raises(ValueError, match="too large"):
             PadicModel(large, 1)
+
+
+# from_constraints and scale_candidates checked without the round trip: once
+# against the definition of the constraint set, once against the earlier
+# implementations kept here as references.
+
+
+def _draw_rows(data, p, dim, max_rows):
+    """Rows with p-power denominators; some are zero or combinations of earlier rows."""
+    rnd = lambda: F(data.draw(st.integers(-6, 6)), p ** data.draw(st.integers(0, 2)))
+    rows = []
+    for _ in range(data.draw(st.integers(0, max_rows))):
+        kind = data.draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([F(0)] * dim)
+        elif kind == "combination" and rows:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            c = rnd()
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([rnd() for _ in range(dim)])
+    return rows
+
+
+def _dot(row, x):
+    return sum(a * b for a, b in zip(row, x))
+
+
+def _integral(y, p):
+    return y == 0 or pval(y, p) >= 0
+
+
+def test_from_constraints_matches_the_definition():
+    """x lies in from_constraints(N, D) iff N x = 0 and D x is p-integral."""
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        dim = data.draw(st.integers(1, 3))
+        model = PadicModel(p, dim)
+        n_rows = _draw_rows(data, p, dim, dim)
+        d_rows = _draw_rows(data, p, dim, dim + 1)
+        h = model.from_constraints(n_rows, d_rows)
+        coeff = st.sampled_from([F(0), F(1), F(-2), F(p), F(1, p), F(3, p * p)])
+        gens = list(h.subspace) + list(h.module)
+        for _ in range(6):
+            x = [F(0)] * dim
+            for g in gens:
+                c = data.draw(coeff)
+                x = [a + c * b for a, b in zip(x, g)]
+            i = data.draw(st.integers(0, dim - 1))
+            x[i] += data.draw(st.sampled_from([F(0), F(0), F(1), F(1, p)]))
+            expected = (all(_dot(r, x) == 0 for r in n_rows)
+                        and all(_integral(_dot(r, x), p) for r in d_rows))
+            assert model.member(h, x) == expected
+            outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def _ref_from_constraints(model, n_rows, d_rows):
+    """The closed subgroup {x : N x = 0, D x p-integral}, built from two
+    rational kernels, an integer kernel and one solve."""
+    v0 = rational_kernel(n_rows) if n_rows else identity_matrix(model.dim)
+    if not v0:
+        return model.trivial_subgroup()
+    if not d_rows:
+        return model.closed_subgroup(v0, ())
+    if n_rows:
+        v0t = transpose(v0)
+        e = mat_mul(d_rows, v0t)
+    else:
+        e = d_rows
+    m = len(e)
+    cuts = rational_kernel(transpose(e))
+    if len(cuts) == m:
+        gens = []
+    elif cuts:
+        gens = integer_kernel(cuts)
+    else:
+        gens = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    kern, sols = kernel_and_solutions(e, gens)
+    assert None not in sols
+    if n_rows:
+        kern = [mat_vec(v0t, t) for t in kern]
+        sols = [mat_vec(v0t, t) for t in sols]
+    return model.closed_subgroup(kern, sols)
+
+
+def _ref_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ref_scale_candidates(model, phi):
+    """The full lattice and, when every rational factor of the characteristic
+    polynomial has a single root valuation and there are at least two, the
+    lattice cut along the generalized eigenspaces grouped by valuation."""
+    full = model.full_lattice()
+    groups = {}
+    for coeffs, mult in factor_rational(charpoly(phi.matrix)):
+        vals = _root_valuations(coeffs, model.p)
+        if len({v for v, _ in vals}) != 1:
+            return [full]
+        poly = groups.get(vals[0][0], (F(1),))
+        for _ in range(mult):
+            poly = _ref_poly_mul(poly, coeffs)
+        groups[vals[0][0]] = poly
+    if len(groups) < 2:
+        return [full]
+    pieces = []
+    for v, poly in sorted(groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
+        rows = rational_kernel(_poly_eval_matrix(poly, phi.matrix))
+        nf, df = model.constraint_form(full)
+        nv, dv = model.constraint_form(model.closed_subgroup(rows, ()))
+        pieces.extend(_ref_from_constraints(model, nf + nv, df + dv).module)
+    return [full, model.lattice(pieces)]
+
+
+_ENTRIES = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(1, 3), F(4),
+            F(1, 4), F(5), F(1, 5)]
+
+
+def _draw_matrix(data, p, dim):
+    """A random matrix, or P diag(p^k) P^-1 with P unipotent so slopes split."""
+    if data.draw(st.booleans()):
+        return [[data.draw(st.sampled_from(_ENTRIES)) for _ in range(dim)] for _ in range(dim)]
+    diag = [F(p) ** data.draw(st.integers(-1, 1)) * data.draw(st.sampled_from([1, -1, 3]))
+            for _ in range(dim)]
+    upper = [[F(int(i == j)) if i >= j else data.draw(st.sampled_from(_ENTRIES))
+              for j in range(dim)] for i in range(dim)]
+    inv = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i in reversed(range(dim)):  # back substitution: upper @ inv = I
+        for j in range(dim):
+            inv[i][j] = F(int(i == j)) - sum(upper[i][k] * inv[k][j] for k in range(i + 1, dim))
+    return mat_mul(mat_mul(upper, [[diag[i] if i == j else F(0) for j in range(dim)]
+                                   for i in range(dim)]), inv)
+
+
+def test_from_constraints_and_scale_candidates_match_references():
+    split = []
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        dim = data.draw(st.integers(1, 4))
+        model = PadicModel(p, dim)
+        n_rows = _draw_rows(data, p, dim, dim)
+        d_rows = _draw_rows(data, p, dim, dim + 1)
+        assert model.from_constraints(n_rows, d_rows) == _ref_from_constraints(
+            model, n_rows, d_rows)
+        phi = model.endo(_draw_matrix(data, p, dim))
+        expected = _ref_scale_candidates(model, phi)
+        assert model.scale_candidates(phi) == expected
+        split.append(len(expected) == 2)
+
+    check()
+    assert any(split)

@@ -324,54 +324,65 @@ def test_report_forward_core_op_counts(monkeypatch):
     assert (len(plus), len(minus)) == (19, 4)
 
 
-def count_rref(monkeypatch):
-    """Count ``rref`` calls made from ``linalg`` itself and from the p-adic backend."""
-    calls = count_calls(monkeypatch, linalg, "rref")
+def count_eliminations(monkeypatch):
+    """Counters of ``rref`` calls made from ``linalg`` itself and from the
+    p-adic backend, and of the p-adic backend's ``zp_column_hnf`` calls."""
+    rrefs = count_calls(monkeypatch, linalg, "rref")
     monkeypatch.setattr(padic, "rref", linalg.rref)
-    return calls
+    return rrefs, count_calls(monkeypatch, padic, "zp_column_hnf")
 
 
 def test_linalg_elimination_counts(monkeypatch):
-    """Op-count gate: one elimination per constraint conversion.
+    """Op-count gate: one elimination per constraint conversion, counted as
+    (rref, zp_column_hnf).
 
-    With one elimination per solved column the same calls made 11 and 5311;
-    with the cotrajectory table also building the forward chain, the report
-    made 2666.
+    With one elimination per solved column the same calls made 11 and 5311
+    rrefs; with the cotrajectory table also building the forward chain, the
+    report made 2666.  While ``from_constraints`` was a kernel, an integer
+    kernel and a solve, they made (4, 1) and (2650, 1072); as the annihilator
+    of a canonical handle they trade rrefs for Hermite forms.
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
     v = m.lattice([[2, 0], [1, 1]])
-    calls = count_rref(monkeypatch)
-    assert m.intersect(u, v) == m.lattice([[2, 0], [0, 2]])
-    assert len(calls) == 4
+    expected = m.lattice([[2, 0], [0, 2]])
+    rrefs, hnfs = count_eliminations(monkeypatch)
+    assert m.intersect(u, v) == expected
+    assert (len(rrefs), len(hnfs)) == (3, 2)
 
-    del calls[:]
+    del rrefs[:], hnfs[:]
     path = os.path.join(SCENARIOS, "q2_half.json")
     with redirect_stdout(io.StringIO()):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert len(calls) == 2650
+    assert (len(rrefs), len(hnfs)) == (1920, 1828)
 
 
-@pytest.mark.parametrize("entry, rrefs, intersects", [("1/2", 2650, 412), ("2", 785, 141)])
+@pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
+    pytest.param("1/2", 1920, 1828, 412, id="phi=1/2"),
+    pytest.param("2", 594, 739, 141, id="phi=2"),
+])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
-                                                      intersects):
-    """Op-count gate: the q2_half report, and the same report for phi = 2,
-    whose forward chains are skipped; run to their cap those made 4897
-    eliminations and 1169 intersections.  With the forward chain of the
-    cotrajectory table built and unread, the two reports made (2666, 416)
-    and (801, 145)."""
+                                                      hnfs, intersects):
+    """Op-count gate, as (rref, zp_column_hnf, intersect): the q2_half
+    report, and the same report for phi = 2, whose forward chains are
+    skipped; run to their cap those made 4897 eliminations and 1169
+    intersections.  With the forward chain of the cotrajectory table built
+    and unread, the two reports made (2666, 416) and (801, 145) rrefs and
+    intersections; with ``from_constraints`` a kernel, an integer kernel and
+    a solve, (2650, 1072, 412) and (785, 506, 141)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
-    rref_calls = count_rref(monkeypatch)
+    rref_calls, hnf_calls = count_eliminations(monkeypatch)
     intersect_calls = count_calls(monkeypatch, PadicModel, "intersect")
     with redirect_stdout(io.StringIO()):
         code = cli.main(["report", str(path), "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rref_calls), len(intersect_calls)) == (rrefs, intersects)
+    assert ((len(rref_calls), len(hnf_calls), len(intersect_calls))
+            == (rrefs, hnfs, intersects))
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):

@@ -88,3 +88,8 @@ def test_cotrajectory_suite_is_inconclusive_when_alpha_is_unresolved(monkeypatch
     assert entries
     assert {e["status"] for e in entries} == {dynamics.INCONCLUSIVE}
     assert all(e["n_star"] is None and e["reason"] for e in entries)
+    code, out = run_cli(["verify", "cotrajectory"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["summary"].get("INCONCLUSIVE")
+    code, _ = run_cli(["verify", "cotrajectory", "--strict"])
+    assert code == cli.EXIT_RESOURCE
