@@ -18,10 +18,10 @@ from ..core import (
     RestrictionConstruction,
     TdlcSystem,
     UnsupportedSubgroupError,
-    chain_fixpoint,
     check_model,
     cotrajectory_fixpoint,
     image_chain,
+    limit_chain,
 )
 from ..exact import IndexValue
 
@@ -73,11 +73,11 @@ class FiniteGroupModel:
 
     kind = "finite"
 
-    def __init__(self, table, names=None, name="G", order_bound=DEFAULT_ORDER_BOUND):
+    def __init__(self, table, names=None, name="G"):
         table = tuple(tuple(row) for row in table)
         n = len(table)
-        if n == 0 or n > order_bound:
-            raise ValueError(f"group order must be in 1..{order_bound}, got {n}")
+        if n == 0 or n > DEFAULT_ORDER_BOUND:
+            raise ValueError(f"group order must be in 1..{DEFAULT_ORDER_BOUND}, got {n}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
         self.table = table
@@ -404,18 +404,10 @@ class FiniteGroupModel:
     # -- dynamics hooks -------------------------------------------------------
 
     def plus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
-        n, chain = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
-                                  self.order + 1)
-        if n is None:
-            raise InvariantViolation("decreasing chain did not stabilize in a finite group")
-        return chain[n], "fixpoint", n, {"fixpoint_at": n}
+        return limit_chain(self, phi, U, True, self.order + 1, _unstable)
 
     def minus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
-        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
-                                  self.order + 1)
-        if n is None:
-            raise InvariantViolation("decreasing chain did not stabilize in a finite group")
-        return chain[n], {"method": "fixpoint", "fixpoint_at": n}
+        return limit_chain(self, phi, U, False, self.order + 1, _unstable)
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified stabilization index: the cotrajectory chain reaches its
@@ -543,6 +535,12 @@ class FiniteGroupModel:
                 counts["magic"] += 1
 
         return counts
+
+
+def _unstable(chain):
+    """The closed form of a finite group's chains, which never needs one: a
+    strictly decreasing chain of subgroups has at most order + 1 members."""
+    raise InvariantViolation("decreasing chain did not stabilize in a finite group")
 
 
 # -- standard groups ----------------------------------------------------------

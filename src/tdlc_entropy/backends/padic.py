@@ -44,6 +44,7 @@ from ..core import (
     chain_fixpoint,
     check_model,
     image_chain,
+    limit_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from ..linalg import (
@@ -457,13 +458,11 @@ class PadicModel:
         return rows
 
     def plus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
-        """U_+ as (handle, method, steps, certificate).
-
-        Iterates U_{n+1} = U n phi(U_n) until it stops, for at most
-        ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
-        subspace of root valuations <= 0.  The chain is skipped, and the
-        certificate says why, when U is compact open, phi is invertible and
-        some root has valuation > 0: then no step can be a fixpoint.
+        """Iterates U_{n+1} = U n phi(U_n) for at most ``CHAIN_STEP_CAP``
+        steps, then solves the limit on the rational subspace of root
+        valuations <= 0.  The chain is skipped, and the certificate says why,
+        when U is compact open, phi is invertible and some root has valuation
+        > 0: then no step can be a fixpoint.
         """
         # Proof of the skip: with U compact open and phi invertible every U_n
         # is a full-rank lattice, and a fixpoint L = U n phi(L) has
@@ -474,43 +473,25 @@ class PadicModel:
             and any(v is not None and v > 0 for v, _ in self.newton_polygon(phi))
         )
         skipped = {"chain_skipped": "contracting root, no lattice fixpoint"} if skip else {}
-        n, prefix = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
-                                   0 if skip else CHAIN_STEP_CAP)
-        if n is not None:
-            return prefix[n], "fixpoint", n, {"fixpoint_at": n}
-        result, dim, at = self._structural_core(phi, U, forward=True)
-        if at is None:
-            return result, "structural", len(prefix), {"invariant_subspace_dim": 0, **skipped}
-        for h in prefix:
-            if not self.contains(h, result):
-                raise InvariantViolation("structural limit escaped an iterate")
-        cert = {"invariant_subspace_dim": dim, "restricted_fixpoint_at": at, **skipped}
-        return result, "structural", at, cert
+        return limit_chain(self, phi, U, True, 0 if skip else CHAIN_STEP_CAP,
+                           lambda chain: self._structural_core(phi, U, chain, True, **skipped))
 
     def minus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
-        """U_- as (handle, certificate with its method).
-
-        Iterates U_{-n-1} = U_{-n} n phi^-1(U_{-n}) until it stops, for at
-        most ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
+        """Iterates U_{-n-1} = U n phi^-1(U_{-n}) for at most
+        ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
         subspace of root valuations >= 0 and zero roots.
         """
-        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
-                                  CHAIN_STEP_CAP)
-        if n is not None:
-            return chain[n], {"method": "fixpoint", "fixpoint_at": n}
-        result, dim, at = self._structural_core(phi, U, forward=False)
-        cert = {"method": "structural", "invariant_subspace_dim": dim}
-        if at is not None:
-            cert["restricted_fixpoint_at"] = at
-        return result, cert
+        return limit_chain(self, phi, U, False, CHAIN_STEP_CAP,
+                           lambda chain: self._structural_core(phi, U, chain, False))
 
-    def _structural_core(self, phi: PadicEndo, U: PadicSubgroup, forward: bool):
+    def _structural_core(self, phi: PadicEndo, U: PadicSubgroup, chain, forward: bool,
+                         **certificate):
         """The limit of the forward chain of U (U_+) or of its backward chain
         (U_-), solved where that chain stops: on the rational subspace of
         root valuations <= 0, or >= 0 with the zero roots.
 
-        Returns (handle, subspace dimension, step at which the restricted
-        chain stopped, None when the subspace is 0).
+        Returns (handle, steps, certificate): steps is where the restricted
+        chain stopped, or the length of ``chain`` when the subspace is 0.
         """
         if forward:
             rows = self._slope_split(phi, lambda v: v is not None and v <= 0)
@@ -522,18 +503,20 @@ class PadicModel:
             raise UnresolvedError(
                 f"a rational factor of the characteristic polynomial mixes {mixed}"
             )
+        certificate["invariant_subspace_dim"] = len(rows)
         if not rows:
-            return self.trivial_subgroup(), 0, None
+            return self.trivial_subgroup(), len(chain), certificate
         rest = self.restriction(phi, self.closed_subgroup(rows, ()))
         sub, endo = rest.system.model, rest.system.endo
         move = sub.image if forward else sub.preimage
         u_sub = rest.restrict_handle(U)
-        n, chain = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
-                                  4 * CHAIN_STEP_CAP + 16)
+        n, restricted = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
+                                       4 * CHAIN_STEP_CAP + 16)
         if n is None:
             direction = "forward" if forward else "backward"
             raise UnresolvedError(f"restricted {direction} iteration did not stabilize in bound")
-        return rest.embed(chain[n]), len(rows), n
+        certificate["restricted_fixpoint_at"] = n
+        return rest.embed(restricted[n]), n, certificate
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified once alpha reaches the Newton polygon prediction p^e:

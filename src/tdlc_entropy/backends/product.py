@@ -134,15 +134,16 @@ class ProductModel:
     # -- dynamics hooks --------------------------------------------------------
 
     def plus_group_impl(self, phi, U):
-        results = tuple(self._zip("plus_group_impl", phi.parts, U.parts))
-        handle = self.pair(*(r[0] for r in results))
-        method = "fixpoint" if all(r[1] == "fixpoint" for r in results) else "structural"
-        steps = max(r[2] for r in results)
-        return handle, method, steps, {"factors": [r[3] for r in results]}
+        return self._limit("plus_group_impl", phi, U)
 
     def minus_group_impl(self, phi, U):
-        results = tuple(self._zip("minus_group_impl", phi.parts, U.parts))
-        return self.pair(*(r[0] for r in results)), {"factors": [r[1] for r in results]}
+        return self._limit("minus_group_impl", phi, U)
+
+    def _limit(self, hook, phi, U):
+        """U_+ or U_- factorwise; a fixpoint only when each factor's is."""
+        handles, methods, steps, certs = zip(*self._zip(hook, phi.parts, U.parts))
+        method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
+        return self.pair(*handles), method, max(steps), {"factors": list(certs)}
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         certs = []
@@ -214,8 +215,8 @@ def _factor_alpha_stabilization(model, phi, U, handles):
     return model.alpha_stabilization(phi, U, handles, alphas)
 
 
-def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name="") -> TdlcSystem:
+def make_product(sys1: TdlcSystem, sys2: TdlcSystem) -> TdlcSystem:
     """The componentwise product system; handles are pairs and indices multiply."""
-    model = ProductModel(sys1.model, sys2.model, name=name)
+    model = ProductModel(sys1.model, sys2.model)
     endo = ProductEndo(model, (sys1.endo, sys2.endo))
-    return TdlcSystem(model, endo, name=name or model.name)
+    return TdlcSystem(model, endo, name=model.name)

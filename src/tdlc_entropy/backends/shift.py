@@ -28,10 +28,10 @@ from ..core import (
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
-    chain_fixpoint,
     check_model,
     cotrajectory_fixpoint,
     image_chain,
+    limit_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from .finite import FiniteEndo, FiniteGroupModel
@@ -90,7 +90,7 @@ class Alphabet:
         return self.subgroup_sets[small] <= self.subgroup_sets[big]
 
 
-def cyclic_alphabet(orders, name="") -> Alphabet:
+def cyclic_alphabet(orders) -> Alphabet:
     orders = tuple(int(n) for n in orders)
     if not orders or any(n < 1 for n in orders):
         raise ValueError("cyclic orders must be positive")
@@ -100,8 +100,7 @@ def cyclic_alphabet(orders, name="") -> Alphabet:
         [index[tuple((x + y) % n for x, y, n in zip(a, b, orders))] for b in elements]
         for a in elements
     ]
-    label = "x".join(f"Z{n}" for n in orders)
-    return Alphabet(FiniteGroupModel(table, name=name or label), elements)
+    return Alphabet(FiniteGroupModel(table, name="x".join(f"Z{n}" for n in orders)), elements)
 
 
 def matrix_hom(alphabet: Alphabet, orders, matrix) -> FiniteEndo:
@@ -242,23 +241,13 @@ class ShiftProfileModel:
     def trivial_subgroup(self) -> Profile:
         return self.constant_profile(self.alphabet.trivial_id)
 
-    def window_profile(self, values: dict, left_id: int, right_id: int, fill=None) -> Profile:
-        """Profile with explicit subgroup values on finitely many coordinates.
-
-        Gaps inside the window span take ``fill``, which must be given when
-        the specified coordinates are not contiguous.
-        """
+    def window_profile(self, values: dict, left_id: int, right_id: int) -> Profile:
+        """Profile with explicit subgroup values on finitely many coordinates;
+        gaps inside the window span take the full alphabet."""
         if not values:
             return self.make_profile((left_id,), 0, (), (right_id,))
         lo, hi = min(values), max(values) + 1
-        window = []
-        for i in range(lo, hi):
-            if i in values:
-                window.append(values[i])
-            elif fill is not None:
-                window.append(fill)
-            else:
-                raise ValueError(f"no value for coordinate {i} and no fill given")
+        window = [values.get(i, self.alphabet.full_id) for i in range(lo, hi)]
         return self.make_profile((left_id,), lo, window, (right_id,))
 
     def base_element(self, k: int) -> Profile:
@@ -469,29 +458,19 @@ class ShiftProfileModel:
     # -- dynamics hooks -----------------------------------------------------------------
 
     def plus_group_impl(self, phi: ShiftEndo, U: Profile):
-        n, prefix = chain_fixpoint(lambda h: self.intersect(U, self.image(phi, h)), U,
-                                   CHAIN_STEP_CAP)
-        if n is not None:
-            return prefix[n], "fixpoint", n, {"fixpoint_at": n}
-        limit, info = self.limit_profile(U, phi.k, phi.image_id, self.alphabet.meet)
-        if limit != self.intersect(U, self.image(phi, limit)):
-            raise InvariantViolation("closed-form forward core is not a fixed point")
-        for h in prefix:
-            if not self.contains(h, limit):
-                raise InvariantViolation("closed-form forward core escaped an iterate")
-        return limit, "structural", len(prefix), dict(info)
+        return limit_chain(self, phi, U, True, CHAIN_STEP_CAP,
+                           self._closed_limit(U, phi.k, phi.image_id))
 
     def minus_group_impl(self, phi: ShiftEndo, U: Profile):
-        n, chain = chain_fixpoint(lambda h: self.intersect(h, self.preimage(phi, h)), U,
-                                  CHAIN_STEP_CAP)
-        if n is not None:
-            return chain[n], {"method": "fixpoint", "fixpoint_at": n}
-        limit, info = self.limit_profile(U, -phi.k, phi.preimage_id, self.alphabet.meet)
-        if limit != self.intersect(U, self.preimage(phi, limit)):
-            raise InvariantViolation("closed-form cotrajectory is not a fixed point")
-        cert = dict(info)
-        cert["method"] = "structural"
-        return limit, cert
+        return limit_chain(self, phi, U, False, CHAIN_STEP_CAP,
+                           self._closed_limit(U, -phi.k, phi.preimage_id))
+
+    def _closed_limit(self, U: Profile, step: int, value_map):
+        """``limit_chain``'s closed form: the limit profile of the meet recursion."""
+        def closed_form(chain):
+            limit, info = self.limit_profile(U, step, value_map, self.alphabet.meet)
+            return limit, len(chain), info
+        return closed_form
 
     def _diff_positions(self, U: Profile, V: Profile):
         if U.left != V.left or U.right != V.right:

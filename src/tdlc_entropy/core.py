@@ -13,7 +13,8 @@ backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a chain
 depth.  Every handle has ``describe()``, ``is_open``, ``is_compact`` and
 ``is_normal``.  What follows from these primitives alone is written here
 once: the subgroup flags (``ClosedSubgroupSpec.verify``), the fixpoint
-chain, the image chain and the cotrajectory fixpoint plateau.
+chain, the limit chain behind U_+ and U_-, the image chain and the
+cotrajectory fixpoint plateau.
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ class Backend(Protocol):
     def restriction(self, phi, H) -> RestrictionConstruction:
         """The system (H, phi|_H), or ``UnsupportedSubgroupError``."""
 
-    # dynamics hooks, called by ``cotraj`` and ``dynamics``
+    # dynamics hooks, called by ``cotraj`` and ``dynamics``; the two limits
+    # return ``limit_chain``'s (handle, method, steps, certificate)
     def plus_group_impl(self, phi, U) -> tuple:
-        """U_+ as (handle, method, steps, certificate)."""
+        """U_+, the limit of U_{n+1} = U n phi(U_n)."""
     def minus_group_impl(self, phi, U) -> tuple:
-        """U_- as (handle, certificate)."""
+        """U_-, the limit of U_{-n-1} = U n phi^{-1}(U_{-n})."""
     def alpha_stabilization(self, phi, U, minus_handles, alphas) -> tuple:
         """(certified plateau start or None, certificate) of the alpha table."""
     def plus_plus_analysis(self, phi, u_plus, tidy_probe) -> Optional[dict]:
@@ -190,6 +192,26 @@ def chain_fixpoint(step: Callable, start, max_steps: int):
             return n, chain
         chain.append(nxt)
     return None, chain
+
+
+def limit_chain(model, phi, U, forward: bool, max_steps: int, closed_form: Callable):
+    """The limit of h -> U n phi(h) (``forward``, U_+) or h -> U n phi^{-1}(h)
+    (U_-) from U, as (handle, method, steps, certificate).
+
+    At a fixpoint within ``max_steps`` steps the method is "fixpoint".
+    Otherwise ``closed_form(chain)`` solves the limit as (handle, steps,
+    certificate), the method is "structural", and the handle must lie in
+    every computed iterate.  The chain decreases (its first step lands in U
+    and the step is monotone), so the last iterate is the one to check.
+    """
+    move = model.image if forward else model.preimage
+    n, chain = chain_fixpoint(lambda h: model.intersect(U, move(phi, h)), U, max_steps)
+    if n is not None:
+        return chain[n], "fixpoint", n, {"fixpoint_at": n}
+    handle, steps, certificate = closed_form(chain)
+    if not model.contains(chain[-1], handle):
+        raise InvariantViolation("closed-form limit escaped an iterate")
+    return handle, "structural", steps, certificate
 
 
 def image_chain(model, phi, U, steps: int):

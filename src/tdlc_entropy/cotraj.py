@@ -83,27 +83,22 @@ class TidyBelowResult:
     certificate: dict
 
 
-def _preimage_chain(sys: TdlcSystem, U, n: int):
-    """The preimages phi^{-j}(U) for j = 0..n, each from the previous one."""
+def _chain_prefix(sys: TdlcSystem, U, n: int, move):
+    """U and the first n iterates of h -> U n move(phi, h)."""
     out = [U]
     for _ in range(n):
-        out.append(sys.model.preimage(sys.endo, out[-1]))
+        out.append(sys.model.intersect(U, move(sys.endo, out[-1])))
     return out
 
 
 def minus_chain(sys: TdlcSystem, U, n: int):
-    pre = _preimage_chain(sys, U, n)
-    out = [U]
-    for j in range(1, n + 1):
-        out.append(sys.model.intersect(out[-1], pre[j]))
-    return out
+    """U_0, ..., U_{-n}: U_{-j-1} = U n phi^{-1}(U_{-j}) is U_{-j} n phi^{-j-1}(U)."""
+    return _chain_prefix(sys, U, n, sys.model.preimage)
 
 
 def plus_chain(sys: TdlcSystem, U, n: int):
-    out = [U]
-    for _ in range(n):
-        out.append(sys.model.intersect(U, sys.model.image(sys.endo, out[-1])))
-    return out
+    """U_0, ..., U_n: U_{j+1} = U n phi(U_j)."""
+    return _chain_prefix(sys, U, n, sys.model.image)
 
 
 def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> CotrajectoryTable:
@@ -118,9 +113,7 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> Cotrajecto
     minus = minus_chain(sys, U, n_max + 1)
     model = sys.model
     cs = []
-    for n, handle in enumerate(minus):
-        if n > 0 and not model.contains(minus[n - 1], handle):
-            raise InvariantViolation("cotrajectory chain is not decreasing")
+    for handle in minus:
         c = model.index(handle, U)
         if not c.is_finite:
             raise InvariantViolation("cotrajectory index must be finite for compact open U")
@@ -130,7 +123,10 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> Cotrajecto
         if not cs[n].divides(cs[n + 1]):
             raise InvariantViolation("c_n does not divide c_{n+1}")
         ratio = cs[n + 1].divide_exact(cs[n])
-        direct = model.index(minus[n + 1], minus[n])
+        try:
+            direct = model.index(minus[n + 1], minus[n])
+        except ValueError:
+            raise InvariantViolation("cotrajectory chain is not decreasing") from None
         if direct != ratio:
             raise InvariantViolation("alpha_n disagrees with the index quotient")
         if alphas and ratio.value > alphas[-1].value:
@@ -173,7 +169,7 @@ def minus_group(sys: TdlcSystem, U):
 
 
 def _minus_group(sys: TdlcSystem, U):
-    handle, _ = sys.model.minus_group_impl(sys.endo, U)
+    handle, *_ = sys.model.minus_group_impl(sys.endo, U)
     check = sys.model.intersect(U, sys.model.preimage(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_- is not a fixed point of U n phi^{-1}(.)")

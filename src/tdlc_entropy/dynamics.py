@@ -298,8 +298,9 @@ def verify_addition_theorem(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
     """Exact additivity check h(phi) = h(phi|_H) + h(induced map on G/H).
 
     Preconditions (H closed, phi-stable, containing the kernel, normal or
-    compact) are verified by the backend; a violated precondition yields
-    SKIPPED with the reason, never a failure.  The three entropies are
+    compact) are verified by the backend; a violated precondition, or an H
+    the backend cannot restrict to or quotient by, yields SKIPPED with the
+    reason, never a failure.  The three entropies are
     computed independently; nothing is derived from the other two.
     """
     if not H.phi_stable:
@@ -315,6 +316,8 @@ def verify_addition_theorem(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
         h_quot = _quotient_entropy(sys, H, probe)
     except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))
+    except UnsupportedSubgroupError as exc:
+        return Verdict(SKIPPED, str(exc))
     expected = entropy_add(h_sub.value, h_quot)
     details = {
         "h_total": str(total.value),

@@ -109,7 +109,7 @@ def _window_profile(model, ctor):
     values = {int(pos): alpha.generated_id(map(tuple, gens))
               for pos, gens in ctor["window"].items()}
     left, right = (getattr(alpha, ctor.get(side, "full") + "_id") for side in ("left", "right"))
-    return model.window_profile(values, left, right, fill=alpha.full_id)
+    return model.window_profile(values, left, right)
 
 
 _PARAM = range(1, PARAM_BOUND + 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
 from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError
 from tdlc_entropy.linalg import (
@@ -228,17 +229,17 @@ def test_plus_group_fixpoint_and_structural():
 def test_minus_group_examples():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
-    handle, cert = q2.minus_group_impl(half, q2.full_lattice())
-    assert handle == q2.trivial_subgroup()
+    handle, method, _, _ = q2.minus_group_impl(half, q2.full_lattice())
+    assert handle == q2.trivial_subgroup() and method == "structural"
 
     ident = q2.identity_endo()
-    handle, cert = q2.minus_group_impl(ident, q2.full_lattice())
-    assert handle == q2.full_lattice()
+    handle, method, _, _ = q2.minus_group_impl(ident, q2.full_lattice())
+    assert handle == q2.full_lattice() and method == "fixpoint"
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    handle, cert = m.minus_group_impl(mixed, m.full_lattice())
-    assert handle == m.lattice([[1, 0]])
+    handle, method, _, _ = m.minus_group_impl(mixed, m.full_lattice())
+    assert handle == m.lattice([[1, 0]]) and method == "structural"
 
 
 class FullChainModel(PadicModel):
@@ -296,6 +297,41 @@ def test_chain_skip_agrees_with_full_chain(data):
 def test_chain_skip_agrees_on_singular_and_mixed_maps(p, matrix):
     for k in (-1, 0, 1):
         assert_chain_skip_changes_nothing(p, matrix, _base(k))
+
+
+def closed_forms_agree_with_fixpoints(module, model, phi, U):
+    """Where a limit hook's literal chain reaches a fixpoint, its closed form,
+    forced by a ``CHAIN_STEP_CAP`` of 0, gives the same subgroup.  Returns the
+    hooks compared; a closed form that is unresolved is not compared."""
+    compared = []
+    for hook in ("plus_group_impl", "minus_group_impl"):
+        try:
+            handle, method, _, _ = getattr(model, hook)(phi, U)
+        except UnresolvedError:
+            continue
+        if method != "fixpoint":
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "CHAIN_STEP_CAP", 0)
+            try:
+                forced, method, _, _ = getattr(model, hook)(phi, U)
+            except UnresolvedError:
+                continue
+        assert (forced, method) == (handle, "structural"), hook
+        compared.append(hook)
+    return compared
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_forms_agree_with_literal_chains(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    dim = data.draw(st.integers(1, 3))
+    matrix = [[data.draw(st.sampled_from(CHAIN_ENTRIES)) for _ in range(dim)]
+              for _ in range(dim)]
+    m = PadicModel(p, dim)
+    u = m.base_element(data.draw(st.sampled_from([-1, 0, 1])))
+    closed_forms_agree_with_fixpoints(padic, m, m.endo(matrix), u)
 
 
 @pytest.mark.parametrize("make_u", [

@@ -4,13 +4,16 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tdlc_entropy.backends import shift
 from tdlc_entropy.backends.shift import (
     MAX_ALPHABET_ORDER,
+    TAIL_MODES,
     ShiftProfileModel,
     cyclic_alphabet,
     matrix_hom,
 )
 from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem, UnsupportedSubgroupError
+from test_backend_padic import closed_forms_agree_with_fixpoints
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 
@@ -143,10 +146,11 @@ def test_minus_group_compact_shift(z2_model):
     m = z2_model
     phi = m.endo(1)
     u = m.base_element(0)
-    handle, cert = m.minus_group_impl(phi, u)
+    handle, method, steps, cert = m.minus_group_impl(phi, u)
     # full for i < 0, trivial for i >= 0
     expected = m.make_profile((m.alphabet.full_id,), 0, (), (m.alphabet.trivial_id,))
     assert handle == expected
+    assert method == "structural"
 
 
 def test_minus_n_window_growth(z2_model):
@@ -166,7 +170,7 @@ def test_plus_group_laurent(laurent_z3):
     u = m.base_element(0)
     handle, method, steps, cert = m.plus_group_impl(phi, u)
     assert handle == u  # F[[t]] is its own forward core
-    hminus, _ = m.minus_group_impl(phi, u)
+    hminus, *_ = m.minus_group_impl(phi, u)
     assert hminus == m.trivial_subgroup()
     assert m.set_product(handle, hminus) == u  # tidy above
 
@@ -364,12 +368,12 @@ def ref_restriction(alpha, sigma, f0):
 
 
 @st.composite
-def alphabets_with_sigma(draw):
-    """Cyclic orders with product <= MAX_ALPHABET_ORDER and an integer matrix
-    that matrix_hom accepts: entry (j, i) is a multiple of
+def alphabets_with_sigma(draw, bound=MAX_ALPHABET_ORDER):
+    """Cyclic orders with product <= bound and an integer matrix that
+    matrix_hom accepts: entry (j, i) is a multiple of
     orders[j] / gcd(orders[j], orders[i])."""
-    orders = draw(st.lists(st.integers(1, MAX_ALPHABET_ORDER), min_size=1, max_size=4)
-                  .filter(lambda o: prod(o) <= MAX_ALPHABET_ORDER))
+    orders = draw(st.lists(st.integers(1, bound), min_size=1, max_size=4)
+                  .filter(lambda o: prod(o) <= bound))
     matrix = [[draw(st.integers(-3, 3)) * (oj // gcd(oj, oi)) for oi in orders]
               for oj in orders]
     return orders, matrix
@@ -430,3 +434,19 @@ def test_alphabet_matches_reference(case):
         sub_profiles = [smodel.constant_profile(v) for v in range(len(salpha.subgroup_sets))]
         for U in sub_profiles + [smodel.base_element(0), smodel.base_element(1)]:
             assert r.embed(U) == _relabelled(m, U, up_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alphabets_with_sigma(bound=9), st.sampled_from(TAIL_MODES), st.integers(-2, 2),
+       st.data())
+def test_closed_forms_agree_with_literal_chains(case, tail_mode, k, data):
+    orders, matrix = case
+    alpha = cyclic_alphabet(orders)
+    m = ShiftProfileModel(alpha, tail_mode)
+    phi = m.endo(k, matrix_hom(alpha, orders, matrix))
+    ids = st.integers(0, len(alpha.subgroups) - 1)
+    tails = st.sampled_from([alpha.full_id, alpha.trivial_id])
+    window = m.window_profile(data.draw(st.dictionaries(st.integers(-2, 2), ids)),
+                              data.draw(tails), data.draw(tails))
+    for u in (m.base_element(0), m.base_element(1), window):
+        closed_forms_agree_with_fixpoints(shift, m, phi, u)

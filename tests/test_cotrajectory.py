@@ -11,7 +11,7 @@ from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
-from tdlc_entropy.core import TdlcSystem, UnresolvedError
+from tdlc_entropy.core import InvariantViolation, TdlcSystem, UnresolvedError
 from tdlc_entropy.exact import ExactEntropy, IndexValue
 from tdlc_entropy.scenario import build_system, load_scenario_file
 
@@ -395,6 +395,30 @@ def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
     table = cotraj.alpha_sequence(sys, sys.model.full_lattice(), 12)
     assert table.stable_alpha == IndexValue(2)
     assert (len(images), len(dets)) == (0, 0)
+
+
+def test_alpha_sequence_checks_each_containment_once(monkeypatch):
+    """Op-count gate, as (contains, index): each containment of the table is
+    checked once, inside its index.  With an explicit decreasing check as
+    well the same table made (40, 27)."""
+    m = PadicModel(3, 3)
+    sys = TdlcSystem(m, m.endo([[F(1, 3), 1, 0], [0, 3, 1], [0, 0, 1]]))
+    u = m.base_element(0)
+    contains = count_calls(monkeypatch, PadicModel, "contains")
+    indices = count_calls(monkeypatch, PadicModel, "index")
+    cotraj.alpha_sequence(sys, u, 12)
+    assert (len(contains), len(indices)) == (27, 27)
+
+
+def test_alpha_sequence_rejects_a_chain_that_is_not_decreasing(monkeypatch):
+    """Two subgroups of index 2 in U, neither inside the other: each c_n
+    divides the next, and the direct index catches the broken chain."""
+    m = PadicModel(2, 2)
+    sys = TdlcSystem(m, m.identity_endo())
+    left, right = m.lattice([[2, 0], [0, 1]]), m.lattice([[1, 0], [0, 2]])
+    monkeypatch.setattr(cotraj, "minus_chain", lambda sys, U, n: [U, left] + [right] * (n - 1))
+    with pytest.raises(InvariantViolation, match="cotrajectory chain is not decreasing"):
+        cotraj.alpha_sequence(sys, m.full_lattice(), 4)
 
 
 @pytest.mark.parametrize("make_sys", [q2_half, shift_z2], ids=["padic", "shift"])

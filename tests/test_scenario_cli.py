@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc_entropy import cli, scenario, verify
+from tdlc_entropy.core import ClosedSubgroupSpec
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.scenario import (
     ScenarioError,
@@ -207,6 +208,34 @@ def run_report(tmp_path, capsys, data, *flags):
 
 def with_fields(name, **fields):
     return dict(find_scenario(name), **fields)
+
+
+PADIC_3 = {"backend": "padic", "prime": 2, "dim": 1, "matrix": [["3"]]}
+
+
+@pytest.mark.parametrize("system, subgroup", [
+    (PADIC_3, {"full_lattice": True}),
+    ({"backend": "shift", "alphabet": [2], "tail_mode": "compact", "shift": 0}, {"base": 1}),
+    ({"backend": "product",
+      "factors": [PADIC_3, {"backend": "finite", "group": "S3", "endo": "identity"}]},
+     {"pair": [{"full_lattice": True}, {"trivial": True}]}),
+], ids=["padic", "shift", "product"])
+@pytest.mark.parametrize("flags", [(), ("--strict",)], ids=["default", "strict"])
+def test_addition_over_an_unrestrictable_subgroup_is_skipped(tmp_path, system, subgroup, flags):
+    """H is compact, phi-stable and contains the kernel, but the backend
+    cannot restrict to it: the check is SKIPPED with the backend's reason."""
+    data = dict(system, schema=1, name="h", subgroups={"H": subgroup},
+                checks=[{"type": "addition", "subgroup": "H"}])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(["report", str(path), *flags])
+    assert code == cli.EXIT_OK
+    result = json.loads(out)["results"][0]["result"]
+    assert result["status"] == "SKIPPED"
+    assert result["reason"].startswith("can only restrict to")
+    sys = build_system(data)
+    spec = ClosedSubgroupSpec.verify(sys, build_subgroups(sys, data)["H"])
+    assert spec.compact and spec.phi_stable and spec.contains_kernel
 
 
 @pytest.mark.parametrize("data,flags", [
