@@ -11,16 +11,19 @@ entry of module column t is p^a_t.  Membership and containment run on ints
 too: each vector is cleared of denominators once and eliminated against the
 basis fraction-free, tracking only the p-adic valuation of its denominator.
 
-Each subgroup also has a dual description by constraints: x lies in the
-subgroup iff N x = 0 and D x is p-integral.  That set is the annihilator of
-the dual subgroup span(N) + Z_(p) D, and the constraints of a canonical
-handle are exactly its annihilator, so one conversion, ``constraint_form``,
-serves both directions: ``from_constraints`` takes the handle of
-span(N) + Z_(p) D and returns the handle of its constraints.  Intersections
-and preimages stack constraints and take that annihilator, which is exact
-and needs no iteration.  Each conversion is one elimination of an augmented
-matrix (``linalg.kernel_and_solutions``) that yields the kernel split and
-every particular solution at once.
+Each handle also carries its dual description by constraints, ``dual`` =
+(N, D): x lies in the subgroup iff N x = 0 and D x is p-integral, as in the
+double-description method (Motzkin et al. 1953; Fukuda and Prodon 1996).
+That set is the annihilator of the dual subgroup span(N) + Z_(p) D, and the
+constraints of a canonical handle are exactly its annihilator, so one
+elimination, ``_annihilator``, serves both directions.  A handle built from
+generators runs it once, when it is made; ``from_constraints`` builds the
+canonical handle W of span(N) + Z_(p) D, runs it once on W, and keeps W as
+the result's dual.  Intersections and preimages stack the carried duals and
+take their annihilator, which is exact, needs no iteration and converts no
+operand again.  The elimination is one rref of an augmented matrix
+(``linalg.kernel_and_solutions``) that yields the kernel split and every
+particular solution at once.
 
 The contracting and expanding parts of Q_p^d under the matrix come from the
 Newton polygon of each irreducible factor over Q of its characteristic
@@ -29,7 +32,7 @@ polynomial; ``polyfactor`` finds those factors exactly in pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -83,13 +86,18 @@ class PadicSubgroup:
     """Canonical closed subgroup V + L of Q_p^d.
 
     ``subspace`` holds rref basis rows of V; ``module`` holds the p-local
-    Hermite columns of L projected mod V.  Handles are equal iff the
-    subgroups are equal.
+    Hermite columns of L projected mod V.  ``dual`` is a constraint pair
+    (N, D): x lies in the subgroup iff N x = 0 and D x is p-integral.  It is
+    built with the handle and read by every intersection and preimage, which
+    never convert an operand again.  Different handles of one subgroup may
+    carry different duals, so ``dual`` takes no part in equality or hashing:
+    handles are equal iff the subgroups are equal.
     """
 
     model: "PadicModel"
     subspace: tuple
     module: tuple
+    dual: tuple = field(compare=False, repr=False)
 
     @property
     def is_compact(self) -> bool:
@@ -151,11 +159,15 @@ class PadicModel:
 
     # -- handle construction --------------------------------------------------
 
-    def closed_subgroup(self, subspace_rows=(), module_cols=()) -> PadicSubgroup:
+    def _canonical(self, subspace_rows, module_cols) -> tuple:
+        """The rref rows of V and the Hermite columns of L projected mod V."""
         rows = rref(frac_matrix(subspace_rows))[0] if subspace_rows else ()
         cols = [_reduce_mod_rows(rows, c) for c in module_cols]
-        module, _ = zp_column_hnf(cols, self.dim, self.p)
-        return PadicSubgroup(self, rows, module)
+        return rows, zp_column_hnf(cols, self.dim, self.p)[0]
+
+    def closed_subgroup(self, subspace_rows=(), module_cols=()) -> PadicSubgroup:
+        rows, module = self._canonical(subspace_rows, module_cols)
+        return PadicSubgroup(self, rows, module, _annihilator(rows, module, self.dim))
 
     def lattice(self, cols) -> PadicSubgroup:
         return self.closed_subgroup((), cols)
@@ -193,27 +205,17 @@ class PadicModel:
     # -- constraint form -------------------------------------------------------
 
     def constraint_form(self, U: PadicSubgroup):
-        """(N, D): x in U  iff  N x = 0 and every entry of D x is p-integral.
-
-        N spans the annihilator of V + span(L); D is the dual basis to the
-        module columns (zero on V).  Both come from one elimination of the
-        span rows against the unit vectors of the module columns.
-        """
-        span_rows = tuple(U.subspace) + tuple(U.module)
-        if not span_rows:
-            return identity_matrix(self.dim), ()
-        k = len(span_rows)
-        targets = [tuple(int(i == t) for i in range(k)) for t in range(len(U.subspace), k)]
-        n_rows, d_rows = kernel_and_solutions(span_rows, targets)
-        if None in d_rows:
-            raise InvariantViolation("span basis lost full column rank")
-        return n_rows, d_rows
+        """(N, D): x in U  iff  N x = 0 and every entry of D x is p-integral;
+        the dual that U carries."""
+        return U.dual
 
     def from_constraints(self, n_rows, d_rows) -> PadicSubgroup:
         """The closed subgroup {x : N x = 0, D x p-integral}: the annihilator
-        of span(N) + Z_(p) D, which is what ``constraint_form`` reads off a
-        canonical handle of that dual subgroup."""
-        return self.closed_subgroup(*self.constraint_form(self.closed_subgroup(n_rows, d_rows)))
+        of the canonical handle W of span(N) + Z_(p) D, carrying W's rows and
+        module as its dual."""
+        w = self._canonical(n_rows, d_rows)
+        rows, module = self._canonical(*_annihilator(*w, self.dim))
+        return PadicSubgroup(self, rows, module, w)
 
     # -- membership, containment, index ---------------------------------------
 
@@ -303,9 +305,8 @@ class PadicModel:
 
     def intersect(self, U: PadicSubgroup, V: PadicSubgroup) -> PadicSubgroup:
         check_model(self, U, V)
-        nu, du = self.constraint_form(U)
-        nv, dv = self.constraint_form(V)
-        return self.from_constraints(tuple(nu) + tuple(nv), tuple(du) + tuple(dv))
+        (nu, du), (nv, dv) = U.dual, V.dual
+        return self.from_constraints(nu + nv, du + dv)
 
     def set_product(self, U: PadicSubgroup, V: PadicSubgroup) -> PadicSubgroup:
         check_model(self, U, V)
@@ -321,7 +322,7 @@ class PadicModel:
 
     def preimage(self, phi: PadicEndo, U: PadicSubgroup) -> PadicSubgroup:
         check_model(self, U)
-        n, d = self.constraint_form(U)
+        n, d = U.dual
         a = phi.matrix
         return self.from_constraints(mat_mul(n, a), mat_mul(d, a))
 
@@ -639,6 +640,25 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _annihilator(subspace, module, dim: int) -> tuple:
+    """(N, D) for the canonical V + L: x lies in it iff N x = 0 and every
+    entry of D x is p-integral.
+
+    N spans the annihilator of V + span(L); D is the dual basis to the
+    module columns (zero on V).  Both come from one elimination of the span
+    rows against the unit vectors of the module columns.
+    """
+    span_rows = subspace + module
+    if not span_rows:
+        return identity_matrix(dim), ()
+    k = len(span_rows)
+    targets = [tuple(int(i == t) for i in range(k)) for t in range(len(subspace), k)]
+    n_rows, d_rows = kernel_and_solutions(span_rows, targets)
+    if None in d_rows:
+        raise InvariantViolation("span basis lost full column rank")
+    return n_rows, d_rows
 
 
 def _first_nonzero(v) -> int:

@@ -68,13 +68,15 @@ class PlusGroupResult:
     ``fixpoint`` means the decreasing chain U_n literally stabilized;
     ``structural`` means the backend solved the limit in closed form, and it
     is verified as a fixed point of U n phi(.) by ``_plus_group``; the
-    computed prefix of the chain may be just U.
+    computed prefix of the chain may be just U.  ``image_index`` is the
+    finite index [phi(U_+) : U_+], whose log is the local entropy at U.
     """
 
     handle: object
     method: str
     steps: int
     certificate: dict
+    image_index: IndexValue
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,14 @@ def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
 
 def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
     handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U)
-    check = sys.model.intersect(U, sys.model.image(sys.endo, handle))
-    if check != handle:
+    img = sys.model.image(sys.endo, handle)
+    if sys.model.intersect(U, img) != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
-    if not sys.model.index(handle, sys.model.image(sys.endo, handle)).is_finite:
+    image_index = sys.model.index(handle, img)
+    if not image_index.is_finite:
         raise InvariantViolation("[phi(U_+) : U_+] must be finite")
-    return PlusGroupResult(handle=handle, method=method, steps=steps, certificate=certificate)
+    return PlusGroupResult(handle=handle, method=method, steps=steps, certificate=certificate,
+                           image_index=image_index)
 
 
 def minus_group(sys: TdlcSystem, U):
@@ -178,9 +182,7 @@ def _minus_group(sys: TdlcSystem, U):
 
 def htop_local(sys: TdlcSystem, U) -> ExactEntropy:
     """Local entropy at U through the forward core: log [phi(U_+) : U_+]."""
-    pg = plus_group(sys, U)
-    img = sys.model.image(sys.endo, pg.handle)
-    return entropy_from_index(sys.model.index(pg.handle, img))
+    return entropy_from_index(plus_group(sys, U).image_index)
 
 
 def htop_limit_estimate(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> ExactEntropy:

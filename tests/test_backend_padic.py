@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -691,3 +692,94 @@ def test_from_constraints_and_scale_candidates_match_references():
 
     check()
     assert any(split)
+
+
+# Every handle carries its dual (N, D): from_constraints(N, D) rebuilds the
+# handle, and membership follows the definition N x = 0, D x p-integral.
+
+
+def _handles_by_route(data, model):
+    """(route, model, handle) for every way a p-adic handle is made."""
+    p, dim = model.p, model.dim
+    phi = model.endo(_draw_matrix(data, p, dim))
+    u, v = _draw_mixed_handle(data, model), _draw_mixed_handle(data, model)
+    out = [
+        ("closed_subgroup", model, u),
+        ("lattice", model, model.lattice(_draw_rows(data, p, dim, dim + 1))),
+        ("from_constraints", model, model.from_constraints(
+            _draw_rows(data, p, dim, dim), _draw_rows(data, p, dim, dim + 1))),
+        ("intersect", model, model.intersect(u, v)),
+        ("preimage", model, model.preimage(phi, u)),
+        ("image", model, model.image(phi, u)),
+        ("set_product", model, model.set_product(u, v)),
+        ("scale_handle", model, model.scale_handle(
+            u, data.draw(st.sampled_from([F(p), F(1, p), F(3), F(-p * p)])))),
+    ]
+    # Subspaces carried into themselves: the kernel, the whole space and the
+    # slope subspaces that split over Q.
+    invariant = [model.kernel_handle(phi), model.full_group()]
+    for keep in (lambda w: w is not None and w <= 0, lambda w: w is None or w >= 0):
+        rows = model._slope_split(phi, keep)
+        if rows is not None:
+            invariant.append(model.closed_subgroup(rows, ()))
+    h = data.draw(st.sampled_from(invariant))
+    rest = model.restriction(phi, h)
+    sub, sub_endo = rest.system.model, rest.system.endo
+    restricted = rest.restrict_handle(u)
+    out += [
+        ("restriction", sub, restricted),
+        ("restriction preimage", sub, sub.preimage(sub_endo, restricted)),
+        ("restriction intersect", sub, sub.intersect(restricted, sub.base_element(1))),
+        ("embed", model, rest.embed(restricted)),
+    ]
+    q = model.quotient(phi, h)
+    quo, quo_endo = q.system.model, q.system.endo
+    projected = q.project(u)
+    out += [
+        ("quotient", quo, projected),
+        ("quotient preimage", quo, quo.preimage(quo_endo, projected)),
+        ("quotient intersect", quo, quo.intersect(projected, quo.base_element(-1))),
+    ]
+    return out
+
+
+def test_every_handle_carries_its_dual():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        model = PadicModel(p, data.draw(st.integers(1, 3)))
+        coeff = st.sampled_from([F(0), F(1), F(-2), F(p), F(1, p), F(3, p * p)])
+        for route, m, h in _handles_by_route(data, model):
+            assert h.model is m
+            n_rows, d_rows = h.dual
+            assert m.from_constraints(n_rows, d_rows) == h, route
+            gens = list(h.subspace) + list(h.module)
+            for _ in range(3 if m.dim else 0):
+                x = [F(0)] * m.dim
+                for g in gens:
+                    c = data.draw(coeff)
+                    x = [a + c * b for a, b in zip(x, g)]
+                x[data.draw(st.integers(0, m.dim - 1))] += data.draw(
+                    st.sampled_from([F(0), F(1), F(1, p)]))
+                expected = (all(_dot(r, x) == 0 for r in n_rows)
+                            and all(_integral(_dot(r, x), p) for r in d_rows))
+                assert m.member(h, x) == expected, route
+                outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_dual_takes_no_part_in_equality():
+    model = PadicModel(3, 2)
+    h = model.closed_subgroup([[1, 3]], [[F(1, 3), 0]])
+    rebuilt = model.from_constraints(*h.dual)
+    assert rebuilt.dual != h.dual
+    n_rows, d_rows = h.dual
+    reordered = dataclasses.replace(h, dual=(n_rows, tuple(reversed(d_rows)) + (d_rows[0],)))
+    for other in (rebuilt, reordered):
+        assert other == h and hash(other) == hash(h)
+    assert len({h, rebuilt, reordered}) == 1

@@ -340,7 +340,10 @@ def test_linalg_elimination_counts(monkeypatch):
     rrefs; with the cotrajectory table also building the forward chain, the
     report made 2666.  While ``from_constraints`` was a kernel, an integer
     kernel and a solve, they made (4, 1) and (2650, 1072); as the annihilator
-    of a canonical handle they trade rrefs for Hermite forms.
+    of a canonical handle they trade rrefs for Hermite forms.  While each
+    intersection converted both operands to constraints again, they made
+    (3, 2) and (1920, 1828); now the operands carry their duals, and the
+    forward core is imaged once.
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -348,7 +351,7 @@ def test_linalg_elimination_counts(monkeypatch):
     expected = m.lattice([[2, 0], [0, 2]])
     rrefs, hnfs = count_eliminations(monkeypatch)
     assert m.intersect(u, v) == expected
-    assert (len(rrefs), len(hnfs)) == (3, 2)
+    assert (len(rrefs), len(hnfs)) == (1, 2)
 
     del rrefs[:], hnfs[:]
     path = os.path.join(SCENARIOS, "q2_half.json")
@@ -356,12 +359,42 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (1920, 1828)
+    assert (len(rrefs), len(hnfs)) == (975, 1781)
+
+
+def test_annihilator_runs_once_per_handle(monkeypatch):
+    """Op-count gate: the annihilator elimination runs once for each handle
+    built from generators and once inside each ``from_constraints``, where
+    it eliminates the dual subgroup that the result keeps as its dual, so
+    no result is eliminated again; intersections and preimages convert no
+    operand."""
+    m = PadicModel(2, 2)
+    eliminated = count_calls(monkeypatch, padic, "_annihilator")
+    built = count_calls(monkeypatch, PadicModel, "closed_subgroup")
+    solved = count_calls(monkeypatch, PadicModel, "from_constraints")
+    u = m.lattice([[1, 2], [3, 4]])
+    v = m.closed_subgroup([[0, 1]], [[4, 0]])
+    assert (len(eliminated), len(built)) == (2, 2)
+    phi = m.endo([[F(1, 2), 1], [0, 2]])
+    w = m.intersect(u, v)
+    x = m.preimage(phi, w)
+    y = m.intersect(w, x)
+    assert (len(eliminated), len(built), len(solved)) == (5, 2, 3)
+    for args, h in zip(eliminated[2:], (w, x, y)):
+        assert args == (*h.dual, m.dim)
+
+    del eliminated[:], built[:], solved[:]
+    path = os.path.join(SCENARIOS, "q2_half.json")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
+                         "--resolution", "4"])
+    assert code == cli.EXIT_OK
+    assert len(eliminated) == len(built) + len(solved)
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 1920, 1828, 412, id="phi=1/2"),
-    pytest.param("2", 594, 739, 141, id="phi=2"),
+    pytest.param("1/2", 975, 1781, 412, id="phi=1/2"),
+    pytest.param("2", 377, 692, 141, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -371,7 +404,9 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     intersections.  With the forward chain of the cotrajectory table built
     and unread, the two reports made (2666, 416) and (801, 145) rrefs and
     intersections; with ``from_constraints`` a kernel, an integer kernel and
-    a solve, (2650, 1072, 412) and (785, 506, 141)."""
+    a solve, (2650, 1072, 412) and (785, 506, 141); while intersections and
+    preimages converted their operands again and the forward core was imaged
+    three times, (1920, 1828, 412) and (594, 739, 141)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
