@@ -1,9 +1,12 @@
 """Finite group backend.
 
-Groups are given by a multiplication table that is verified at load time.
-Every subgroup is compact and open, the complete subgroup list is computed
-once, and all operations are plain element enumeration, which makes this
-backend the oracle the other backends are cross-checked against.
+Groups are given by a multiplication table.  Building a model checks every
+entry, the identity, the inverses and associativity, the last by Light's
+test on a generating sequence S with |S| <= log2(order), so a build costs
+O(order^2 * |S|).  Every subgroup is compact and open; the complete subgroup
+lattice is enumerated by cyclic extension on the first call to
+``all_subgroups``.  All operations are plain element enumeration, which
+makes this backend the oracle the other backends are cross-checked against.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class FiniteEndo:
 
 
 class FiniteGroupModel:
-    """A finite group with its complete subgroup lattice precomputed."""
+    """A finite group with its complete subgroup lattice, enumerated on
+    first use."""
 
     kind = "finite"
 
@@ -80,6 +84,10 @@ class FiniteGroupModel:
             raise ValueError(f"group order must be in 1..{DEFAULT_ORDER_BOUND}, got {n}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
+        bad = _first_non_element(itertools.chain.from_iterable(table), n)
+        if bad is not None:
+            (a, b), x = divmod(bad[0], n), bad[1]
+            raise ValueError(f"table entry [{a}][{b}] is {x!r}, outside range({n})")
         self.table = table
         self.order = n
         self.name = name
@@ -88,8 +96,9 @@ class FiniteGroupModel:
             raise ValueError("wrong number of element names")
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
+        self._gens = self._greedy_generators()
         self._verify_associativity()
-        self._subgroups = self._enumerate_subgroups()
+        self._subgroups: Optional[tuple[FiniteSubgroup, ...]] = None
         self._endos: Optional[tuple[FiniteEndo, ...]] = None
 
     # -- construction checks ------------------------------------------------
@@ -111,14 +120,34 @@ class FiniteGroupModel:
                 raise ValueError(f"element {x} has no inverse")
         return tuple(inv)
 
+    def _greedy_generators(self) -> tuple[int, ...]:
+        """Each element outside the closure of the generators so far joins
+        them.  In a group each one at least doubles the closure, so there
+        are at most log2(order) of them."""
+        gens: list[int] = []
+        span = frozenset({self.identity})
+        for g in range(self.order):
+            if g not in span:
+                gens.append(g)
+                span = self.closure(gens)
+                if len(span) == self.order:
+                    break
+        if len(span) != self.order:
+            raise InvariantViolation("the greedy generators do not span the table")
+        return tuple(gens)
+
     def _verify_associativity(self):
+        """Light's test.  The b with (ab)c = a(bc) for all a, c contain the
+        identity and are closed under multiplication, and the closure of
+        the generators is the whole table, so checking each generator b
+        proves the table associative."""
         t = self.table
-        for a in range(self.order):
-            for b in range(self.order):
-                tab = t[a][b]
-                for c in range(self.order):
-                    if t[tab][c] != t[a][t[b][c]]:
-                        raise ValueError("multiplication table is not associative")
+        for b in self._gens:
+            row_b = t[b]
+            for a in range(self.order):
+                row_a = t[a]
+                if t[row_a[b]] != tuple(row_a[x] for x in row_b):
+                    raise ValueError("multiplication table is not associative")
 
     # -- element algebra ----------------------------------------------------
 
@@ -153,20 +182,33 @@ class FiniteGroupModel:
         return frozenset(els)
 
     def _enumerate_subgroups(self):
-        found = {frozenset({self.identity})}
-        frontier = list(found)
+        """Every subgroup, by cyclic extension (Neubüser, Numer. Math. 2,
+        1960).  An element is a product of commuting powers of itself of
+        prime-power order, so every subgroup is a join of cyclic subgroups
+        of prime-power order, and joining each subgroup found with each
+        such cyclic subgroup it misses reaches them all.  A subgroup keeps
+        the generators it was found with, one per extension, so a join is
+        the closure of at most log2(order) elements."""
+        cyclic = {}
+        for g in range(self.order):
+            c = self.closure((g,))
+            if _is_prime_power(len(c)):
+                cyclic.setdefault(c, g)
+        found = {frozenset({self.identity}): ()}
+        frontier = list(found.items())
         while frontier:
             nxt = []
-            for h in frontier:
-                for g in range(self.order):
+            for h, gens in frontier:
+                for g in cyclic.values():
                     if g not in h:
-                        k = self.closure(set(h) | {g})
+                        k_gens = gens + (g,)
+                        k = self.closure(k_gens)
                         if k not in found:
-                            found.add(k)
-                            nxt.append(k)
+                            found[k] = k_gens
+                            nxt.append((k, k_gens))
             frontier = nxt
-        ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-        return tuple(self.subgroup(s) for s in ordered)
+        ordered = sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
+        return tuple(FiniteSubgroup(self, m) for m in ordered)
 
     # -- handles ------------------------------------------------------------
 
@@ -191,18 +233,29 @@ class FiniteGroupModel:
         return FiniteSubgroup(self, (self.identity,))
 
     def all_subgroups(self) -> tuple[FiniteSubgroup, ...]:
-        """Complete, duplicate-free subgroup list (verified complete by closure)."""
+        """Complete, duplicate-free subgroup list, ordered by (order, members)."""
+        if self._subgroups is None:
+            self._subgroups = self._enumerate_subgroups()
         return self._subgroups
 
     # -- endomorphisms ------------------------------------------------------
 
     def endo(self, mapping: Iterable[int]) -> FiniteEndo:
+        """The endomorphism x -> mapping[x], checked as f(xg) = f(x)f(g) for
+        every x and every generator g: taking x = 1 gives f(1) = 1, and
+        induction on a word in the generators gives f(xy) = f(x)f(y)."""
         mapping = tuple(mapping)
         if len(mapping) != self.order:
             raise ValueError("endomorphism mapping has wrong length")
-        for a in range(self.order):
-            for b in range(self.order):
-                if mapping[self.table[a][b]] != self.table[mapping[a]][mapping[b]]:
+        bad = _first_non_element(mapping, self.order)
+        if bad is not None:
+            raise ValueError(f"endomorphism image of element {bad[0]} is {bad[1]!r}, "
+                             f"outside range({self.order})")
+        t = self.table
+        for g in self._gens:
+            fg = mapping[g]
+            for x, fx in enumerate(mapping):
+                if mapping[t[x][g]] != t[fx][fg]:
                     raise ValueError("mapping is not multiplicative")
         return FiniteEndo(self, mapping)
 
@@ -210,15 +263,7 @@ class FiniteGroupModel:
         return FiniteEndo(self, tuple(range(self.order)))
 
     def generating_sequence(self) -> tuple[int, ...]:
-        gens: list[int] = []
-        span = frozenset({self.identity})
-        for g in range(self.order):
-            if g not in span:
-                gens.append(g)
-                span = self.closure(gens)
-                if len(span) == self.order:
-                    break
-        return tuple(gens)
+        return self._gens
 
     def _extend_hom(self, gens, images) -> Optional[tuple[int, ...]]:
         known = {self.identity: self.identity}
@@ -535,6 +580,24 @@ class FiniteGroupModel:
                 counts["magic"] += 1
 
         return counts
+
+
+def _first_non_element(entries, order: int):
+    """(position, entry) of the first entry that is not an element index in
+    range(order), or None."""
+    return next(
+        ((i, x) for i, x in enumerate(entries) if type(x) is not int or not 0 <= x < order),
+        None,
+    )
+
+
+def _is_prime_power(m: int) -> bool:
+    p = next((q for q in range(2, m + 1) if m % q == 0), None)
+    if p is None:
+        return False
+    while m % p == 0:
+        m //= p
+    return m == 1
 
 
 def _unstable(chain):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -126,14 +127,32 @@ class PadicSubgroup:
 
 @dataclass(frozen=True)
 class PadicEndo:
-    """A continuous endomorphism of Q_p^d: multiplication by a rational matrix."""
+    """A continuous endomorphism of Q_p^d: multiplication by a rational matrix.
+
+    Its spectral data are computed on first use and kept on the instance,
+    outside equality and hashing, since they depend on the matrix alone.
+    """
 
     model: "PadicModel"
     matrix: tuple
 
-    @property
+    @cached_property
     def kernel_trivial(self) -> bool:
         return self.model.dim == 0 or det(self.matrix) != 0
+
+    @cached_property
+    def char_poly(self) -> tuple:
+        return charpoly(self.matrix)
+
+    @cached_property
+    def rational_factors(self) -> tuple:
+        """The irreducible factors over Q of the characteristic polynomial,
+        with multiplicity."""
+        return tuple(_rational_factor_list(self.char_poly))
+
+    @cached_property
+    def newton_polygon(self) -> tuple:
+        return _root_valuations(self.char_poly, self.model.p)
 
 
 class PadicModel:
@@ -418,7 +437,7 @@ class PadicModel:
         Returned as a sorted tuple of (valuation, multiplicity); valuation is
         None for the zero roots (infinite valuation, omitted from the hull).
         """
-        return _root_valuations(charpoly(phi.matrix), self.p)
+        return phi.newton_polygon
 
     def entropy_exponent(self, phi: PadicEndo) -> int:
         """e with predicted local entropy log p^e: sum of -v over roots with v < 0."""
@@ -436,10 +455,9 @@ class PadicModel:
         """Rows of the A-invariant rational subspace spanned by the generalized
         eigenspaces whose root valuations satisfy ``keep``; None if some
         rational factor mixes kept and dropped valuations."""
-        factors = _rational_factor_list(charpoly(phi.matrix))
         poly = (F(1),)
         dim_kept = 0
-        for coeffs, mult in factors:
+        for coeffs, mult in phi.rational_factors:
             vals = _root_valuations(coeffs, self.p)
             flags = {keep(v) for v, _ in vals}
             if len(flags) > 1:
