@@ -7,9 +7,7 @@ and the canonical form is a reduced-row-echelon basis for V plus a p-local
 column Hermite form for L projected mod V; the eliminations behind both run
 on Python ints in ``linalg``.  Every index is a pure p-power read off the
 Hermite pivots: [U:V] = p^(sum a_t(V) - sum a_t(U)) when the first nonzero
-entry of module column t is p^a_t.  Membership and containment run on ints
-too: each vector is cleared of denominators once and eliminated against the
-basis fraction-free, tracking only the p-adic valuation of its denominator.
+entry of module column t is p^a_t.
 
 Each handle also carries its dual description by constraints, ``dual`` =
 (N, D): x lies in the subgroup iff N x = 0 and D x is p-integral, as in the
@@ -23,7 +21,9 @@ the result's dual.  Intersections and preimages stack the carried duals and
 take their annihilator, which is exact, needs no iteration and converts no
 operand again.  The elimination is one rref of an augmented matrix
 (``linalg.kernel_and_solutions``) that yields the kernel split and every
-particular solution at once.
+particular solution at once.  Membership and containment read the dual and
+eliminate nothing: N and D are cleared to ints once per handle, and each
+tested vector once.
 
 The contracting and expanding parts of Q_p^d under the matrix come from the
 Newton polygon of each irreducible factor over Q of its characteristic
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from operator import mul
 from typing import Optional
 
 from ..core import (
@@ -90,9 +90,10 @@ class PadicSubgroup:
     Hermite columns of L projected mod V.  ``dual`` is a constraint pair
     (N, D): x lies in the subgroup iff N x = 0 and D x is p-integral.  It is
     built with the handle and read by every intersection and preimage, which
-    never convert an operand again.  Different handles of one subgroup may
-    carry different duals, so ``dual`` takes no part in equality or hashing:
-    handles are equal iff the subgroups are equal.
+    never convert an operand again, and by every membership and containment
+    test.  Different handles of one subgroup may carry different duals, so
+    ``dual`` takes no part in equality or hashing: handles are equal iff the
+    subgroups are equal.
     """
 
     model: "PadicModel"
@@ -111,6 +112,15 @@ class PadicSubgroup:
     @property
     def is_normal(self) -> bool:
         return True
+
+    @cached_property
+    def int_dual(self) -> tuple:
+        """``dual`` cleared to ints: N's rows, and each row of D as (ints,
+        v_p of its denominator)."""
+        n_rows, d_rows = self.dual
+        p = self.model.p
+        return ([_clear_denominators(r)[0] for r in n_rows],
+                [(r, _vp_int(den, p)) for r, den in map(_clear_denominators, d_rows)])
 
     def describe(self) -> str:
         if not self.subspace and not self.module:
@@ -152,6 +162,8 @@ class PadicEndo:
 
     @cached_property
     def newton_polygon(self) -> tuple:
+        """Sorted (root valuation, multiplicity) pairs of the characteristic
+        polynomial; the valuation of the zero roots is None."""
         return _root_valuations(self.char_poly, self.model.p)
 
 
@@ -223,11 +235,6 @@ class PadicModel:
 
     # -- constraint form -------------------------------------------------------
 
-    def constraint_form(self, U: PadicSubgroup):
-        """(N, D): x in U  iff  N x = 0 and every entry of D x is p-integral;
-        the dual that U carries."""
-        return U.dual
-
     def from_constraints(self, n_rows, d_rows) -> PadicSubgroup:
         """The closed subgroup {x : N x = 0, D x p-integral}: the annihilator
         of the canonical handle W of span(N) + Z_(p) D, carrying W's rows and
@@ -238,66 +245,29 @@ class PadicModel:
 
     # -- membership, containment, index ---------------------------------------
 
-    def _int_basis(self, U: PadicSubgroup) -> list:
-        """U's basis cleared to ints, as elimination steps (ints, pivot, shift).
-
-        The subspace rows come first, with shift None.  A module column's
-        shift is v_p(den) - v_p(ints[pivot]), which is -a_t for its Hermite
-        pivot entry p**a_t.
-        """
-        p = self.p
-        steps = []
-        for row in U.subspace:
-            r, _ = _clear_denominators(row)
-            steps.append((r, _first_nonzero(r), None))
-        for col in U.module:
-            c, den = _clear_denominators(col)
-            i = _first_nonzero(c)
-            steps.append((c, i, _vp_int(den, p) - _vp_int(c[i], p)))
-        return steps
-
-    def _reduce(self, steps, x) -> Optional[bool]:
-        """Eliminate x against the integer basis steps of U, fraction-free.
-
-        x is carried as ints X with x = X / D, tracking only e = v_p(D).
-        Returns None if x is outside V + span(L), else whether every
-        coefficient over the module columns is p-integral, i.e. whether x
-        lies in U.
-        """
-        p = self.p
+    def _satisfies(self, U: PadicSubgroup, x, line: bool = False) -> bool:
+        """x lies in U (N x = 0, D x p-integral), or with ``line`` the whole
+        line Q_p x does (N x = 0, D x = 0).  With x = X / den and a row R /
+        den_R of D, R x is p-integral iff v_p(R X) >= v_p(den_R) + v_p(den)."""
+        n_rows, d_rows = U.int_dual
         xs, den = _clear_denominators(x)
-        e = _vp_int(den, p)
-        integral = True
-        for b, i, shift in steps:
-            f = xs[i]
-            if not f:
-                continue
-            # The coefficient is f * den_b / (D * b[i]).
-            if shift is not None and _vp_int(f, p) + shift < e:
-                integral = False
-            g = gcd(b[i], f)
-            a, m = b[i] // g, f // g
-            xs = [a * u - m * w for u, w in zip(xs, b)]
-            e += _vp_int(a, p)
-            g = gcd(*xs)
-            if g > 1:
-                xs = [u // g for u in xs]
-                e -= _vp_int(g, p)
-        if any(xs):
-            return None
-        return integral
+        if any(sum(map(mul, r, xs)) for r in n_rows):
+            return False
+        e = _vp_int(den, self.p)
+        for r, v in d_rows:
+            y = sum(map(mul, r, xs))
+            if y and (line or _vp_int(y, self.p) < v + e):
+                return False
+        return True
 
     def member(self, U: PadicSubgroup, x) -> bool:
-        return bool(self._reduce(self._int_basis(U), x))
+        return self._satisfies(U, x)
 
     def contains(self, U: PadicSubgroup, V: PadicSubgroup) -> bool:
         """V <= U"""
         check_model(self, U, V)
-        steps = self._int_basis(U)
-        # A line lies in V + L only if it lies in V.
-        rows = steps[: len(U.subspace)]
-        return (all(self._reduce(rows, row) is not None for row in V.subspace)
-                and all(self._reduce(steps, col) for col in V.module))
+        return (all(self._satisfies(U, row, True) for row in V.subspace)
+                and all(self._satisfies(U, col) for col in V.module))
 
     def index(self, V: PadicSubgroup, U: PadicSubgroup) -> IndexValue:
         """Exact [U:V]; requires V <= U; infinite when V is not open in U.
@@ -431,18 +401,10 @@ class PadicModel:
 
     # -- Newton polygon oracle ---------------------------------------------------
 
-    def newton_polygon(self, phi: PadicEndo):
-        """Root valuations of the characteristic polynomial with multiplicity.
-
-        Returned as a sorted tuple of (valuation, multiplicity); valuation is
-        None for the zero roots (infinite valuation, omitted from the hull).
-        """
-        return phi.newton_polygon
-
     def entropy_exponent(self, phi: PadicEndo) -> int:
         """e with predicted local entropy log p^e: sum of -v over roots with v < 0."""
         e = F(0)
-        for v, mult in self.newton_polygon(phi):
+        for v, mult in phi.newton_polygon:
             if v is not None and v < 0:
                 e += -v * mult
         if e.denominator != 1:
@@ -489,7 +451,7 @@ class PadicModel:
         # valuation > 0.
         skip = (
             U.is_compact and U.is_open and phi.kernel_trivial
-            and any(v is not None and v > 0 for v, _ in self.newton_polygon(phi))
+            and any(v is not None and v > 0 for v, _ in phi.newton_polygon)
         )
         skipped = {"chain_skipped": "contracting root, no lattice fixpoint"} if skip else {}
         return limit_chain(self, phi, U, True, 0 if skip else CHAIN_STEP_CAP,
@@ -525,17 +487,17 @@ class PadicModel:
         certificate["invariant_subspace_dim"] = len(rows)
         if not rows:
             return self.trivial_subgroup(), len(chain), certificate
-        rest = self.restriction(phi, self.closed_subgroup(rows, ()))
-        sub, endo = rest.system.model, rest.system.endo
-        move = sub.image if forward else sub.preimage
-        u_sub = rest.restrict_handle(U)
-        n, restricted = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
+        # The rows span a phi-invariant subspace V, so the chain from U n V in
+        # Q_p^d is the chain of phi restricted to V.
+        start = self.intersect(U, self.closed_subgroup(rows, ()))
+        move = self.image if forward else self.preimage
+        n, restricted = chain_fixpoint(lambda h: self.intersect(start, move(phi, h)), start,
                                        4 * CHAIN_STEP_CAP + 16)
         if n is None:
             direction = "forward" if forward else "backward"
             raise UnresolvedError(f"restricted {direction} iteration did not stabilize in bound")
         certificate["restricted_fixpoint_at"] = n
-        return rest.embed(restricted[n]), n, certificate
+        return restricted[n], n, certificate
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified once alpha reaches the Newton polygon prediction p^e:
@@ -598,7 +560,7 @@ class PadicModel:
         """The full lattice and, when every slope has a rational eigenspace,
         the lattice cut into its pieces, one per root valuation."""
         out = [self.full_lattice()]
-        vals = dict.fromkeys(v for v, _ in self.newton_polygon(phi))
+        vals = dict.fromkeys(v for v, _ in phi.newton_polygon)
         splits = [self._slope_split(phi, lambda w, v=v: w == v) for v in vals]
         if len(splits) > 1 and None not in splits:
             pieces = []

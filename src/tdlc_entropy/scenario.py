@@ -338,7 +338,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                 table = cotraj.alpha_sequence(sys, core.base_family(sys, 0), n_max)
                 entry["result"] = {
                     "c": [str(r.c) for r in table.rows],
-                    "alpha": [str(r.alpha) for r in table.rows if r.alpha is not None],
+                    "alpha": [str(r.alpha) for r in table.rows],
                     "n_star": table.n_star,
                 }
                 unresolved += table.n_star is None

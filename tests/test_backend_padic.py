@@ -1,14 +1,18 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc_entropy.backends import padic
+from tdlc_entropy.backends.catalog import catalog_scenarios
 from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
-from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError
+from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError, chain_fixpoint
 from tdlc_entropy.linalg import (
+    _clear_denominators,
+    _vp_int,
     charpoly,
     det,
     identity_matrix,
@@ -21,6 +25,7 @@ from tdlc_entropy.linalg import (
     transpose,
 )
 from tdlc_entropy.polyfactor import factor_rational
+from tdlc_entropy.scenario import build_system
 from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 
 F = Fraction
@@ -126,7 +131,7 @@ def test_whole_space_and_zero(q2_2):
 def test_constraint_roundtrip_mixed(q2_2):
     # V + L with V the y-axis and L = 4Z_2 on the x-axis
     h = q2_2.closed_subgroup([[0, 1]], [[4, 0]])
-    n, d = q2_2.constraint_form(h)
+    n, d = h.dual
     assert q2_2.from_constraints(n, d) == h
 
 
@@ -141,7 +146,7 @@ def test_constraint_roundtrip_random(data):
     sub = [[rnd() for _ in range(dim)] for _ in range(n_sub)]
     mod = [[rnd() for _ in range(dim)] for _ in range(n_mod)]
     h = model.closed_subgroup(sub, mod)
-    n, d = model.constraint_form(h)
+    n, d = h.dual
     assert model.from_constraints(n, d) == h
 
 
@@ -189,23 +194,23 @@ def test_restriction_to_axis():
 
 def test_newton_polygon_examples():
     q2 = PadicModel(2, 1)
-    assert q2.newton_polygon(q2.endo([[F(1, 2)]])) == ((F(-1), 1),)
+    assert q2.endo([[F(1, 2)]]).newton_polygon == ((F(-1), 1),)
     assert q2.entropy_exponent(q2.endo([[F(1, 2)]])) == 1
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    assert m.newton_polygon(mixed) == ((F(-1), 1), (F(1), 1))
+    assert mixed.newton_polygon == ((F(-1), 1), (F(1), 1))
     assert m.entropy_exponent(mixed) == 1
 
     ident = m.identity_endo()
-    assert m.newton_polygon(ident) == ((F(0), 2),)
+    assert ident.newton_polygon == ((F(0), 2),)
     assert m.entropy_exponent(ident) == 0
 
     jordan = m.endo([[F(1, 2), 1], [0, F(1, 2)]])
     assert m.entropy_exponent(jordan) == 2
 
     singular = m.endo([[F(1, 2), 0], [0, 0]])
-    assert m.newton_polygon(singular) == ((F(-1), 1), (None, 1))
+    assert singular.newton_polygon == ((F(-1), 1), (None, 1))
     assert m.entropy_exponent(singular) == 1
 
 
@@ -225,7 +230,7 @@ def test_endo_computes_its_spectral_data_once(monkeypatch):
     m = PadicModel(2, 2)
     phi = m.endo([[2, 0], [0, F(1, 2)]])
     for _ in range(3):
-        m.newton_polygon(phi)
+        phi.newton_polygon
         m.scale_candidates(phi)
         m.plus_group_impl(phi, m.full_lattice())
     assert sorted(calls) == ["_rational_factor_list", "charpoly", "det"]
@@ -267,11 +272,16 @@ def test_minus_group_examples():
     assert handle == m.lattice([[1, 0]]) and method == "structural"
 
 
-class FullChainModel(PadicModel):
-    """Reference: an empty Newton polygon, so the forward chain is never skipped."""
+class NoPolygonEndo(padic.PadicEndo):
+    newton_polygon = ()
 
-    def newton_polygon(self, phi):
-        return ()
+
+class FullChainModel(PadicModel):
+    """Reference: endomorphisms with an empty Newton polygon, so the forward
+    chain is never skipped."""
+
+    def endo(self, matrix):
+        return NoPolygonEndo(self, super().endo(matrix).matrix)
 
 
 def _forward_core(model, matrix, make_u):
@@ -417,7 +427,7 @@ def _draw_mixed_handle(data, model):
 def test_constraint_roundtrip_random_primes(data):
     model = PadicModel(data.draw(st.sampled_from([2, 3, 5, 7])), data.draw(st.integers(1, 3)))
     h = _draw_mixed_handle(data, model)
-    assert model.from_constraints(*model.constraint_form(h)) == h
+    assert model.from_constraints(*h.dual) == h
 
 
 @settings(max_examples=60, deadline=None)
@@ -670,8 +680,8 @@ def _ref_scale_candidates(model, phi):
     pieces = []
     for v, poly in sorted(groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
         rows = rational_kernel(_poly_eval_matrix(poly, phi.matrix))
-        nf, df = model.constraint_form(full)
-        nv, dv = model.constraint_form(model.closed_subgroup(rows, ()))
+        nf, df = full.dual
+        nv, dv = model.closed_subgroup(rows, ()).dual
         pieces.extend(_ref_from_constraints(model, nf + nv, df + dv).module)
     return [full, model.lattice(pieces)]
 
@@ -807,3 +817,170 @@ def test_dual_takes_no_part_in_equality():
     for other in (rebuilt, reordered):
         assert other == h and hash(other) == hash(h)
     assert len({h, rebuilt, reordered}) == 1
+
+
+# Membership and containment read the dual; the fraction-free elimination
+# against the primal basis that they used before is kept here as a reference.
+
+
+def _ref_int_basis(U):
+    """U's basis cleared to ints, as elimination steps (ints, pivot, shift):
+    subspace rows first with shift None, then module columns with shift
+    v_p(den) - v_p(ints[pivot])."""
+    p = U.model.p
+    steps = []
+    for row in U.subspace:
+        r, _ = _clear_denominators(row)
+        steps.append((r, next(i for i, x in enumerate(r) if x), None))
+    for col in U.module:
+        c, den = _clear_denominators(col)
+        i = next(i for i, x in enumerate(c) if x)
+        steps.append((c, i, _vp_int(den, p) - _vp_int(c[i], p)))
+    return steps
+
+
+def _ref_reduce(steps, x, p):
+    """Eliminate x against the steps fraction-free: None if x is outside
+    V + span(L), else whether its module coefficients are p-integral."""
+    xs, den = _clear_denominators(x)
+    e = _vp_int(den, p)
+    integral = True
+    for b, i, shift in steps:
+        f = xs[i]
+        if not f:
+            continue
+        if shift is not None and _vp_int(f, p) + shift < e:
+            integral = False
+        g = gcd(b[i], f)
+        a, m = b[i] // g, f // g
+        xs = [a * u - m * w for u, w in zip(xs, b)]
+        e += _vp_int(a, p)
+        g = gcd(*xs)
+        if g > 1:
+            xs = [u // g for u in xs]
+            e -= _vp_int(g, p)
+    if any(xs):
+        return None
+    return integral
+
+
+def elimination_member(U, x):
+    return bool(_ref_reduce(_ref_int_basis(U), x, U.model.p))
+
+
+def elimination_contains(U, V):
+    steps = _ref_int_basis(U)
+    rows = steps[: len(U.subspace)]  # a line lies in V + L only if it lies in V
+    return (all(_ref_reduce(rows, row, U.model.p) is not None for row in V.subspace)
+            and all(_ref_reduce(steps, col, U.model.p) for col in V.module))
+
+
+def test_membership_agrees_with_elimination_reference():
+    outcomes = {"member": set(), "contains": set()}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        dim = data.draw(st.integers(1, 4))
+        model = PadicModel(p, dim)
+        phi = model.endo(_draw_matrix(data, p, dim))
+        u = _draw_mixed_handle(data, model)
+        lat = model.lattice(_draw_rows(data, p, dim, dim + 1))
+        handles = [
+            u, lat,
+            model.closed_subgroup(lat.module, ()),  # the span of a lattice: lines, not points
+            model.intersect(u, lat),
+            model.preimage(phi, u),
+            model.scale_handle(lat, data.draw(st.sampled_from([F(p), F(1, p), F(-p * p)]))),
+            model.kernel_handle(phi),
+            model.from_constraints(_draw_rows(data, p, dim, dim), _draw_rows(data, p, dim, dim + 1)),
+        ]
+        coeff = st.sampled_from([F(0), F(1), F(-2), F(p), F(1, p), F(3, p * p)])
+        for h in handles:
+            for v in handles:
+                expected = elimination_contains(h, v)
+                assert model.contains(h, v) == expected
+                outcomes["contains"].add(expected)
+            vectors = [[F(0)] * dim]
+            for _ in range(3):
+                x = [F(0)] * dim
+                for g in h.subspace + h.module:
+                    c = data.draw(coeff)
+                    x = [a + c * b for a, b in zip(x, g)]
+                x[data.draw(st.integers(0, dim - 1))] += data.draw(
+                    st.sampled_from([F(0), F(1), F(1, p), F(2, p ** 3)]))
+                vectors.append(x)
+            for x in vectors:
+                expected = elimination_member(h, x)
+                assert model.member(h, x) == expected
+                outcomes["member"].add(expected)
+
+    check()
+    assert outcomes == {"member": {True, False}, "contains": {True, False}}
+
+
+# The structural limit iterates U n V in Q_p^d; the route it replaced ran the
+# chain in coordinates on V through ``restriction`` and embedded the result.
+
+
+def ref_structural_core(model, phi, U, chain, forward):
+    if forward:
+        rows = model._slope_split(phi, lambda v: v is not None and v <= 0)
+    else:
+        rows = model._slope_split(phi, lambda v: v is None or v >= 0)
+    if rows is None:
+        raise UnresolvedError("a rational factor mixes slopes")
+    certificate = {"invariant_subspace_dim": len(rows)}
+    if not rows:
+        return model.trivial_subgroup(), len(chain), certificate
+    rest = model.restriction(phi, model.closed_subgroup(rows, ()))
+    sub, endo = rest.system.model, rest.system.endo
+    move = sub.image if forward else sub.preimage
+    u_sub = rest.restrict_handle(U)
+    n, restricted = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
+                                   4 * padic.CHAIN_STEP_CAP + 16)
+    if n is None:
+        raise UnresolvedError("restricted iteration did not stabilize in bound")
+    certificate["restricted_fixpoint_at"] = n
+    return rest.embed(restricted[n]), n, certificate
+
+
+def _structural_outcomes(model, phi, U, forward):
+    """The structural limit by both routes, or "unresolved" for each that raised."""
+    out = []
+    for route in (ref_structural_core, type(model)._structural_core):
+        try:
+            out.append(route(model, phi, U, [U], forward))
+        except UnresolvedError:
+            out.append("unresolved")
+    return out
+
+
+def test_structural_limit_agrees_with_restriction_route_on_the_catalog():
+    restricted = set()
+    for data in catalog_scenarios():
+        if data["backend"] != "padic":
+            continue
+        sys = build_system(data)
+        for k in range(4):
+            for forward in (True, False):
+                ref, new = _structural_outcomes(sys.model, sys.endo, sys.model.base_element(k),
+                                                forward)
+                assert new == ref, (data["name"], k, forward)
+                if ref != "unresolved":
+                    restricted.add(ref[2]["invariant_subspace_dim"])
+    assert restricted >= {0, 1, 2}
+
+
+@pytest.mark.parametrize("p, matrix", [
+    (2, [[0, -3], [1, F(-1, 2)]]),
+    (3, [[0, -1], [1, F(-1, 3)]]),
+    (3, [[0, -1, 0], [1, F(-1, 3), 0], [0, 0, 1]]),
+])
+def test_structural_limit_of_mixed_slopes_is_unresolved_by_both_routes(p, matrix):
+    model = PadicModel(p, len(matrix))
+    for k in range(4):
+        for forward in (True, False):
+            assert _structural_outcomes(model, model.endo(matrix), model.base_element(k),
+                                        forward) == ["unresolved"] * 2

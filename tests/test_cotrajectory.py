@@ -80,7 +80,7 @@ def test_alpha_sequence_q2_half():
     u = sys.model.full_lattice()
     table = cotraj.alpha_sequence(sys, u, 8)
     assert [row.c.value for row in table.rows] == [2**n for n in range(9)]
-    assert all(row.alpha == IndexValue(2) for row in table.rows if row.alpha is not None)
+    assert all(row.alpha == IndexValue(2) for row in table.rows)
     assert table.n_star == 0
 
 

@@ -30,6 +30,7 @@ REPORT_SHA256 = {
     "finite_s3.json": "7f7c1d54c92fbdc447e2dfd9e88db450724f0655e696b40038c5f2fce49114d4",
     "laurent_z3.json": "8e8ef5415cc7dd8ead1245bd376329a63fc87eaaa058317718686b6ed5f242ec",
     "padic_diag.json": "ba51361adf793f2e780e2dbbdfda5fadcabdb890c95bd91c606d5f8a60606d74",
+    "padic_dim3_three_slopes.json": "d99759dc15276b581e94932695dc2b535701729a2aea0483dd302df527b3ee34",
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
@@ -41,6 +42,7 @@ DEFAULT_REPORT_SHA256 = {
     "finite_s3.json": "6fb534c8dd28f80f3514f9c34bd5dbdb4d89bdf86765bf89453baf22fb0dc194",
     "laurent_z3.json": "4ea0dc06658017f210c00d3e89659831e8ab6211f0650c2a957662f2493b5ba3",
     "padic_diag.json": "a8bdc4b1470fd262555872338648ef58f8c8cad1001fe74b90639ce1fa1c03f8",
+    "padic_dim3_three_slopes.json": "f796c5fe34519b75589f2305ff851c16d9e48171653bebc051a1a579c0689e78",
     "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
