@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 from ..core import (
     InvariantViolation,
     QuotientConstruction,
-    RestrictionConstruction,
     TdlcSystem,
     UnsupportedSubgroupError,
     check_model,
@@ -425,7 +424,7 @@ class FiniteGroupModel:
 
         return QuotientConstruction(system=system, project=project)
 
-    def restriction(self, phi: FiniteEndo, H: FiniteSubgroup) -> RestrictionConstruction:
+    def restriction(self, phi: FiniteEndo, H: FiniteSubgroup) -> TdlcSystem:
         check_model(self, H)
         if not self.contains(H, self.image(phi, H)):
             raise UnsupportedSubgroupError("H is not phi-invariant")
@@ -436,15 +435,7 @@ class FiniteGroupModel:
             table, names=tuple(self.names[x] for x in elements), name=f"{self.name}|H"
         )
         sendo = submodel.endo(tuple(pos[phi.mapping[x]] for x in elements))
-        system = TdlcSystem(submodel, sendo, name=f"{self.name}|H")
-
-        def embed(U: FiniteSubgroup) -> FiniteSubgroup:
-            return self.subgroup(elements[i] for i in U.members)
-
-        def restrict_handle(U: FiniteSubgroup) -> FiniteSubgroup:
-            return submodel.subgroup(pos[x] for x in U.members if x in pos)
-
-        return RestrictionConstruction(system=system, embed=embed, restrict_handle=restrict_handle)
+        return TdlcSystem(submodel, sendo, name=f"{self.name}|H")
 
     # -- dynamics hooks -------------------------------------------------------
 

@@ -41,7 +41,6 @@ from typing import Optional
 from ..core import (
     InvariantViolation,
     QuotientConstruction,
-    RestrictionConstruction,
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
@@ -245,7 +244,7 @@ class PadicModel:
 
     # -- membership, containment, index ---------------------------------------
 
-    def _satisfies(self, U: PadicSubgroup, x, line: bool = False) -> bool:
+    def member(self, U: PadicSubgroup, x, line: bool = False) -> bool:
         """x lies in U (N x = 0, D x p-integral), or with ``line`` the whole
         line Q_p x does (N x = 0, D x = 0).  With x = X / den and a row R /
         den_R of D, R x is p-integral iff v_p(R X) >= v_p(den_R) + v_p(den)."""
@@ -260,14 +259,11 @@ class PadicModel:
                 return False
         return True
 
-    def member(self, U: PadicSubgroup, x) -> bool:
-        return self._satisfies(U, x)
-
     def contains(self, U: PadicSubgroup, V: PadicSubgroup) -> bool:
         """V <= U"""
         check_model(self, U, V)
-        return (all(self._satisfies(U, row, True) for row in V.subspace)
-                and all(self._satisfies(U, col) for col in V.module))
+        return (all(self.member(U, row, True) for row in V.subspace)
+                and all(self.member(U, col) for col in V.module))
 
     def index(self, V: PadicSubgroup, U: PadicSubgroup) -> IndexValue:
         """Exact [U:V]; requires V <= U; infinite when V is not open in U.
@@ -350,7 +346,7 @@ class PadicModel:
 
         return QuotientConstruction(system=system, project=project)
 
-    def restriction(self, phi: PadicEndo, H: PadicSubgroup) -> RestrictionConstruction:
+    def restriction(self, phi: PadicEndo, H: PadicSubgroup) -> TdlcSystem:
         check_model(self, H)
         if H.module:
             raise UnsupportedSubgroupError(
@@ -358,46 +354,23 @@ class PadicModel:
             )
         rows = H.subspace
         piv = _pivot_columns(rows)
-        s = len(rows)
         a = phi.matrix
 
         def coords(x) -> tuple:
             return tuple(frac(x[pc]) for pc in piv)
 
-        def embed_vec(t):
-            out = [F(0)] * self.dim
-            for c, row in zip(t, rows):
-                for i in range(self.dim):
-                    out[i] += c * row[i]
-            return tuple(out)
-
         cols = []
         for row in rows:
             img = mat_vec(a, row)
-            t = coords(img)
-            if tuple(embed_vec(t)) != tuple(img):
+            # rows are in rref: the remainder vanishes iff img lies in their span
+            if any(_reduce_mod_rows(rows, img)):
                 raise UnsupportedSubgroupError("H is not carried into itself")
-            cols.append(t)
+            cols.append(coords(img))
         smatrix = transpose(cols) if cols else ()
         base_meet = self.intersect(self.full_lattice(), H)
-        submodel = PadicModel(self.p, s, tuple(coords(c) for c in base_meet.module),
+        submodel = PadicModel(self.p, len(rows), tuple(coords(c) for c in base_meet.module),
                               name=f"{self.name}|H")
-        sendo = submodel.endo(smatrix)
-        system = TdlcSystem(submodel, sendo, name=f"{self.name}|H")
-
-        def embed(U: PadicSubgroup) -> PadicSubgroup:
-            return self.closed_subgroup(
-                [embed_vec(r) for r in U.subspace],
-                [embed_vec(c) for c in U.module],
-            )
-
-        def restrict_handle(U: PadicSubgroup) -> PadicSubgroup:
-            met = self.intersect(U, H)
-            return submodel.closed_subgroup(
-                [coords(r) for r in met.subspace], [coords(c) for c in met.module]
-            )
-
-        return RestrictionConstruction(system=system, embed=embed, restrict_handle=restrict_handle)
+        return TdlcSystem(submodel, submodel.endo(smatrix), name=f"{self.name}|H")
 
     # -- Newton polygon oracle ---------------------------------------------------
 

@@ -12,7 +12,6 @@ from itertools import repeat
 from ..core import (
     InvariantViolation,
     QuotientConstruction,
-    RestrictionConstruction,
     TdlcSystem,
     check_model,
 )
@@ -67,10 +66,10 @@ class ProductModel:
         """The share of a list of handles: per factor, the list of its parts."""
         return [[h.parts[i] for h in handles] for i in range(len(self.factors))]
 
-    def _system(self, constructions, name) -> TdlcSystem:
-        """The product of the factor systems of ``constructions``."""
-        model = ProductModel(*(c.system.model for c in constructions), name=name)
-        endo = ProductEndo(model, tuple(c.system.endo for c in constructions))
+    def _system(self, systems, name) -> TdlcSystem:
+        """The product of the factor ``systems``."""
+        model = ProductModel(*(s.model for s in systems), name=name)
+        endo = ProductEndo(model, tuple(s.endo for s in systems))
         return TdlcSystem(model, endo, name=name)
 
     def intersect(self, U, V):
@@ -116,20 +115,14 @@ class ProductModel:
     def quotient(self, phi: ProductEndo, H: ProductSubgroup) -> QuotientConstruction:
         check_model(self, H)
         qs = tuple(self._zip("quotient", phi.parts, H.parts))
-        system = self._system(qs, f"{self.name}/H")
+        system = self._system([q.system for q in qs], f"{self.name}/H")
         return QuotientConstruction(
             system=system, project=lambda U: _apply(system.model, [q.project for q in qs], U)
         )
 
-    def restriction(self, phi: ProductEndo, H: ProductSubgroup) -> RestrictionConstruction:
+    def restriction(self, phi: ProductEndo, H: ProductSubgroup) -> TdlcSystem:
         check_model(self, H)
-        rs = tuple(self._zip("restriction", phi.parts, H.parts))
-        system = self._system(rs, f"{self.name}|H")
-        return RestrictionConstruction(
-            system=system,
-            embed=lambda U: _apply(self, [r.embed for r in rs], U),
-            restrict_handle=lambda U: _apply(system.model, [r.restrict_handle for r in rs], U),
-        )
+        return self._system(tuple(self._zip("restriction", phi.parts, H.parts)), f"{self.name}|H")
 
     # -- dynamics hooks --------------------------------------------------------
 

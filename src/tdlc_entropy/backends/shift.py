@@ -24,7 +24,6 @@ from ..core import (
     BackendMismatchError,
     InvariantViolation,
     QuotientConstruction,
-    RestrictionConstruction,
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
@@ -639,7 +638,7 @@ class ShiftProfileModel:
         pi = tuple(qalpha.id_of[q.project(S)] for S in alpha.subgroups)
         return QuotientConstruction(system=system, project=lambda U: qmodel._mapped(U, 0, pi))
 
-    def restriction(self, phi: ShiftEndo, H: Profile) -> RestrictionConstruction:
+    def restriction(self, phi: ShiftEndo, H: Profile) -> TdlcSystem:
         check_model(self, H)
         f0 = self._constant_value(H)
         if f0 is None:
@@ -649,13 +648,6 @@ class ShiftProfileModel:
         alpha = self.alphabet
         F0 = alpha.subgroups[f0]
         r = alpha.group.restriction(phi.sigma, F0)
-        salpha = Alphabet(r.system.model, tuple(alpha.elements[x] for x in F0.members))
+        salpha = Alphabet(r.model, tuple(alpha.elements[x] for x in F0.members))
         smodel = ShiftProfileModel(salpha, self.tail_mode, name=f"{self.name}|H")
-        system = TdlcSystem(smodel, smodel.endo(phi.k, r.system.endo), name=f"{self.name}|H")
-        up = tuple(alpha.id_of[r.embed(S)] for S in salpha.subgroups)
-        down = tuple(salpha.id_of[r.restrict_handle(S)] for S in alpha.subgroups)
-        return RestrictionConstruction(
-            system=system,
-            embed=lambda U: self._mapped(U, 0, up),
-            restrict_handle=lambda U: smodel._mapped(U, 0, down),
-        )
+        return TdlcSystem(smodel, smodel.endo(phi.k, r.endo), name=f"{self.name}|H")

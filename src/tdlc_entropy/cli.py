@@ -3,7 +3,7 @@
 Subcommands: entropy, scale, nub, tidy, cotraj, report, verify.  Scenario
 subcommands read a JSON scenario file and emit a deterministic report to
 stdout or --out.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input, 3 resource limit under --strict.
+input or an --out that cannot be written, 3 resource limit under --strict.
 """
 
 from __future__ import annotations
@@ -82,12 +82,19 @@ _COMMAND_CHECKS = {
 }
 
 
-def _write(text: str, out_path):
-    if out_path:
+def _write(text: str, out_path) -> bool:
+    """Write ``text`` to ``out_path`` or stdout; False, with an error line,
+    when ``out_path`` cannot be written."""
+    if not out_path:
+        _sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        _sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=_sys.stderr)
+        return False
+    return True
 
 
 def _run_scenario_command(args) -> int:
@@ -119,7 +126,8 @@ def _run_scenario_command(args) -> int:
         return EXIT_RESOURCE if args.strict else EXIT_OK
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
-    _write(emit_json(report) if args.format == "json" else emit_csv(report), args.out)
+    if not _write(emit_json(report) if args.format == "json" else emit_csv(report), args.out):
+        return EXIT_INVALID
     if failures:
         return EXIT_FAIL
     if unresolved and args.strict:
@@ -132,7 +140,8 @@ def _run_verify_command(args) -> int:
     result = run_suite(args.suite)
     if args.timing:
         result["timing_seconds"] = round(time.monotonic() - started, 3)
-    _write(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+    if not _write(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out):
+        return EXIT_INVALID
     summary = result["summary"]
     if summary.get("FAIL"):
         return EXIT_FAIL

@@ -82,8 +82,9 @@ class Backend(Protocol):
         """ker phi."""
     def quotient(self, phi, H) -> QuotientConstruction:
         """The induced system on G/H, or ``UnsupportedSubgroupError``."""
-    def restriction(self, phi, H) -> RestrictionConstruction:
-        """The system (H, phi|_H), or ``UnsupportedSubgroupError``."""
+    def restriction(self, phi, H) -> TdlcSystem:
+        """The system (H, phi|_H) itself; ``UnsupportedSubgroupError`` when
+        phi does not carry H into itself or the backend cannot model H."""
 
     # dynamics hooks, called by ``cotraj`` and ``dynamics``; the two limits
     # return ``limit_chain``'s (handle, method, steps, certificate)
@@ -168,13 +169,6 @@ class ClosedSubgroupSpec:
 class QuotientConstruction:
     system: TdlcSystem
     project: Callable[[Any], Any]          # handle in G  ->  handle in G/H
-
-
-@dataclass(frozen=True)
-class RestrictionConstruction:
-    system: TdlcSystem
-    embed: Callable[[Any], Any]            # handle in H  ->  handle in G
-    restrict_handle: Callable[[Any], Any]  # handle in G  ->  handle in H (meet with H)
 
 
 def chain_fixpoint(step: Callable, start, max_steps: int):
@@ -273,7 +267,7 @@ def quotient_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> QuotientCon
     return sys.model.quotient(sys.endo, H.handle)
 
 
-def restrict_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> RestrictionConstruction:
+def restricted_system(sys: TdlcSystem, H: ClosedSubgroupSpec) -> TdlcSystem:
     """The system (H, phi restricted to H); its base is {base(k) n H}."""
     if not H.phi_invariant:
         raise UnsupportedSubgroupError("restriction requires a phi-invariant subgroup")

@@ -122,7 +122,7 @@ def topological_entropy(sys: TdlcSystem, probe: int = 8) -> EntropyReport:
 
 
 def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
-    table = []
+    probed = []
     unresolved = []
     witness = None
     best = None
@@ -133,15 +133,14 @@ def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
         except UnresolvedError:
             unresolved.append(k)
             continue
-        if table and value < table[-1][1]:
+        if probed and value < probed[-1][2]:
             raise InvariantViolation("local entropy decreased along the shrinking base")
-        table.append((k, value))
+        probed.append((k, u, value))
         if best is None or best < value:
             best = value
             witness = u
     if best is None:
         raise UnresolvedError("no base element resolved")
-    probed = [(k, core.base_family(sys, k), v) for k, v in table]
     saturated, reason = sys.model.entropy_base_certificate(probed)
     if unresolved:
         saturated = False
@@ -151,7 +150,7 @@ def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
         witness=witness,
         probed=probe + 1,
         saturated=saturated,
-        table=tuple(table),
+        table=tuple((k, v) for k, _, v in probed),
         unresolved=tuple(unresolved),
         reason=reason,
     )
@@ -311,8 +310,7 @@ def verify_addition_theorem(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
         return Verdict(SKIPPED, "H is neither normal nor compact")
     try:
         total = topological_entropy(sys, probe)
-        rest = core.restrict_construction(sys, H)
-        h_sub = topological_entropy(rest.system, probe)
+        h_sub = topological_entropy(core.restricted_system(sys, H), probe)
         h_quot = _quotient_entropy(sys, H, probe)
     except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))
@@ -345,8 +343,7 @@ def verify_scale_entropy_link(sys: TdlcSystem, probe: int = 8, resolution: int =
         spec = ClosedSubgroupSpec.verify(sys, n.handle)
         h_total = topological_entropy(sys, probe).value
         h_quot = _quotient_entropy(sys, spec, probe)
-        rest = core.restrict_construction(sys, spec)
-        h_nub = topological_entropy(rest.system, probe).value
+        h_nub = topological_entropy(core.restricted_system(sys, spec), probe).value
     except (UnresolvedError, UnsupportedSubgroupError) as exc:
         return Verdict(INCONCLUSIVE, str(exc))
     log_s = entropy_from_index(s.value)
@@ -404,8 +401,7 @@ def restriction_monotonicity(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int 
     if not H.phi_invariant:
         return Verdict(SKIPPED, "H is not phi-invariant")
     try:
-        rest = core.restrict_construction(sys, H)
-        h_sub = topological_entropy(rest.system, probe).value
+        h_sub = topological_entropy(core.restricted_system(sys, H), probe).value
         h_total = topological_entropy(sys, probe).value
     except (UnresolvedError, UnsupportedSubgroupError) as exc:
         return Verdict(INCONCLUSIVE, str(exc))

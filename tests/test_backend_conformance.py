@@ -64,6 +64,11 @@ def test_model_defines_the_protocol(system):
     assert model.contains(model.full_group(), model.trivial_subgroup())
 
 
+def test_restriction_returns_the_restricted_system(system):
+    model, phi = system.model, system.endo
+    assert isinstance(model.restriction(phi, model.full_group()), core.TdlcSystem)
+
+
 def test_every_built_handle_describes_itself(system):
     model, phi = system.model, system.endo
     u, v = model.base_element(0), model.base_element(2)

@@ -424,8 +424,18 @@ def test_restriction_s3():
     g = symmetric_group(3)
     a3 = next(s for s in g.all_subgroups() if len(s) == 3)
     r = g.restriction(g.identity_endo(), a3)
-    assert r.system.model.order == 3
-    assert r.embed(r.system.model.full_group()) == a3
+    assert r.model.order == 3
+    assert r.model.names == tuple(g.names[x] for x in a3.members)
+
+
+def test_restriction_refuses_a_subgroup_that_is_not_invariant():
+    g = symmetric_group(3)
+    transposition = next(s for s in g.all_subgroups() if len(s) == 2)
+    # an inner automorphism moves it onto another transposition
+    moving = next(phi for phi in g.endomorphisms()
+                  if not g.contains(transposition, g.image(phi, transposition)))
+    with pytest.raises(UnsupportedSubgroupError, match="not phi-invariant"):
+        g.restriction(moving, transposition)
 
 
 def test_check_index_identities_all_catalog_groups():

@@ -180,16 +180,47 @@ def test_quotient_by_compact_module_unsupported():
         model.quotient(model.identity_endo(), model.full_lattice())
 
 
+# A restricted system (H, phi|H) works in coordinates on the rref rows of H:
+# a vector x of H has coordinates x at the pivot columns, and coordinates t
+# stand for sum t_i row_i.
+
+
+def _restrict_to(model, H, sub, U):
+    """U n H as a handle of the restricted model ``sub``."""
+    piv = padic._pivot_columns(H.subspace)
+    met = model.intersect(U, H)
+    return sub.closed_subgroup([[r[c] for c in piv] for r in met.subspace],
+                               [[v[c] for c in piv] for v in met.module])
+
+
+def _embed(model, H, U):
+    """A handle of the model restricted to H, as a handle of ``model``."""
+    def vec(t):
+        return [sum((c * row[i] for c, row in zip(t, H.subspace)), F(0))
+                for i in range(model.dim)]
+    return model.closed_subgroup([vec(r) for r in U.subspace], [vec(v) for v in U.module])
+
+
 def test_restriction_to_axis():
     model = PadicModel(2, 2)
     phi = model.endo([[F(1, 2), 0], [0, 2]])
     h = model.closed_subgroup([[1, 0]], [])
     r = model.restriction(phi, h)
-    assert r.system.model.dim == 1
-    assert r.system.endo.matrix == ((F(1, 2),),)
-    inside = r.restrict_handle(model.full_lattice())
-    assert inside == r.system.model.full_lattice()
-    assert r.embed(inside) == model.lattice([[1, 0]])
+    assert r.model.dim == 1
+    assert r.endo.matrix == ((F(1, 2),),)
+    inside = _restrict_to(model, h, r.model, model.full_lattice())
+    assert inside == r.model.full_lattice()
+    assert _embed(model, h, inside) == model.lattice([[1, 0]])
+
+
+@pytest.mark.parametrize("matrix, rows", [
+    ([[F(1, 2), 0], [1, 2]], [[1, 0]]),  # (1, 0) |-> (1/2, 1)
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]]),
+])
+def test_restriction_refuses_a_subspace_not_carried_into_itself(matrix, rows):
+    model = PadicModel(3, len(matrix))
+    with pytest.raises(UnsupportedSubgroupError, match="carried into itself"):
+        model.restriction(model.endo(matrix), model.closed_subgroup(rows, []))
 
 
 def test_newton_polygon_examples():
@@ -758,13 +789,13 @@ def _handles_by_route(data, model):
             invariant.append(model.closed_subgroup(rows, ()))
     h = data.draw(st.sampled_from(invariant))
     rest = model.restriction(phi, h)
-    sub, sub_endo = rest.system.model, rest.system.endo
-    restricted = rest.restrict_handle(u)
+    sub, sub_endo = rest.model, rest.endo
+    restricted = _restrict_to(model, h, sub, u)
     out += [
         ("restriction", sub, restricted),
         ("restriction preimage", sub, sub.preimage(sub_endo, restricted)),
         ("restriction intersect", sub, sub.intersect(restricted, sub.base_element(1))),
-        ("embed", model, rest.embed(restricted)),
+        ("embed", model, _embed(model, h, restricted)),
     ]
     q = model.quotient(phi, h)
     quo, quo_endo = q.system.model, q.system.endo
@@ -934,16 +965,17 @@ def ref_structural_core(model, phi, U, chain, forward):
     certificate = {"invariant_subspace_dim": len(rows)}
     if not rows:
         return model.trivial_subgroup(), len(chain), certificate
-    rest = model.restriction(phi, model.closed_subgroup(rows, ()))
-    sub, endo = rest.system.model, rest.system.endo
+    H = model.closed_subgroup(rows, ())
+    rest = model.restriction(phi, H)
+    sub, endo = rest.model, rest.endo
     move = sub.image if forward else sub.preimage
-    u_sub = rest.restrict_handle(U)
+    u_sub = _restrict_to(model, H, sub, U)
     n, restricted = chain_fixpoint(lambda h: sub.intersect(u_sub, move(endo, h)), u_sub,
                                    4 * padic.CHAIN_STEP_CAP + 16)
     if n is None:
         raise UnresolvedError("restricted iteration did not stabilize in bound")
     certificate["restricted_fixpoint_at"] = n
-    return rest.embed(restricted[n]), n, certificate
+    return _embed(model, H, restricted[n]), n, certificate
 
 
 def _structural_outcomes(model, phi, U, forward):

@@ -204,10 +204,19 @@ def test_quotient_and_restriction_z4():
     assert len(q.system.model.alphabet.elements) == 2
     assert q.project(m.full_group()) == q.system.model.full_group()
     r = m.restriction(phi, h)
-    assert len(r.system.model.alphabet.elements) == 2
-    assert r.embed(r.system.model.full_group()) == h
+    assert r.model.alphabet.elements == ((0,), (2,))
     with pytest.raises(UnsupportedSubgroupError):
         m.quotient(phi, m.base_element(0))
+
+
+def test_restriction_refuses_a_profile_that_is_not_constant():
+    m = ShiftProfileModel(cyclic_alphabet([4]), "compact")
+    phi = m.endo(-1)
+    alpha = m.alphabet
+    half = m.make_profile((alpha.trivial_id,), 0, (), (alpha.full_id,))  # F at i >= 0
+    assert ClosedSubgroupSpec.verify(TdlcSystem(m, phi), half).phi_invariant
+    with pytest.raises(UnsupportedSubgroupError, match="constant-profile"):
+        m.restriction(phi, half)
 
 
 def test_subgroup_flags_shift(z2_model):
@@ -358,13 +367,10 @@ def ref_quotient(alpha, sigma, f0):
 
 
 def ref_restriction(alpha, sigma, f0):
-    """(F0, the embedding and restriction id tables, sigma on F0)."""
-    f0set = alpha.subgroup_sets[f0]
-    salpha = RefAlphabet(f0set, alpha.add)
+    """(F0, sigma on F0)."""
+    salpha = RefAlphabet(alpha.subgroup_sets[f0], alpha.add)
     ssigma = RefHom(salpha, salpha, {x: sigma.mapping[x] for x in salpha.elements})
-    up_id = tuple(alpha.subgroup_id(s) for s in salpha.subgroup_sets)
-    down_id = tuple(salpha.subgroup_id(s & f0set) for s in alpha.subgroup_sets)
-    return salpha, up_id, down_id, ssigma
+    return salpha, ssigma
 
 
 @st.composite
@@ -423,17 +429,10 @@ def test_alphabet_matches_reference(case):
         for U in constants + profiles:
             assert q.project(U) == _relabelled(qmodel, U, pi.image_id)
 
-        salpha, up_id, down_id, ssigma = ref_restriction(ref, ref_sigma, f0)
+        salpha, ssigma = ref_restriction(ref, ref_sigma, f0)
         r = m.restriction(phi, H)
-        smodel = r.system.model
-        assert smodel.alphabet.subgroup_sets == salpha.subgroup_sets
-        assert (r.system.endo.image_id, r.system.endo.preimage_id) == (
-            ssigma.image_id, ssigma.preimage_id)
-        for U in constants + profiles:
-            assert r.restrict_handle(U) == _relabelled(smodel, U, down_id)
-        sub_profiles = [smodel.constant_profile(v) for v in range(len(salpha.subgroup_sets))]
-        for U in sub_profiles + [smodel.base_element(0), smodel.base_element(1)]:
-            assert r.embed(U) == _relabelled(m, U, up_id)
+        assert r.model.alphabet.subgroup_sets == salpha.subgroup_sets
+        assert (r.endo.image_id, r.endo.preimage_id) == (ssigma.image_id, ssigma.preimage_id)
 
 
 @settings(max_examples=200, deadline=None)

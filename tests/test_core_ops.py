@@ -11,7 +11,12 @@ from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
-from tdlc_entropy.core import BackendMismatchError, ClosedSubgroupSpec, TdlcSystem
+from tdlc_entropy.core import (
+    BackendMismatchError,
+    ClosedSubgroupSpec,
+    TdlcSystem,
+    UnsupportedSubgroupError,
+)
 
 F = Fraction
 
@@ -97,6 +102,17 @@ def test_product_flags_are_the_factor_flags_joined():
                 assert getattr(spec, flag) == (getattr(f1, flag) and getattr(f2, flag)), flag
 
 
+def test_product_restriction_refuses_when_a_factor_refuses():
+    s3 = symmetric_group(3)
+    q2 = PadicModel(2, 1)
+    prod = make_product(TdlcSystem(s3, s3.identity_endo()), TdlcSystem(q2, q2.endo([[2]])))
+    h = prod.model.pair(s3.full_group(), q2.full_lattice())
+    assert ClosedSubgroupSpec.verify(prod, h).phi_invariant
+    # the p-adic factor restricts only to rational subspaces, not to Z_2
+    with pytest.raises(UnsupportedSubgroupError, match="rational subspace"):
+        prod.model.restriction(prod.endo, h)
+
+
 def test_base_family_monotone_everywhere():
     models = [
         PadicModel(2, 2),
@@ -123,12 +139,12 @@ def test_spec_restriction_example_padic():
     m = PadicModel(2, 2)
     sys = TdlcSystem(m, m.endo([[F(1, 2), 0], [0, F(1, 2)]]))
     spec = ClosedSubgroupSpec.verify(sys, m.closed_subgroup([[1, 0]], []))
-    r = core.restrict_construction(sys, spec)
-    assert r.system.model.dim == 1
-    assert r.system.endo.matrix == ((F(1, 2),),)
-    # the restricted base is the meet of the ambient base with H
-    inside = r.system.model.base_element(2)
-    assert r.embed(inside) == m.lattice([[4, 0]])
+    r = core.restricted_system(sys, spec)
+    assert r.model.dim == 1
+    assert r.endo.matrix == ((F(1, 2),),)
+    # the restricted base is the meet of the ambient base with H, in
+    # coordinates on H = Q_2 x 0
+    assert r.model.base_element(2) == r.model.lattice([[4]])
 
 
 def test_shift_quotient_restriction_duality():
@@ -138,17 +154,17 @@ def test_shift_quotient_restriction_duality():
     sys = TdlcSystem(m, m.endo(1))
     two = m.alphabet.subgroup_id({(0,), (2,)})
     spec = ClosedSubgroupSpec.verify(sys, m.constant_profile(two))
-    r = core.restrict_construction(sys, spec)
+    r = core.restricted_system(sys, spec)
     q = core.quotient_construction(sys, spec)
     z2 = ShiftProfileModel(cyclic_alphabet([2]), "compact")
-    for model in (r.system.model, q.system.model, z2):
+    for model in (r.model, q.system.model, z2):
         assert len(model.alphabet.elements) == 2
         assert len(model.alphabet.subgroup_sets) == 2
     for k in range(3):
         for i in range(-k - 1, k + 2):
-            a = r.system.model.base_element(k).value_at(i)
+            a = r.model.base_element(k).value_at(i)
             b = z2.base_element(k).value_at(i)
-            assert r.system.model.alphabet.order_of(a) == z2.alphabet.order_of(b)
+            assert r.model.alphabet.order_of(a) == z2.alphabet.order_of(b)
             c = q.project(m.base_element(k)).value_at(i)
             assert q.system.model.alphabet.order_of(c) == z2.alphabet.order_of(b)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import cli, cotraj, linalg
+from tdlc_entropy import cli, cotraj, dynamics, linalg
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
@@ -324,6 +324,16 @@ def test_report_forward_core_op_counts(monkeypatch):
     assert (len(plus), len(minus)) == (19, 4)
 
 
+def test_entropy_builds_each_probed_base_element_once(monkeypatch):
+    """Op-count gate: the entropy certificate reads the handles of the probe
+    loop instead of building base(k) again for every table entry."""
+    sys = q2_half()
+    calls = count_calls(monkeypatch, PadicModel, "base_element")
+    report = dynamics.topological_entropy(sys, 3)
+    assert report.saturated and len(report.table) == 4
+    assert [args[1] for args in calls] == [0, 1, 2, 3]
+
+
 def count_eliminations(monkeypatch):
     """Counters of ``rref`` calls made from ``linalg`` itself and from the
     p-adic backend, and of the p-adic backend's ``zp_column_hnf`` calls."""
@@ -343,7 +353,8 @@ def test_linalg_elimination_counts(monkeypatch):
     of a canonical handle they trade rrefs for Hermite forms.  While each
     intersection converted both operands to constraints again, they made
     (3, 2) and (1920, 1828); now the operands carry their duals, and the
-    forward core is imaged once.
+    forward core is imaged once.  While the entropy certificate built each
+    probed base element a second time, the report made (975, 1781).
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -359,7 +370,7 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (975, 1781)
+    assert (len(rrefs), len(hnfs)) == (943, 1725)
 
 
 def test_annihilator_runs_once_per_handle(monkeypatch):
@@ -393,8 +404,8 @@ def test_annihilator_runs_once_per_handle(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 975, 1781, 412, id="phi=1/2"),
-    pytest.param("2", 377, 692, 141, id="phi=2"),
+    pytest.param("1/2", 943, 1725, 412, id="phi=1/2"),
+    pytest.param("2", 345, 636, 141, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -406,7 +417,9 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     intersections; with ``from_constraints`` a kernel, an integer kernel and
     a solve, (2650, 1072, 412) and (785, 506, 141); while intersections and
     preimages converted their operands again and the forward core was imaged
-    three times, (1920, 1828, 412) and (594, 739, 141)."""
+    three times, (1920, 1828, 412) and (594, 739, 141); while the entropy
+    certificate built each probed base element a second time, (975, 1781,
+    412) and (377, 692, 141)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))

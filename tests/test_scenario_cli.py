@@ -157,6 +157,20 @@ def test_cli_out_file(tmp_path):
     assert json.loads(dest.read_text())["scenario"]["name"] == "finite_trivial"
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, command):
+    """An --out path that cannot be opened is invalid input, not a
+    verification failure: one error line, exit 2, nothing on stdout."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(find_scenario("finite_trivial")))
+    argv = ["report", str(good), "--probe", "2"] if command == "report" else ["verify", "indices"]
+    dest = tmp_path / "missing" / "x.json"
+    code, out = run_cli([*argv, "--out", str(dest)])
+    assert code == cli.EXIT_INVALID and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+
 def test_cli_determinism_of_reports(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(find_scenario("padic_mixed_2_half")))
