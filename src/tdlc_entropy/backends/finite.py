@@ -22,7 +22,6 @@ from ..core import (
     UnsupportedSubgroupError,
     check_model,
     cotrajectory_fixpoint,
-    image_chain,
     limit_chain,
 )
 from ..exact import IndexValue
@@ -450,10 +449,10 @@ class FiniteGroupModel:
         exact fixpoint, after which every alpha equals 1."""
         return cotrajectory_fixpoint(minus_handles, alphas)
 
-    def plus_plus_analysis(self, phi, u_plus: FiniteSubgroup, tidy_probe: int):
-        """U+ <= phi(U+) and |phi(U+)| <= |U+| force phi(U+) = U+, so the image
-        chain stops at step 0 and U_++ = U+ is closed."""
-        return image_chain(self, phi, u_plus, tidy_probe)[2]
+    def plus_plus_closure(self, phi, u_plus: FiniteSubgroup, last, tidy_probe: int):
+        """Never reached: U+ <= phi(U+) and |phi(U+)| <= |U+| force phi(U+) =
+        U+, so the image chain stops at step 0."""
+        raise InvariantViolation("a finite image chain of U+ did not stop at step 0")
 
     def entropy_base_certificate(self, probed):
         if all(entry[2].is_zero for entry in probed):

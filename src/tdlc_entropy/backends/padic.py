@@ -46,7 +46,6 @@ from ..core import (
     UnsupportedSubgroupError,
     chain_fixpoint,
     check_model,
-    image_chain,
     limit_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -484,10 +483,10 @@ class PadicModel:
                 raise InvariantViolation("alpha fell below the Newton polygon prediction")
         return None, {"criterion": "newton polygon", "predicted_alpha": predicted}
 
-    def plus_plus_analysis(self, phi, u_plus: PadicSubgroup, tidy_probe: int):
-        indices, _, stabilized = image_chain(self, phi, u_plus, tidy_probe)
-        if stabilized is not None:
-            return stabilized
+    def plus_plus_closure(self, phi, u_plus: PadicSubgroup, last, tidy_probe: int):
+        """Closed when U_++ is U_+ with its expanding subspace filled: that
+        span is forward invariant, and a power of phi up to ``tidy_probe``
+        carries U_+'s expanding part over its 1/p-scaling."""
         v_neg = self._slope_split(phi, lambda v: v is not None and v < 0)
         if v_neg is None:
             raise UnresolvedError("no rational split between unit and expanding directions")
@@ -501,24 +500,17 @@ class PadicModel:
         if not self.contains(candidate, self.image(phi, candidate)):
             raise UnresolvedError("expanding-span candidate is not forward invariant")
         shrunk = self.scale_handle(l_neg, F(1, self.p))
-        covered = False
         img = l_neg
         for k in range(1, tidy_probe + 1):
             img = self.image(phi, img)
             if self.contains(img, shrunk):
-                covered = True
                 break
-        if not covered:
+        else:
             raise UnresolvedError("expanding directions were not covered within the probe")
-        return {
-            "closed": True,
-            "handle": candidate,
-            "indices": indices,
-            "certificate": {
-                "method": "unit part frozen, expanding subspace filled",
-                "expanding_dim": len(v_neg),
-                "cover_power": k,
-            },
+        return True, {
+            "method": "unit part frozen, expanding subspace filled",
+            "expanding_dim": len(v_neg),
+            "cover_power": k,
         }
 
     # -- dynamics hooks -------------------------------------------------------------

@@ -149,17 +149,11 @@ class ProductModel:
             n_star = max(n_star, ns)
         return n_star, {"factors": certs}
 
-    def plus_plus_analysis(self, phi, u_plus, tidy_probe):
-        per = tuple(self._zip("plus_plus_analysis", phi.parts, u_plus.parts, repeat(tidy_probe)))
-        handle = None
-        if all(p["handle"] is not None for p in per):
-            handle = self.pair(*(p["handle"] for p in per))
-        return {
-            "closed": all(p["closed"] for p in per),
-            "handle": handle,
-            "indices": [a * b for a, b in zip(per[0]["indices"], per[1]["indices"])],
-            "certificate": {"factors": [p["certificate"] for p in per]},
-        }
+    def plus_plus_closure(self, phi, u_plus, last, tidy_probe):
+        """Closed when each factor's union is."""
+        per = tuple(self._zip(_factor_plus_plus_closure, phi.parts, u_plus.parts, last.parts,
+                              repeat(tidy_probe)))
+        return all(closed for closed, _ in per), {"factors": [cert for _, cert in per]}
 
     def entropy_base_certificate(self, probed):
         values = {entry[2] for entry in probed}
@@ -206,6 +200,14 @@ def _factor_alpha_stabilization(model, phi, U, handles):
             raise InvariantViolation("factor cotrajectory index is infinite")
         alphas.append(ix.value)
     return model.alpha_stabilization(phi, U, handles, alphas)
+
+
+def _factor_plus_plus_closure(model, phi, u_plus, last, tidy_probe):
+    """A factor's union is its ``last`` image when that is fixed; otherwise
+    its own backend judges it."""
+    if model.image(phi, last) == last:
+        return True, {"method": "image chain stabilized"}
+    return model.plus_plus_closure(phi, u_plus, last, tidy_probe)
 
 
 def make_product(sys1: TdlcSystem, sys2: TdlcSystem) -> TdlcSystem:

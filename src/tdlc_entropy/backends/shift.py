@@ -29,7 +29,6 @@ from ..core import (
     UnsupportedSubgroupError,
     check_model,
     cotrajectory_fixpoint,
-    image_chain,
     limit_chain,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -515,13 +514,12 @@ class ShiftProfileModel:
             "cycle_entry": info["cycle_entry"],
         }
 
-    def plus_plus_analysis(self, phi, u_plus: Profile, tidy_probe: int):
-        indices, last, stabilized = image_chain(self, phi, u_plus, tidy_probe)
-        if stabilized is not None:
-            return stabilized
+    def plus_plus_closure(self, phi, u_plus: Profile, last: Profile, tidy_probe: int):
+        """U_++ is dense in the limit profile of the images: closed when they
+        drift into a trivial ambient tail, not closed when the tail pattern of
+        ``last`` never reaches the limit's."""
         limit, info = self.limit_profile(u_plus, phi.k, phi.image_id, self.alphabet.join)
         drift = info.get("drift_side", "left")
-        alpha = self.alphabet
         ambient_tail = (
             u_plus.model.tail_mode == "compact"
             or (u_plus.model.tail_mode == "laurent" and drift == "right")
@@ -529,15 +527,7 @@ class ShiftProfileModel:
         if not ambient_tail:
             # drifting deficiencies point at a trivial ambient tail: every
             # member of the limit profile is reached at a finite power.
-            return {
-                "closed": True,
-                "handle": limit,
-                "indices": indices,
-                "certificate": {
-                    "method": "drift into trivial ambient tail",
-                    "drift_side": drift,
-                },
-            }
+            return True, {"method": "drift into trivial ambient tail", "drift_side": drift}
         # tail deficiency: if the sigma-orbit of the drifting tail pattern of
         # the last iterate never matches the limit's pattern, every later
         # iterate stays short at infinitely many coordinates, so the union is
@@ -556,14 +546,9 @@ class ShiftProfileModel:
             cur = tuple(img[cur[(r + phi.k) % period]] for r in range(period))
         if self._diff_positions(last, limit) == ():
             raise UnresolvedError("drift did not leave a visible deficiency at the probe")
-        return {
-            "closed": False,
-            "handle": limit,
-            "indices": indices,
-            "certificate": {
-                "method": "tail deficiency drifting toward a full ambient tail",
-                "drift_side": drift,
-            },
+        return False, {
+            "method": "tail deficiency drifting toward a full ambient tail",
+            "drift_side": drift,
         }
 
     def entropy_base_certificate(self, probed):

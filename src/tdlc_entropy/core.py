@@ -13,8 +13,8 @@ backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a chain
 depth.  Every handle has ``describe()``, ``is_open``, ``is_compact`` and
 ``is_normal``.  What follows from these primitives alone is written here
 once: the subgroup flags (``ClosedSubgroupSpec.verify``), the fixpoint
-chain, the limit chain behind U_+ and U_-, the image chain and the
-cotrajectory fixpoint plateau.
+chain, the limit chain behind U_+ and U_- and the cotrajectory fixpoint
+plateau.  The image chain of U_+ lives in ``cotraj.is_tidy_below``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class Backend(Protocol):
         """U_-, the limit of U_{-n-1} = U n phi^{-1}(U_{-n})."""
     def alpha_stabilization(self, phi, U, minus_handles, alphas) -> tuple:
         """(certified plateau start or None, certificate) of the alpha table."""
-    def plus_plus_analysis(self, phi, u_plus, tidy_probe) -> Optional[dict]:
-        """Closedness of U_++ with its handle, indices and certificate."""
+    def plus_plus_closure(self, phi, u_plus, last, tidy_probe) -> tuple:
+        """(closed, certificate) for U_++, the union of the images of U_+,
+        when none of them up to ``last`` = phi^(tidy_probe+1)(U_+) is fixed."""
     def entropy_base_certificate(self, probed) -> tuple:
         """(certified, reason): whether the probed base saturates h_top."""
     def scale_candidates(self, phi) -> list:
@@ -208,34 +209,6 @@ def limit_chain(model, phi, U, forward: bool, max_steps: int, closed_form: Calla
     return handle, "structural", steps, certificate
 
 
-def image_chain(model, phi, U, steps: int):
-    """The increasing chain U <= phi(U) <= ... over at most ``steps + 1`` images.
-
-    Returns ``(indices, last, analysis)``: the indices [phi^{n+1}(U) :
-    phi^n(U)] for n = 0..steps, the last image, and the closed
-    ``plus_plus_analysis`` result when the chain stabilized, else None.  The
-    chain stops at the first fixed image: every later image is that same
-    subgroup, so every later index is 1.
-    """
-    indices = []
-    current = U
-    for n in range(steps + 1):
-        nxt = model.image(phi, current)
-        if not model.contains(nxt, current):
-            raise InvariantViolation("phi^n U+ is not increasing")
-        if nxt == current:
-            indices += [IndexValue(1)] * (steps + 1 - n)
-            return indices, current, {
-                "closed": True,
-                "handle": current,
-                "indices": indices,
-                "certificate": {"method": "image chain stabilized", "steps": n},
-            }
-        indices.append(model.index(current, nxt))
-        current = nxt
-    return indices, current, None
-
-
 def cotrajectory_fixpoint(minus_handles, alphas):
     """``alpha_stabilization`` by an exact fixpoint of the cotrajectory chain.
 
@@ -249,13 +222,6 @@ def cotrajectory_fixpoint(minus_handles, alphas):
                 return n, {"criterion": "cotrajectory fixpoint", "fixpoint_at": n}
             raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
     return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
-
-
-def base_family(sys: TdlcSystem, k: int):
-    """k-th element of the backend's downward-directed compact open base of 1."""
-    if k < 0:
-        raise ValueError("base index must be >= 0")
-    return sys.model.base_element(k)
 
 
 def quotient_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> QuotientConstruction:

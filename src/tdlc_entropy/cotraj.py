@@ -17,6 +17,11 @@ independent of the forward core, because their agreement is the library's
 central cross-check.  ``alpha_sequence`` reads only the cotrajectory; the
 forward chain U_n (``plus_chain``) serves the forward/backward identities
 that ``verify`` checks.
+
+Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ...,
+which ``is_tidy_below`` runs here for every backend; a backend only judges,
+through ``plus_plus_closure``, whether the union U_++ is closed when no image
+within the probe is fixed.
 """
 
 from __future__ import annotations
@@ -223,19 +228,34 @@ def _tidy_above_transform(sys: TdlcSystem, U, tidy_probe: int):
 
 
 def is_tidy_below(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE) -> TidyBelowResult:
-    """U is tidy below when the forward images of U_+ have constant index
-    along the first ``tidy_probe`` steps and their union U_++ is closed; the
-    backend's ``plus_plus_analysis`` certifies closedness."""
-    pg = plus_group(sys, U)
-    analysis = sys.model.plus_plus_analysis(sys.endo, pg.handle, tidy_probe)
-    constant = len(set(analysis["indices"][: tidy_probe + 1])) == 1
+    """U is tidy below when the images phi^n(U_+) have constant index
+    [phi^{n+1}(U_+) : phi^n(U_+)] for n <= ``tidy_probe`` and their union
+    U_++ is closed.
+
+    The images increase.  At the first fixed image U_++ is that image, so it
+    is closed and every later index is 1.  When none of the ``tidy_probe +
+    1`` images is fixed, the backend's ``plus_plus_closure`` judges U_++ from
+    the last one.
+    """
+    model, phi = sys.model, sys.endo
+    u_plus = current = plus_group(sys, U).handle
+    indices = []
+    for n in range(tidy_probe + 1):
+        nxt = model.image(phi, current)
+        if not model.contains(nxt, current):
+            raise InvariantViolation("phi^n U+ is not increasing")
+        if nxt == current:
+            indices.append(IndexValue(1))
+            closed, certificate = True, {"method": "image chain stabilized", "steps": n}
+            break
+        indices.append(model.index(current, nxt))
+        current = nxt
+    else:
+        closed, certificate = model.plus_plus_closure(phi, u_plus, current, tidy_probe)
+    constant = len(set(indices)) == 1
     return TidyBelowResult(
-        value=bool(analysis["closed"]) and constant,
-        certificate={
-            "closed": analysis["closed"],
-            "index_constant": constant,
-            **analysis["certificate"],
-        },
+        value=closed and constant,
+        certificate={"closed": closed, "index_constant": constant, **certificate},
     )
 
 

@@ -20,7 +20,7 @@ from .core import (
     UnresolvedError,
     UnsupportedSubgroupError,
 )
-from .exact import ExactEntropy, IndexValue, ZERO_ENTROPY, entropy_add, entropy_from_index
+from .exact import ExactEntropy, ZERO_ENTROPY, entropy_add, entropy_from_index
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -68,6 +68,7 @@ class ScaleReport:
     oracle_agreement: Optional[bool]
     witness_tidy_above: Optional[bool]
     witness_tidy_below: Optional[bool]
+    minimizing: tuple  # the candidates attaining the minimum, in order; not emitted
 
     def to_jsonable(self) -> dict:
         return {
@@ -127,7 +128,7 @@ def _topological_entropy(sys: TdlcSystem, probe: int) -> EntropyReport:
     witness = None
     best = None
     for k in range(probe + 1):
-        u = core.base_family(sys, k)
+        u = sys.model.base_element(k)
         try:
             value = cotraj.htop_local(sys, u)
         except UnresolvedError:
@@ -166,7 +167,7 @@ def scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
 def _scale_candidates(sys: TdlcSystem, probe: int, tidy_probe: int) -> tuple:
     seen = []
     for k in range(probe + 1):
-        u = core.base_family(sys, k)
+        u = sys.model.base_element(k)
         if u not in seen:
             seen.append(u)
     for u in list(seen):
@@ -196,15 +197,15 @@ def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
     candidates = scale_candidates(sys, probe, tidy_probe)
     if not candidates:
         raise InvariantViolation("the scale probe family is empty")
-    best = None
-    witness = None
+    values = []
     for u in candidates:
         v = cotraj.displacement_index(sys, u)
         if not v.is_finite:
             raise InvariantViolation("displacement index of a compact open subgroup is finite")
-        if best is None or v.value < best:
-            best = v.value
-            witness = u
+        values.append(v.value)
+    best = min(values)
+    minimizing = tuple(u for u, v in zip(candidates, values) if v == best)
+    witness = minimizing[0]
     predicted = sys.model.scale_oracle(sys.endo)
     oracle = None if predicted is None else predicted == best
     tidy_above = None
@@ -224,6 +225,7 @@ def _scale(sys: TdlcSystem, probe: int, tidy_probe: int) -> ScaleReport:
         oracle_agreement=oracle,
         witness_tidy_above=tidy_above,
         witness_tidy_below=tidy_below,
+        minimizing=minimizing,
     )
 
 
@@ -235,10 +237,7 @@ def nub(sys: TdlcSystem, resolution: int = 8, probe: int = 8) -> NubReport:
     the result is an upper approximation and is flagged as such.
     """
     s = scale(sys, probe=probe)
-    minimizing = [
-        u for u in scale_candidates(sys, probe, cotraj.DEFAULT_TIDY_PROBE)
-        if cotraj.displacement_index(sys, u) == IndexValue(s.value)
-    ]
+    minimizing = list(s.minimizing)
     handle, certified, reason = sys.model.nub_analysis(
         sys.endo, minimizing, resolution, scale_value=s.value
     )
@@ -259,7 +258,7 @@ def _open_subgroups_containing(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: in
     products base(k) H, k <= probe (in a finite group, G and H itself)."""
     family = []
     for k in range(probe + 1):
-        k_h = sys.model.set_product(core.base_family(sys, k), H.handle)
+        k_h = sys.model.set_product(sys.model.base_element(k), H.handle)
         if k_h.is_compact and k_h.is_open and k_h not in family:
             family.append(k_h)
     return family
@@ -397,14 +396,17 @@ def entropy_lower_bound_phiN(sys: TdlcSystem, candidates):
 
 
 def restriction_monotonicity(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int = 6) -> Verdict:
-    """Entropy can only drop when passing to a closed invariant subgroup."""
+    """Entropy can only drop when passing to a closed invariant subgroup; an
+    H the backend cannot restrict to yields SKIPPED with the reason."""
     if not H.phi_invariant:
         return Verdict(SKIPPED, "H is not phi-invariant")
     try:
         h_sub = topological_entropy(core.restricted_system(sys, H), probe).value
         h_total = topological_entropy(sys, probe).value
-    except (UnresolvedError, UnsupportedSubgroupError) as exc:
+    except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))
+    except UnsupportedSubgroupError as exc:
+        return Verdict(SKIPPED, str(exc))
     if h_sub <= h_total:
         return Verdict(PASS, "restriction monotonicity holds",
                        {"h_sub": str(h_sub), "h_total": str(h_total)})

@@ -335,7 +335,7 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                     }
             elif kind == "cotrajectory":
                 n_max = chk.get("n_max", min(probe, 8))
-                table = cotraj.alpha_sequence(sys, core.base_family(sys, 0), n_max)
+                table = cotraj.alpha_sequence(sys, sys.model.base_element(0), n_max)
                 entry["result"] = {
                     "c": [str(r.c) for r in table.rows],
                     "alpha": [str(r.alpha) for r in table.rows],

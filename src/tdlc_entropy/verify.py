@@ -11,7 +11,7 @@ own builds a fresh catalog.
 
 from __future__ import annotations
 
-from . import core, cotraj, dynamics
+from . import cotraj, dynamics
 from .backends import finite as finite_backend
 from .backends.catalog import catalog_scenarios
 from .backends.product import make_product
@@ -77,7 +77,7 @@ def suite_cotrajectory(n_max: int = 16, catalog=None) -> list:
     """
     entries = []
     for data, sys, _ in catalog or _catalog_systems():
-        u = core.base_family(sys, 0)
+        u = sys.model.base_element(0)
         pg = cotraj.plus_group(sys, u)
         fixed = sys.model.intersect(u, sys.model.image(sys.endo, pg.handle)) == pg.handle
         ok, reason, checked = _forward_backward_identities(sys, u, n_max)
@@ -145,7 +145,7 @@ def suite_limit_free(probe: int = 3, n_max: int = 12, catalog=None) -> list:
         agree = True
         reason = ""
         for k in range(probe + 1):
-            u = core.base_family(sys, k)
+            u = sys.model.base_element(k)
             try:
                 local = cotraj.htop_local(sys, u)
                 limit = cotraj.htop_limit_estimate(sys, u, n_max)
@@ -211,7 +211,7 @@ def suite_oracle(probe: int = 3, n_max: int = 12, catalog=None) -> list:
         if sys.model.kind != "padic":
             continue
         predicted = sys.model.scale_oracle(sys.endo)
-        table = cotraj.alpha_sequence(sys, core.base_family(sys, 0), n_max)
+        table = cotraj.alpha_sequence(sys, sys.model.base_element(0), n_max)
         s = dynamics.scale(sys, probe=probe)
         ok = (
             table.n_star is not None
@@ -238,10 +238,7 @@ def suite_monotonicity(probe: int = 3, catalog=None) -> list:
             spec = ClosedSubgroupSpec.verify(sys, handle)
             if not spec.phi_invariant:
                 continue
-            try:
-                v = dynamics.restriction_monotonicity(sys, spec, probe)
-            except core.UnsupportedSubgroupError:
-                v = dynamics.Verdict(SKIPPED, "restriction unsupported for this shape")
+            v = dynamics.restriction_monotonicity(sys, spec, probe)
             entries.append({
                 "name": f"monotonicity/restrict/{data['name']}/{name}",
                 "status": v.status,

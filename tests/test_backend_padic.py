@@ -6,10 +6,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdlc_entropy import cotraj
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.catalog import catalog_scenarios
 from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
-from tdlc_entropy.core import UnresolvedError, UnsupportedSubgroupError, chain_fixpoint
+from tdlc_entropy.core import TdlcSystem, UnresolvedError, UnsupportedSubgroupError, chain_fixpoint
 from tdlc_entropy.linalg import (
     _clear_denominators,
     _vp_int,
@@ -411,17 +412,22 @@ def test_chain_skip_needs_a_compact_open_subgroup(make_u):
     assert_chain_skip_changes_nothing(2, [[2, 0], [0, F(1, 2)]], make_u)
 
 
-def test_plus_plus_analysis_expanding():
+FILLED = "unit part frozen, expanding subspace filled"
+
+
+def test_plus_plus_closure_expanding():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
-    res = q2.plus_plus_analysis(half, q2.full_lattice(), 8)
-    assert res["closed"] is True
-    assert res["handle"] == q2.full_group()
-    assert all(ix == IndexValue(2) for ix in res["indices"])
+    u_plus = q2.full_lattice()
+    last = q2.image(q2.endo_power(half, 9), u_plus)
+    closed, cert = q2.plus_plus_closure(half, u_plus, last, 8)
+    assert closed is True
+    assert cert == {"method": FILLED, "expanding_dim": 1, "cover_power": 1}
 
-    ident = q2.identity_endo()
-    res = q2.plus_plus_analysis(ident, q2.full_lattice(), 8)
-    assert res["closed"] is True and res["handle"] == q2.full_lattice()
+    # the identity fixes U+, so the image chain stops before the hook is asked
+    res = cotraj.is_tidy_below(TdlcSystem(q2, q2.identity_endo()), q2.full_lattice(), 8)
+    assert res.certificate["closed"] is True
+    assert res.certificate["method"] == "image chain stabilized"
 
 
 def test_plus_plus_mixed_unit_directions():
@@ -429,10 +435,11 @@ def test_plus_plus_mixed_unit_directions():
     phi = m.endo([[1, 0], [0, F(1, 2)]])
     u_plus, *_ = m.plus_group_impl(phi, m.full_lattice())
     assert u_plus == m.full_lattice()
-    res = m.plus_plus_analysis(phi, u_plus, 8)
-    assert res["closed"] is True
     # Z_2 x Q_2: frozen unit axis plus a filled expanding axis
-    assert res["handle"] == m.closed_subgroup([[0, 1]], [[1, 0]])
+    last = m.image(m.endo_power(phi, 9), u_plus)
+    closed, cert = m.plus_plus_closure(phi, u_plus, last, 8)
+    assert closed is True
+    assert cert == {"method": FILLED, "expanding_dim": 1, "cover_power": 1}
 
 
 def test_scale_candidates_adapted():

@@ -179,20 +179,21 @@ def test_plus_plus_not_closed_compact(z2_model):
     m = z2_model
     phi = m.endo(1)
     u_plus = m.make_profile((m.alphabet.trivial_id,), 1, (), (m.alphabet.full_id,))
-    res = m.plus_plus_analysis(phi, u_plus, 12)
-    assert res["closed"] is False
-    assert res["handle"] == m.full_group()
-    assert all(ix == IndexValue(2) for ix in res["indices"])
+    last = m.image(m.endo_power(phi, 13), u_plus)
+    closed, cert = m.plus_plus_closure(phi, u_plus, last, 12)
+    assert closed is False
+    assert cert == {"method": "tail deficiency drifting toward a full ambient tail",
+                    "drift_side": "left"}
 
 
 def test_plus_plus_closed_laurent(laurent_z3):
     m = laurent_z3
     phi = m.endo(1)
     u_plus = m.base_element(0)
-    res = m.plus_plus_analysis(phi, u_plus, 12)
-    assert res["closed"] is True
-    assert res["handle"] == m.full_group()
-    assert all(ix == IndexValue(3) for ix in res["indices"])
+    last = m.image(m.endo_power(phi, 13), u_plus)
+    closed, cert = m.plus_plus_closure(phi, u_plus, last, 12)
+    assert closed is True
+    assert cert == {"method": "drift into trivial ambient tail", "drift_side": "left"}
 
 
 def test_quotient_and_restriction_z4():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,8 +9,10 @@ import pytest
 
 from tdlc_entropy import cli, cotraj, dynamics, linalg
 from tdlc_entropy.backends import padic
+from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
+from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
 from tdlc_entropy.core import InvariantViolation, TdlcSystem, UnresolvedError
 from tdlc_entropy.exact import ExactEntropy, IndexValue
@@ -188,6 +191,56 @@ def test_tidy_below():
     assert res.value is True
 
 
+# (value, closed, index_constant) of is_tidy_below on every catalog system
+# and four cross-backend products, at base elements 0-3 and tidy_probe 1, 4
+# and 8, pinned when the image chain moved out of the backends
+TIDY_BELOW_TABLE_SHA256 = "3a9cec5d3ba9c1ba0aad54f33a1cf19b95bb264e21f6b3524a06871691de01ca"
+TIDY_BELOW_PRODUCTS = (("q2_half", "laurent_z3"), ("shift_z2_compact", "laurent_z2"),
+                       ("finite_s3", "q2_half"), ("q2_double", "shift_z4_compact"))
+
+
+def test_tidy_below_table_bytes():
+    systems = [build_system(data) for data in catalog_scenarios()]
+    systems += [make_product(build_system(find_scenario(a)), build_system(find_scenario(b)))
+                for a, b in TIDY_BELOW_PRODUCTS]
+    lines = []
+    for sys in systems:
+        for k in range(4):
+            u = sys.model.base_element(k)
+            for tidy_probe in (1, 4, 8):
+                res = cotraj.is_tidy_below(sys, u, tidy_probe)
+                cert = res.certificate
+                lines.append(f"{sys.name}|{k}|{tidy_probe}|{res.value}|{cert['closed']}|"
+                             f"{cert['index_constant']}")
+    assert len(lines) == 288
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TIDY_BELOW_TABLE_SHA256
+
+
+def test_tidy_below_product_with_one_stabilized_factor():
+    """S3 x Q_2 under (id, 1/2): the finite factor's images are fixed at once,
+    the p-adic factor's never are, so the product asks its hook, which reads
+    the finite factor off its last image and asks the p-adic backend."""
+    sys = make_product(finite_s3(), q2_half())
+    res = cotraj.is_tidy_below(sys, sys.model.base_element(0), 4)
+    assert res.value is True
+    assert res.certificate == {
+        "closed": True,
+        "index_constant": True,
+        "factors": [
+            {"method": "image chain stabilized"},
+            {"method": "unit part frozen, expanding subspace filled",
+             "expanding_dim": 1, "cover_power": 1},
+        ],
+    }
+
+
+def test_finite_plus_plus_closure_is_never_reached():
+    sys = finite_s3()
+    g = sys.model.full_group()
+    with pytest.raises(InvariantViolation, match="did not stop at step 0"):
+        sys.model.plus_plus_closure(sys.endo, g, g, 4)
+
+
 def test_is_minimizing():
     sys = q2_half()
     assert cotraj.is_minimizing(sys, sys.model.full_lattice(), 2)
@@ -354,7 +407,8 @@ def test_linalg_elimination_counts(monkeypatch):
     intersection converted both operands to constraints again, they made
     (3, 2) and (1920, 1828); now the operands carry their duals, and the
     forward core is imaged once.  While the entropy certificate built each
-    probed base element a second time, the report made (975, 1781).
+    probed base element a second time, the report made (975, 1781); while
+    the nub took every candidate's displacement index again, (943, 1725).
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -370,7 +424,7 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (943, 1725)
+    assert (len(rrefs), len(hnfs)) == (927, 1701)
 
 
 def test_annihilator_runs_once_per_handle(monkeypatch):
@@ -404,8 +458,8 @@ def test_annihilator_runs_once_per_handle(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 943, 1725, 412, id="phi=1/2"),
-    pytest.param("2", 345, 636, 141, id="phi=2"),
+    pytest.param("1/2", 927, 1701, 404, id="phi=1/2"),
+    pytest.param("2", 329, 612, 133, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -419,7 +473,8 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     preimages converted their operands again and the forward core was imaged
     three times, (1920, 1828, 412) and (594, 739, 141); while the entropy
     certificate built each probed base element a second time, (975, 1781,
-    412) and (377, 692, 141)."""
+    412) and (377, 692, 141); while the nub took every candidate's
+    displacement index again, (943, 1725, 412) and (345, 636, 141)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
@@ -471,17 +526,19 @@ def test_alpha_sequence_rejects_a_chain_that_is_not_decreasing(monkeypatch):
 
 @pytest.mark.parametrize("make_sys", [q2_half, shift_z2], ids=["padic", "shift"])
 def test_image_chain_stops_at_a_stable_forward_core(monkeypatch, make_sys):
-    """Op-count gate: on a phi-stable U+ the image chain takes one image, not
-    tidy_probe + 1, and pads its indices with 1."""
+    """Op-count gate: on a phi-stable U+ the image chain of ``is_tidy_below``
+    takes one image, not tidy_probe + 1, and the backend is not asked."""
     sys = make_sys()
     model = sys.model
-    u_plus = model.full_group()
+    u = model.full_group()
+    assert cotraj.plus_group(sys, u).handle == u
     images = count_calls(monkeypatch, type(model), "image")
-    res = model.plus_plus_analysis(sys.endo, u_plus, 6)
-    assert len(images) == 1
-    assert res["closed"] and res["handle"] == u_plus
-    assert res["indices"] == [IndexValue(1)] * 7
-    assert res["certificate"] == {"method": "image chain stabilized", "steps": 0}
+    closures = count_calls(monkeypatch, type(model), "plus_plus_closure")
+    res = cotraj.is_tidy_below(sys, u, 6)
+    assert (len(images), len(closures)) == (1, 0)
+    assert res.value is True
+    assert res.certificate == {"closed": True, "index_constant": True,
+                               "method": "image chain stabilized", "steps": 0}
 
 
 def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):

@@ -201,6 +201,17 @@ def test_restriction_monotonicity():
     assert v.status == PASS
 
 
+def test_restriction_monotonicity_skips_an_unrestrictable_subgroup():
+    """Z_2 is invariant under phi = 2, but the p-adic backend restricts only to
+    rational subspaces: SKIPPED with the reason, not a resource verdict."""
+    m = PadicModel(2, 1)
+    sys = TdlcSystem(m, m.endo([[2]]), name="q2_double")
+    h = ClosedSubgroupSpec.verify(sys, m.full_lattice())
+    v = dynamics.restriction_monotonicity(sys, h, probe=3)
+    assert v.status == SKIPPED
+    assert "rational subspace" in v.reason
+
+
 def test_quotient_table_equality_shift():
     sys = shift_z4()
     two = sys.model.alphabet.subgroup_id({(0,), (2,)})

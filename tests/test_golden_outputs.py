@@ -49,6 +49,17 @@ DEFAULT_REPORT_SHA256 = {
     "shift_z2xz4_sigma.json": "bb1247bcabc1624fbb291de2e226cd4150ca6d810d78c586ddc30eb369e3bac0",
 }
 
+# tidy SCENARIO --tidy-probe 1, the shortest image chain, on every scenario
+# that names subgroups
+TIDY_PROBE_1_SHA256 = {
+    "finite_s3.json": "bbbe16e4ef242f66b52dddc2368effce0956ee3f06e076b483b40ea6b5b3d30a",
+    "padic_diag.json": "1f400199ad2f5485f0c011691fdfccf47ffed4281855a7f597be5ae741838236",
+    "padic_dim3_three_slopes.json": "e0cd77bc0ba6f8e7ae0363199cb33fead19952d336b615612b51198c17c1371b",
+    "q2_half.json": "85266b2cdfb242f97d72032e068ce72cac8e5723612dbf72574b4c1f82a679ea",
+    "shift_z2.json": "f320e145d9656eced3afcc4caa7c2590b35fdfc8a5c8868ce7c23d8f907d57db",
+    "shift_z2xz4_sigma.json": "d9e819181187544977dedeaa895502b0eb83869def176974b2edb4e1bc311fb7",
+}
+
 
 def cli_sha256(argv):
     buf = io.StringIO()
@@ -61,6 +72,12 @@ def cli_sha256(argv):
 def test_every_shipped_scenario_is_pinned():
     shipped = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
     assert shipped == sorted(REPORT_SHA256) == sorted(DEFAULT_REPORT_SHA256)
+    named = []
+    for filename in shipped:
+        with open(os.path.join(SCENARIOS, filename), encoding="utf-8") as f:
+            if "subgroups" in json.load(f):
+                named.append(filename)
+    assert named == sorted(TIDY_PROBE_1_SHA256)
 
 
 @pytest.mark.parametrize("filename, options, digest", [
@@ -72,6 +89,12 @@ def test_every_shipped_scenario_is_pinned():
 def test_scenario_report_bytes(filename, options, digest):
     path = os.path.join(SCENARIOS, filename)
     assert cli_sha256(["report", path, *options]) == digest
+
+
+@pytest.mark.parametrize("filename, digest", sorted(TIDY_PROBE_1_SHA256.items()))
+def test_tidy_at_the_shortest_chain_bytes(filename, digest):
+    path = os.path.join(SCENARIOS, filename)
+    assert cli_sha256(["tidy", path, "--tidy-probe", "1"]) == digest
 
 
 def test_verify_all_bytes():
