@@ -318,6 +318,8 @@ class PadicModel:
             raise UnsupportedSubgroupError(
                 "can only quotient by a rational subspace in this backend"
             )
+        a = phi.matrix
+        _carried_images(a, H.subspace)
         piv = set(_pivot_columns(H.subspace))
         nonpiv = [j for j in range(self.dim) if j not in piv]
         dprime = len(nonpiv)
@@ -326,7 +328,6 @@ class PadicModel:
             rem = _reduce_mod_rows(H.subspace, x)
             return tuple(rem[j] for j in nonpiv)
 
-        a = phi.matrix
         cols = []
         for j in nonpiv:
             unit = [F(1) if i == j else F(0) for i in range(self.dim)]
@@ -353,18 +354,11 @@ class PadicModel:
             )
         rows = H.subspace
         piv = _pivot_columns(rows)
-        a = phi.matrix
 
         def coords(x) -> tuple:
             return tuple(frac(x[pc]) for pc in piv)
 
-        cols = []
-        for row in rows:
-            img = mat_vec(a, row)
-            # rows are in rref: the remainder vanishes iff img lies in their span
-            if any(_reduce_mod_rows(rows, img)):
-                raise UnsupportedSubgroupError("H is not carried into itself")
-            cols.append(coords(img))
+        cols = [coords(img) for img in _carried_images(phi.matrix, rows)]
         smatrix = transpose(cols) if cols else ()
         base_meet = self.intersect(self.full_lattice(), H)
         submodel = PadicModel(self.p, len(rows), tuple(coords(c) for c in base_meet.module),
@@ -623,6 +617,16 @@ def _reduce_mod_rows(rows, x) -> list:
         if f:
             x = [a - f * b for a, b in zip(x, r)]
     return x
+
+
+def _carried_images(a, rows) -> list:
+    """The images a.row of the rref ``rows``; ``UnsupportedSubgroupError``
+    unless each lies in their span, that is unless a carries it into itself."""
+    images = [mat_vec(a, row) for row in rows]
+    # rows are in rref: the remainder vanishes iff the image lies in their span
+    if any(any(_reduce_mod_rows(rows, img)) for img in images):
+        raise UnsupportedSubgroupError("H is not carried into itself")
+    return images
 
 
 def _hermite_pivots(module, p: int) -> tuple[tuple, int]:

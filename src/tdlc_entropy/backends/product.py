@@ -66,12 +66,6 @@ class ProductModel:
         """The share of a list of handles: per factor, the list of its parts."""
         return [[h.parts[i] for h in handles] for i in range(len(self.factors))]
 
-    def _system(self, systems, name) -> TdlcSystem:
-        """The product of the factor ``systems``."""
-        model = ProductModel(*(s.model for s in systems), name=name)
-        endo = ProductEndo(model, tuple(s.endo for s in systems))
-        return TdlcSystem(model, endo, name=name)
-
     def intersect(self, U, V):
         check_model(self, U, V)
         return self.pair(*self._zip("intersect", U.parts, V.parts))
@@ -115,14 +109,15 @@ class ProductModel:
     def quotient(self, phi: ProductEndo, H: ProductSubgroup) -> QuotientConstruction:
         check_model(self, H)
         qs = tuple(self._zip("quotient", phi.parts, H.parts))
-        system = self._system([q.system for q in qs], f"{self.name}/H")
+        system = make_product(*(q.system for q in qs), name=f"{self.name}/H")
         return QuotientConstruction(
-            system=system, project=lambda U: _apply(system.model, [q.project for q in qs], U)
+            system=system,
+            project=lambda U: system.model.pair(*(q.project(u) for q, u in zip(qs, U.parts))),
         )
 
     def restriction(self, phi: ProductEndo, H: ProductSubgroup) -> TdlcSystem:
         check_model(self, H)
-        return self._system(tuple(self._zip("restriction", phi.parts, H.parts)), f"{self.name}|H")
+        return make_product(*self._zip("restriction", phi.parts, H.parts), name=f"{self.name}|H")
 
     # -- dynamics hooks --------------------------------------------------------
 
@@ -186,11 +181,6 @@ class ProductModel:
         return handle, all(r[1] for r in results), "; ".join(r[2] for r in results)
 
 
-def _apply(model, maps, U) -> ProductSubgroup:
-    """The handle of ``model`` whose parts are the ``maps`` of U's parts."""
-    return model.pair(*(m(u) for m, u in zip(maps, U.parts)))
-
-
 def _factor_alpha_stabilization(model, phi, U, handles):
     """A factor's plateau, read off the indices along its part of the chain."""
     alphas = []
@@ -210,8 +200,8 @@ def _factor_plus_plus_closure(model, phi, u_plus, last, tidy_probe):
     return model.plus_plus_closure(phi, u_plus, last, tidy_probe)
 
 
-def make_product(sys1: TdlcSystem, sys2: TdlcSystem) -> TdlcSystem:
+def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name: str = "") -> TdlcSystem:
     """The componentwise product system; handles are pairs and indices multiply."""
-    model = ProductModel(sys1.model, sys2.model)
+    model = ProductModel(sys1.model, sys2.model, name)
     endo = ProductEndo(model, (sys1.endo, sys2.endo))
     return TdlcSystem(model, endo, name=model.name)

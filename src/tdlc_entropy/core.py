@@ -81,7 +81,8 @@ class Backend(Protocol):
     def kernel_handle(self, phi):
         """ker phi."""
     def quotient(self, phi, H) -> QuotientConstruction:
-        """The induced system on G/H, or ``UnsupportedSubgroupError``."""
+        """The induced system on G/H; ``UnsupportedSubgroupError`` when phi
+        does not carry H into itself or the backend cannot quotient by H."""
     def restriction(self, phi, H) -> TdlcSystem:
         """The system (H, phi|_H) itself; ``UnsupportedSubgroupError`` when
         phi does not carry H into itself or the backend cannot model H."""
@@ -222,19 +223,3 @@ def cotrajectory_fixpoint(minus_handles, alphas):
                 return n, {"criterion": "cotrajectory fixpoint", "fixpoint_at": n}
             raise InvariantViolation("alpha is not 1 beyond a cotrajectory fixpoint")
     return None, {"criterion": "cotrajectory fixpoint", "fixpoint_at": None}
-
-
-def quotient_construction(sys: TdlcSystem, H: ClosedSubgroupSpec) -> QuotientConstruction:
-    """The system (G/H, induced endomorphism), in the same backend family."""
-    if not H.phi_invariant:
-        raise UnsupportedSubgroupError("quotient requires a phi-invariant subgroup")
-    if not (H.normal or H.compact):
-        raise UnsupportedSubgroupError("quotient requires H normal or compact")
-    return sys.model.quotient(sys.endo, H.handle)
-
-
-def restricted_system(sys: TdlcSystem, H: ClosedSubgroupSpec) -> TdlcSystem:
-    """The system (H, phi restricted to H); its base is {base(k) n H}."""
-    if not H.phi_invariant:
-        raise UnsupportedSubgroupError("restriction requires a phi-invariant subgroup")
-    return sys.model.restriction(sys.endo, H.handle)

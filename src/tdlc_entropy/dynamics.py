@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import core, cotraj
+from . import cotraj
 from .core import (
     ClosedSubgroupSpec,
     InvariantViolation,
@@ -274,8 +274,7 @@ def _quotient_entropy(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int) -> Exa
     """
     if H.normal:
         try:
-            q = core.quotient_construction(sys, H)
-            return topological_entropy(q.system, probe).value
+            return topological_entropy(sys.model.quotient(sys.endo, H.handle).system, probe).value
         except UnsupportedSubgroupError:
             if not H.compact:
                 raise
@@ -309,7 +308,7 @@ def verify_addition_theorem(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
         return Verdict(SKIPPED, "H is neither normal nor compact")
     try:
         total = topological_entropy(sys, probe)
-        h_sub = topological_entropy(core.restricted_system(sys, H), probe)
+        h_sub = topological_entropy(sys.model.restriction(sys.endo, H.handle), probe)
         h_quot = _quotient_entropy(sys, H, probe)
     except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))
@@ -342,7 +341,7 @@ def verify_scale_entropy_link(sys: TdlcSystem, probe: int = 8, resolution: int =
         spec = ClosedSubgroupSpec.verify(sys, n.handle)
         h_total = topological_entropy(sys, probe).value
         h_quot = _quotient_entropy(sys, spec, probe)
-        h_nub = topological_entropy(core.restricted_system(sys, spec), probe).value
+        h_nub = topological_entropy(sys.model.restriction(sys.endo, n.handle), probe).value
     except (UnresolvedError, UnsupportedSubgroupError) as exc:
         return Verdict(INCONCLUSIVE, str(exc))
     log_s = entropy_from_index(s.value)
@@ -401,7 +400,7 @@ def restriction_monotonicity(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int 
     if not H.phi_invariant:
         return Verdict(SKIPPED, "H is not phi-invariant")
     try:
-        h_sub = topological_entropy(core.restricted_system(sys, H), probe).value
+        h_sub = topological_entropy(sys.model.restriction(sys.endo, H.handle), probe).value
         h_total = topological_entropy(sys, probe).value
     except UnresolvedError as exc:
         return Verdict(INCONCLUSIVE, str(exc))
@@ -422,7 +421,7 @@ def quotient_table_equality(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
     if not H.normal:
         return Verdict(SKIPPED, "no quotient system for the projected table")
     try:
-        q = core.quotient_construction(sys, H)
+        q = sys.model.quotient(sys.endo, H.handle)
     except UnsupportedSubgroupError as exc:
         return Verdict(SKIPPED, str(exc))
     family = _open_subgroups_containing(sys, H, probe)

@@ -17,8 +17,8 @@ from tdlc_entropy import core, cotraj
 from tdlc_entropy.backends.catalog import find_scenario
 from tdlc_entropy.backends.finite import FiniteGroupModel
 from tdlc_entropy.backends.padic import PadicModel
-from tdlc_entropy.backends.product import ProductModel
-from tdlc_entropy.backends.shift import ShiftProfileModel
+from tdlc_entropy.backends.product import ProductModel, make_product
+from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet, matrix_hom
 from tdlc_entropy.scenario import build_system
 
 # the parameters of each protocol method, after self: no chain depth, nothing unread
@@ -67,6 +67,46 @@ def test_model_defines_the_protocol(system):
 def test_restriction_returns_the_restricted_system(system):
     model, phi = system.model, system.endo
     assert isinstance(model.restriction(phi, model.full_group()), core.TdlcSystem)
+
+
+def _swapped_alphabet():
+    """Z2 x Z2 with the coordinate swap and the id of <(1,0)>, which the swap moves."""
+    alpha = cyclic_alphabet([2, 2])
+    return alpha, matrix_hom(alpha, (2, 2), [[0, 1], [1, 0]]), alpha.subgroup_id({(0, 0), (1, 0)})
+
+
+def _finite_case():
+    alpha, swap, sid = _swapped_alphabet()
+    return alpha.group, swap, alpha.subgroups[sid]
+
+
+def _shift_case():
+    alpha, swap, sid = _swapped_alphabet()
+    model = ShiftProfileModel(alpha, "compact")
+    return model, model.endo(1, swap), model.constant_profile(sid)
+
+
+def _padic_case():
+    # phi(0, 1) = (1, 1) is not in H = span(0, 1)
+    model = PadicModel(2, 2)
+    return model, model.endo([[1, 1], [0, 1]]), model.closed_subgroup([[0, 1]], [])
+
+
+def _product_case():
+    other = build_system(find_scenario("q2_half"))
+    model, phi, H = _padic_case()
+    prod = make_product(other, core.TdlcSystem(model, phi))
+    return prod.model, prod.endo, prod.model.pair(other.model.full_group(), H)
+
+
+@pytest.mark.parametrize("case", (_finite_case, _shift_case, _padic_case, _product_case),
+                         ids=("finite", "shift", "padic", "product"))
+def test_hooks_refuse_a_subgroup_phi_does_not_carry_into_itself(case):
+    model, phi, H = case()
+    assert not model.contains(H, model.image(phi, H))
+    for hook in (model.quotient, model.restriction):
+        with pytest.raises(core.UnsupportedSubgroupError, match="invariant|carried into"):
+            hook(phi, H)
 
 
 def test_every_built_handle_describes_itself(system):

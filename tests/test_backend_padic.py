@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc_entropy import cotraj
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.catalog import catalog_scenarios
+from tdlc_entropy.backends.finite import FiniteGroupModel
 from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
 from tdlc_entropy.core import TdlcSystem, UnresolvedError, UnsupportedSubgroupError, chain_fixpoint
 from tdlc_entropy.linalg import (
@@ -1023,3 +1025,85 @@ def test_structural_limit_of_mixed_slopes_is_unresolved_by_both_routes(p, matrix
         for forward in (True, False):
             assert _structural_outcomes(model, model.endo(matrix), model.base_element(k),
                                         forward) == ["unresolved"] * 2
+
+
+# -- finite sections: L / p^N L as an independent oracle --------------------------------
+#
+# A lattice M with p^N L <= M <= L (L = Z_p^d) is determined by its image in
+# L / p^N L = (Z/p^N)^d, a finite group small enough for the finite backend.
+# Its subgroup arithmetic shares no code with the p-adic Hermite forms.
+
+SECTION_SHAPES = [(p, n, d) for p in (2, 3, 5) for d in (1, 2, 3) for n in range(1, 9)
+                  if p ** (n * d) <= 256]
+
+
+@functools.lru_cache(maxsize=None)
+def _section_group(q: int, d: int):
+    """(Z/q)^d as a finite group, and the index of each element vector."""
+    index = {x: i for i, x in enumerate(itertools.product(range(q), repeat=d))}
+    table = [[index[tuple((a + b) % q for a, b in zip(x, y))] for y in index] for x in index]
+    return FiniteGroupModel(table, name=f"(Z/{q})^{d}"), index
+
+
+def _mod(x, q: int) -> int:
+    """A p-integral rational reduced mod q = p^N."""
+    x = F(x)
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
+def _section(group, index, q: int, M):
+    """M / qL as a subgroup of L / qL, for qL <= M <= L."""
+    return group.generated_subgroup(index[tuple(_mod(x, q) for x in col)] for col in M.module)
+
+
+def _draw_section_shape(data):
+    p, n, d = data.draw(st.sampled_from(SECTION_SHAPES))
+    q = p**n
+    group, index = _section_group(q, d)
+    return PadicModel(p, d), n, q, group, index
+
+
+def _draw_p_integral(data, p: int, bound: int):
+    return F(data.draw(st.integers(-bound, bound)), data.draw(st.sampled_from([1, p + 1])))
+
+
+def _draw_section_lattice(data, model, q: int):
+    """qL plus up to three drawn p-integral vectors."""
+    d = model.dim
+    gens = [[_draw_p_integral(data, model.p, q) for _ in range(d)]
+            for _ in range(data.draw(st.integers(0, 3)))]
+    return model.lattice(gens + [[q * (i == j) for i in range(d)] for j in range(d)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_primitives_agree_with_the_finite_section(data):
+    model, _, q, group, index = _draw_section_shape(data)
+    u, v = _draw_section_lattice(data, model, q), _draw_section_lattice(data, model, q)
+    su, sv = _section(group, index, q, u), _section(group, index, q, v)
+    meet = model.intersect(u, v)
+    assert _section(group, index, q, meet) == group.intersect(su, sv)
+    assert _section(group, index, q, model.set_product(u, v)) == group.set_product(su, sv)
+    assert model.contains(u, v) == group.contains(su, sv)
+    assert model.contains(v, u) == group.contains(sv, su)
+    assert model.index(meet, u) == group.index(group.intersect(su, sv), su)
+    assert model.index(u, model.full_lattice()) == group.index(su, group.full_group())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integral_image_and_preimage_agree_with_the_finite_section(data):
+    """For p-integral phi: phi(M) + qL and phi^{-1}(M) n L against the finite
+    image and preimage under phi mod q."""
+    model, n, q, group, index = _draw_section_shape(data)
+    d = model.dim
+    a = [[_draw_p_integral(data, model.p, q) for _ in range(d)] for _ in range(d)]
+    phi = model.endo(a)
+    sigma = group.endo(index[tuple(_mod(sum(r * x for r, x in zip(row, e)), q) for row in a)]
+                       for e in index)
+    u = _draw_section_lattice(data, model, q)
+    su = _section(group, index, q, u)
+    image = model.set_product(model.image(phi, u), model.base_element(n))
+    assert _section(group, index, q, image) == group.image(sigma, su)
+    preimage = model.intersect(model.preimage(phi, u), model.full_lattice())
+    assert _section(group, index, q, preimage) == group.preimage(sigma, su)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import core
 from tdlc_entropy.backends.finite import symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
@@ -128,18 +127,14 @@ def test_base_family_monotone_everywhere():
 def test_spec_quotient_example_padic():
     # (Q_2^2, diag(1/2,1/2)) / (Q_2 x 0) is (Q_2, y -> y/2)
     m = PadicModel(2, 2)
-    sys = TdlcSystem(m, m.endo([[F(1, 2), 0], [0, F(1, 2)]]))
-    spec = ClosedSubgroupSpec.verify(sys, m.closed_subgroup([[1, 0]], []))
-    q = core.quotient_construction(sys, spec)
+    q = m.quotient(m.endo([[F(1, 2), 0], [0, F(1, 2)]]), m.closed_subgroup([[1, 0]], []))
     assert q.system.model.dim == 1
     assert q.system.endo.matrix == ((F(1, 2),),)
 
 
 def test_spec_restriction_example_padic():
     m = PadicModel(2, 2)
-    sys = TdlcSystem(m, m.endo([[F(1, 2), 0], [0, F(1, 2)]]))
-    spec = ClosedSubgroupSpec.verify(sys, m.closed_subgroup([[1, 0]], []))
-    r = core.restricted_system(sys, spec)
+    r = m.restriction(m.endo([[F(1, 2), 0], [0, F(1, 2)]]), m.closed_subgroup([[1, 0]], []))
     assert r.model.dim == 1
     assert r.endo.matrix == ((F(1, 2),),)
     # the restricted base is the meet of the ambient base with H, in
@@ -151,11 +146,10 @@ def test_shift_quotient_restriction_duality():
     """Restricting (Z/4)^Z to (2Z/4)^Z and quotienting match the alphabet
     level models Z/2 and Z/4 / 2Z/4 element for element on windows."""
     m = ShiftProfileModel(cyclic_alphabet([4]), "compact")
-    sys = TdlcSystem(m, m.endo(1))
-    two = m.alphabet.subgroup_id({(0,), (2,)})
-    spec = ClosedSubgroupSpec.verify(sys, m.constant_profile(two))
-    r = core.restricted_system(sys, spec)
-    q = core.quotient_construction(sys, spec)
+    phi = m.endo(1)
+    H = m.constant_profile(m.alphabet.subgroup_id({(0,), (2,)}))
+    r = m.restriction(phi, H)
+    q = m.quotient(phi, H)
     z2 = ShiftProfileModel(cyclic_alphabet([2]), "compact")
     for model in (r.model, q.system.model, z2):
         assert len(model.alphabet.elements) == 2

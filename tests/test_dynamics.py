@@ -1,4 +1,6 @@
 import pathlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 from tdlc_entropy import cotraj, dynamics
@@ -6,9 +8,9 @@ from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.finite import cyclic_group, symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
-from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
+from tdlc_entropy.backends.shift import TAIL_MODES, ShiftProfileModel, cyclic_alphabet, matrix_hom
 from tdlc_entropy.core import ClosedSubgroupSpec, TdlcSystem
-from tdlc_entropy.dynamics import PASS, SKIPPED
+from tdlc_entropy.dynamics import FAIL, PASS, SKIPPED
 from tdlc_entropy.exact import ExactEntropy, ZERO_ENTROPY
 from tdlc_entropy.scenario import build_system, load_scenario_file, run_scenario
 
@@ -160,6 +162,55 @@ def test_addition_theorem_skips_bad_preconditions():
     h = ClosedSubgroupSpec.verify(sys, m.generated_subgroup([6]))
     v = dynamics.verify_addition_theorem(sys, h, probe=3)
     assert v.status == SKIPPED
+
+
+def _additivity_statuses(draws):
+    """Verdict counts of the additivity theorem over (system, H) draws; none may FAIL."""
+    statuses = Counter()
+    for sys, handle in draws:
+        v = dynamics.verify_addition_theorem(sys, ClosedSubgroupSpec.verify(sys, handle), probe=3)
+        assert v.status != FAIL, (sys.endo, handle.describe(), v.reason, v.details)
+        statuses[v.status] += 1
+    return statuses
+
+
+def _padic_additivity_draws(rng, n):
+    """Block upper-triangular phi on Q_p^d, so H = span(e_1..e_k) is carried into itself."""
+    for _ in range(n):
+        p, dim = rng.choice((2, 3, 5)), rng.choice((2, 3))
+        k = rng.randrange(1, dim)
+        entries = (0, 1, -1, 2, F(1, 2), 3, F(1, 3), p, F(1, p))
+        a = [[0 if i >= k > j else rng.choice(entries) for j in range(dim)] for i in range(dim)]
+        m = PadicModel(p, dim)
+        yield (TdlcSystem(m, m.endo(a)),
+               m.closed_subgroup([[int(i == j) for j in range(dim)] for i in range(k)], []))
+
+
+def _shift_additivity_draws(rng, per_mode):
+    """sigma x shift on every tail mode, H a constant profile."""
+    for mode in TAIL_MODES:
+        for _ in range(per_mode):
+            orders = rng.choice(((2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (2, 2), (3, 3)))
+            m = ShiftProfileModel(cyclic_alphabet(orders), mode)
+            sigma = [[rng.randrange(orders[0]) for _ in orders] for _ in orders]
+            phi = m.endo(rng.randint(-2, 3), matrix_hom(m.alphabet, orders, sigma))
+            yield TdlcSystem(m, phi), m.constant_profile(rng.randrange(len(m.alphabet.subgroups)))
+
+
+# PASS counts of the first run of these seeded draws (60 p-adic: 8 SKIPPED,
+# 3 INCONCLUSIVE; 69 shift: 31 SKIPPED); a change that loses a PASS shows here
+PADIC_ADDITIVITY_PASS_FLOOR = 49
+SHIFT_ADDITIVITY_PASS_FLOOR = 38
+
+
+def test_addition_theorem_on_random_padic_subspaces():
+    statuses = _additivity_statuses(_padic_additivity_draws(random.Random(21), 60))
+    assert statuses[PASS] >= PADIC_ADDITIVITY_PASS_FLOOR, statuses
+
+
+def test_addition_theorem_on_random_shift_constant_profiles():
+    statuses = _additivity_statuses(_shift_additivity_draws(random.Random(21), 23))
+    assert statuses[PASS] >= SHIFT_ADDITIVITY_PASS_FLOOR, statuses
 
 
 def test_scale_entropy_link():
