@@ -1,7 +1,9 @@
 """Product backend: the direct product of two systems from any backends.
 
 Handles are pairs of factor handles, every operation is componentwise and
-indices multiply, so the factor backends certify their own parts.
+indices multiply, so the factor backends certify their own parts.  The model
+keeps its two factor systems and reads each factor's U_+ and U_- from that
+system's cache, so a product shares the limits its factors have computed.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ class ProductEndo:
 class ProductModel:
     kind = "product"
 
-    def __init__(self, left, right, name=""):
-        self.factors = (left, right)
-        self.name = name or f"{left.name} x {right.name}"
+    def __init__(self, left: TdlcSystem, right: TdlcSystem, name=""):
+        self.systems = (left, right)
+        self.factors = (left.model, right.model)
+        self.name = name or f"{left.model.name} x {right.model.name}"
 
     def pair(self, *parts) -> ProductSubgroup:
         return ProductSubgroup(self, parts)
@@ -122,14 +125,16 @@ class ProductModel:
     # -- dynamics hooks --------------------------------------------------------
 
     def plus_group_impl(self, phi, U):
-        return self._limit("plus_group_impl", phi, U)
+        return self._limit(True, phi, U)
 
     def minus_group_impl(self, phi, U):
-        return self._limit("minus_group_impl", phi, U)
+        return self._limit(False, phi, U)
 
-    def _limit(self, hook, phi, U):
-        """U_+ or U_- factorwise; a fixpoint only when each factor's is."""
-        handles, methods, steps, certs = zip(*self._zip(hook, phi.parts, U.parts))
+    def _limit(self, forward, phi, U):
+        """U_+ or U_- factorwise, each from its factor system's cache; a
+        fixpoint only when each factor's is."""
+        handles, methods, steps, certs = zip(*(
+            s.limit(forward, p, u) for s, p, u in zip(self.systems, phi.parts, U.parts)))
         method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
         return self.pair(*handles), method, max(steps), {"factors": list(certs)}
 
@@ -202,6 +207,6 @@ def _factor_plus_plus_closure(model, phi, u_plus, last, tidy_probe):
 
 def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name: str = "") -> TdlcSystem:
     """The componentwise product system; handles are pairs and indices multiply."""
-    model = ProductModel(sys1.model, sys2.model, name)
+    model = ProductModel(sys1, sys2, name)
     endo = ProductEndo(model, (sys1.endo, sys2.endo))
     return TdlcSystem(model, endo, name=model.name)

@@ -115,9 +115,10 @@ _MISSING = object()
 class TdlcSystem:
     """A concretely represented group together with a continuous endomorphism.
 
-    The system owns the cache behind ``memo``: derived quantities (forward
-    cores, tidy transforms, entropy, scale) are computed once per system and
-    live exactly as long as it does.  The cache takes no part in equality.
+    The system owns the cache behind ``memo``: derived quantities (backend
+    limits, forward cores, cotrajectory prefixes, tidy transforms, entropy,
+    scale) are computed once per system and live exactly as long as it does.
+    The cache takes no part in equality.
     """
 
     model: Backend
@@ -136,6 +137,26 @@ class TdlcSystem:
         if value is _MISSING:
             value = self._cache[key] = compute(*args)
         return value
+
+    def memo_prefix(self, key, length: int, extend: Callable) -> tuple:
+        """The first ``length`` entries of a sequence cached under ``key``.
+
+        When fewer are cached, ``extend(cached)`` returns a tuple of at least
+        ``length`` entries that starts with them, and it replaces the cached
+        one, so the cached value stays immutable.
+        """
+        seq = self._cache.get(key, ())
+        if len(seq) < length:
+            seq = self._cache[key] = extend(seq)
+        return seq[:length]
+
+    def limit(self, forward: bool, phi, U) -> tuple:
+        """The model's U_+ (``forward``) or U_- hook at (phi, U), computed
+        once per system.  The key holds ``phi``, so a product reads its
+        factor limits at the parts of any of its endomorphisms from the
+        factor systems."""
+        hook = self.model.plus_group_impl if forward else self.model.minus_group_impl
+        return self.memo(("limit", forward, phi, U), hook, phi, U)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,15 @@ stabilization certificates and never reports a value from an uncertified
 plateau.
 
 The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
-``tidy_above_transform``) is cached on the system.  The limit route
-(``alpha_sequence`` over ``minus_chain``) is never cached: it must stay
-independent of the forward core, because their agreement is the library's
-central cross-check.  ``alpha_sequence`` reads only the cotrajectory; the
-forward chain U_n (``plus_chain``) serves the forward/backward identities
-that ``verify`` checks.
+``tidy_above_transform``) is cached on the system, and so is the
+cotrajectory prefix U_0, ..., U_{-n} of ``minus_chain``, which grows when a
+longer one is asked for.  The cotrajectory table (``alpha_sequence``) is
+built afresh on every call.  The limit route must stay independent of the
+forward core, because their agreement is the library's central
+cross-check; it does, since the cached chain is built from U by
+intersections and preimages alone and never reads U_+ or U_-.  The forward
+chain U_n (``plus_chain``) serves the forward/backward identities that
+``verify`` checks, and is not cached.
 
 Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ...,
 which ``is_tidy_below`` runs here for every backend; a backend only judges,
@@ -90,17 +93,22 @@ class TidyBelowResult:
     certificate: dict
 
 
-def _chain_prefix(sys: TdlcSystem, U, n: int, move):
-    """U and the first n iterates of h -> U n move(phi, h)."""
-    out = [U]
-    for _ in range(n):
+def _chain_prefix(sys: TdlcSystem, U, n: int, move, chain=()):
+    """U and the first n iterates of h -> U n move(phi, h), extending
+    ``chain``, a prefix of them."""
+    out = list(chain) or [U]
+    while len(out) <= n:
         out.append(sys.model.intersect(U, move(sys.endo, out[-1])))
     return out
 
 
-def minus_chain(sys: TdlcSystem, U, n: int):
-    """U_0, ..., U_{-n}: U_{-j-1} = U n phi^{-1}(U_{-j}) is U_{-j} n phi^{-j-1}(U)."""
-    return _chain_prefix(sys, U, n, sys.model.preimage)
+def minus_chain(sys: TdlcSystem, U, n: int) -> tuple:
+    """U_0, ..., U_{-n}: U_{-j-1} = U n phi^{-1}(U_{-j}) is U_{-j} n phi^{-j-1}(U).
+
+    The system keeps the longest prefix built so far and extends it.
+    """
+    return sys.memo_prefix(("minus_chain", U), n + 1, lambda chain: tuple(
+        _chain_prefix(sys, U, n, sys.model.preimage, chain)))
 
 
 def plus_chain(sys: TdlcSystem, U, n: int):
@@ -161,7 +169,7 @@ def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
 
 
 def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
-    handle, method, steps, certificate = sys.model.plus_group_impl(sys.endo, U)
+    handle, method, steps, certificate = sys.limit(True, sys.endo, U)
     img = sys.model.image(sys.endo, handle)
     if sys.model.intersect(U, img) != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
@@ -178,7 +186,7 @@ def minus_group(sys: TdlcSystem, U):
 
 
 def _minus_group(sys: TdlcSystem, U):
-    handle, *_ = sys.model.minus_group_impl(sys.endo, U)
+    handle, *_ = sys.limit(False, sys.endo, U)
     check = sys.model.intersect(U, sys.model.preimage(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_- is not a fixed point of U n phi^{-1}(.)")

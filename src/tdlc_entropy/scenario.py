@@ -2,9 +2,9 @@
 and deterministic report emission.
 
 ``SPECS`` holds one entry per backend: the JSON type and bound of each field,
-the model and endomorphism builders, and the subgroup constructors.  Nothing
-is built from a scenario, or a subgroup from its constructor, before their
-fields pass these checks; the data, which reports echo, is never rewritten.
+the system builder and the subgroup constructors.  Nothing is built from a
+scenario, or a subgroup from its constructor, before their fields pass these
+checks; the data, which reports echo, is never rewritten.
 """
 
 from __future__ import annotations
@@ -98,10 +98,18 @@ def _valid_fragment(frag, common: dict, where: str, required=()) -> bool:
 
 
 # One backend's scenario format: the type of each field, the required ones,
-# ``model(data)`` and ``endo(model, data)``, and the subgroup constructor
-# fields, each with its type and ``build(model, ctor)`` in precedence order
-# (a field whose build is None only modifies another).
-BackendSpec = namedtuple("BackendSpec", "fields required model endo subgroups")
+# ``system(data)``, and the subgroup constructor fields, each with its type
+# and ``build(model, ctor)`` in precedence order (a field whose build is None
+# only modifies another).
+BackendSpec = namedtuple("BackendSpec", "fields required system subgroups")
+
+
+def _from_model(model, endo):
+    """``system(data)`` from ``model(data)`` and ``endo(model, data)``."""
+    def build(data):
+        m = model(data)
+        return TdlcSystem(m, endo(m, data), name=data.get("name", m.name))
+    return build
 
 
 def _window_profile(model, ctor):
@@ -155,9 +163,11 @@ SPECS = {
                           lambda v: v == "identity" or _conforms(v, _ELEMENTS)),
         },
         required=(("group", "table"), "endo"),
-        model=lambda d: finite_backend.NAMED_GROUPS[d["group"]]() if "group" in d
-        else finite_backend.FiniteGroupModel(d["table"], names=d.get("names")),
-        endo=lambda m, d: m.identity_endo() if d["endo"] == "identity" else m.endo(d["endo"]),
+        system=_from_model(
+            model=lambda d: finite_backend.NAMED_GROUPS[d["group"]]() if "group" in d
+            else finite_backend.FiniteGroupModel(d["table"], names=d.get("names")),
+            endo=lambda m, d: m.identity_endo() if d["endo"] == "identity" else m.endo(d["endo"]),
+        ),
         subgroups={
             "members": (_ELEMENTS, lambda m, c: m.subgroup(c["members"])),
             "generated": (_ELEMENTS, lambda m, c: m.generated_subgroup(c["generated"])),
@@ -168,8 +178,10 @@ SPECS = {
     "padic": BackendSpec(
         fields={"prime": int, "dim": range(padic_backend.MAX_DIM + 1), "matrix": [[_RATIONAL]]},
         required=("prime", "dim", "matrix"),
-        model=lambda d: padic_backend.PadicModel(d["prime"], d["dim"]),
-        endo=lambda m, d: m.endo(d["matrix"]),
+        system=_from_model(
+            model=lambda d: padic_backend.PadicModel(d["prime"], d["dim"]),
+            endo=lambda m, d: m.endo(d["matrix"]),
+        ),
         subgroups={
             "lattice": ([[_RATIONAL]], lambda m, c: m.lattice(c["lattice"])),
             "subspace": ([[_RATIONAL]], lambda m, c: m.closed_subgroup(c["subspace"])),
@@ -189,10 +201,12 @@ SPECS = {
             "sigma": [[int]],
         },
         required=("alphabet", "tail_mode", "shift"),
-        model=lambda d: shift_backend.ShiftProfileModel(
-            shift_backend.cyclic_alphabet(d["alphabet"]), d["tail_mode"]),
-        endo=lambda m, d: m.endo(d["shift"], shift_backend.matrix_hom(
-            m.alphabet, d["alphabet"], d["sigma"]) if "sigma" in d else None),
+        system=_from_model(
+            model=lambda d: shift_backend.ShiftProfileModel(
+                shift_backend.cyclic_alphabet(d["alphabet"]), d["tail_mode"]),
+            endo=lambda m, d: m.endo(d["shift"], shift_backend.matrix_hom(
+                m.alphabet, d["alphabet"], d["sigma"]) if "sigma" in d else None),
+        ),
         subgroups={
             "constant": (_TAIL, lambda m, c: m.constant_profile(
                 getattr(m.alphabet, c["constant"] + "_id"))),
@@ -216,10 +230,8 @@ SPECS = {
                 _valid_fragment(f, {"backend": BACKENDS[:-1]}, "a factor") for f in v),
         )},
         required=("factors",),
-        model=lambda d: product_backend.ProductModel(
-            *(SPECS[f["backend"]].model(f) for f in d["factors"]), name=d.get("name", "")),
-        endo=lambda m, d: product_backend.ProductEndo(
-            m, tuple(SPECS[f["backend"]].endo(fm, f) for fm, f in zip(m.factors, d["factors"]))),
+        system=lambda d: product_backend.make_product(
+            *(SPECS[f["backend"]].system(f) for f in d["factors"]), name=d.get("name", "")),
         subgroups={"pair": (_PAIR, lambda m, c: m.pair(*map(_construct, m.factors, c["pair"])))},
     ),
 }
@@ -264,11 +276,8 @@ def _error_boundary(what: str):
 
 
 def build_system(data: dict) -> TdlcSystem:
-    spec = SPECS[data["backend"]]
     with _error_boundary(f"bad {data['backend']} system"):
-        model = spec.model(data)
-        endo = spec.endo(model, data)
-    return TdlcSystem(model, endo, name=data.get("name", model.name))
+        return SPECS[data["backend"]].system(data)
 
 
 def _construct(model, ctor):

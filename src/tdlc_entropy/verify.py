@@ -50,14 +50,13 @@ def _forward_backward_identities(sys: TdlcSystem, U, n_max: int):
     model = sys.model
     minus = cotraj.minus_chain(sys, U, n_max + 1)
     plus = cotraj.plus_chain(sys, U, n_max + 1)
+    powers = [model.endo_power(sys.endo, k) for k in range(n_max + 1)]
     checked = 0
     for n in range(n_max + 1):
-        phin = model.endo_power(sys.endo, n)
-        if model.image(phin, minus[n]) != plus[n]:
+        if model.image(powers[n], minus[n]) != plus[n]:
             return False, f"U_n != phi^n(U_-n) at n={n}", checked
         for k in range(0, n + 1, max(1, n // 3) if n else 1):
-            phik = model.endo_power(sys.endo, k)
-            if model.image(phik, minus[n]) != model.intersect(plus[k], minus[n - k]):
+            if model.image(powers[k], minus[n]) != model.intersect(plus[k], minus[n - k]):
                 return False, f"phi^k(U_-n) != U_k n U_-(n-k) at n={n},k={k}", checked
             checked += 1
     for n in range(n_max):
@@ -170,20 +169,23 @@ def suite_limit_free(probe: int = 3, n_max: int = 12, catalog=None) -> list:
     return entries
 
 
+# the catalog pairs whose product formula ``suite_products`` checks
+PRODUCT_PAIRS = (
+    ("q2_half", "laurent_z3"),
+    ("q2_half", "q2_half"),
+    ("shift_z2_compact", "laurent_z2"),
+    ("finite_s3", "q2_half"),
+    ("finite_z12_times5", "shift_z2_compact"),
+    ("q2_double", "shift_z4_compact"),
+    ("finite_trivial", "shift_z2_compact"),
+)
+
+
 def suite_products(probe: int = 3, catalog=None) -> list:
     """Product formula over cross-backend pairs, and the diagonal agreement."""
     built = {data["name"]: sys for data, sys, _ in catalog or _catalog_systems()}
-    pairs = [
-        ("q2_half", "laurent_z3"),
-        ("q2_half", "q2_half"),
-        ("shift_z2_compact", "laurent_z2"),
-        ("finite_s3", "q2_half"),
-        ("finite_z12_times5", "shift_z2_compact"),
-        ("q2_double", "shift_z4_compact"),
-        ("finite_trivial", "shift_z2_compact"),
-    ]
     entries = []
-    for a, b in pairs:
+    for a, b in PRODUCT_PAIRS:
         v = dynamics.verify_product_formula(built[a], built[b], probe)
         entries.append({
             "name": f"products/{a}*{b}",

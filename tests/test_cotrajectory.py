@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdlc_entropy import cli, cotraj, dynamics, linalg
+from tdlc_entropy import cli, cotraj, dynamics, linalg, verify
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.finite import symmetric_group
@@ -365,6 +365,80 @@ def test_unresolved_is_raised_again_not_cached(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", ["q2_half", "shift_z2_compact", "finite_s3",
+                                  "product_q2half_laurent3"])
+def test_minus_chain_extends_one_cached_prefix(monkeypatch, name):
+    """Asked for 4, 16 and 2 steps, ``minus_chain`` returns the handles of a
+    fresh chain, and takes each preimage once."""
+    sys = build_system(find_scenario(name))
+    u = sys.model.base_element(0)
+    preimages = count_calls(monkeypatch, sys.model, "preimage")
+    got = [cotraj.minus_chain(sys, u, n) for n in (4, 16, 2)]
+    assert len(preimages) == 16
+    for n, chain in zip((4, 16, 2), got):
+        assert type(chain) is tuple
+        assert list(chain) == cotraj._chain_prefix(sys, u, n, sys.model.preimage)
+
+
+def _uncached_product_limit(systems, forward, phi, U):
+    """A product limit from the factor hooks themselves, as the product
+    model combines them."""
+    handles, methods, steps = zip(*(
+        (s.model.plus_group_impl if forward else s.model.minus_group_impl)(p, u)[:3]
+        for s, p, u in zip(systems, phi.parts, U.parts)))
+    method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
+    return handles, method, max(steps)
+
+
+def _assert_product_limits_match(prod, systems, phi, probe):
+    for k in range(probe + 1):
+        U = prod.model.base_element(k)
+        for forward in (True, False):
+            hook = prod.model.plus_group_impl if forward else prod.model.minus_group_impl
+            handle, method, steps, _ = hook(phi, U)
+            fresh = _uncached_product_limit(systems, forward, phi, U)
+            assert (handle.parts, method, steps) == fresh
+
+
+@pytest.mark.parametrize("a, b", verify.PRODUCT_PAIRS,
+                         ids=[f"{a}*{b}" for a, b in verify.PRODUCT_PAIRS])
+def test_product_limits_read_the_factor_caches(monkeypatch, a, b):
+    """Once ``plus_group`` and ``minus_group`` ran on the factor systems, the
+    product's U_+ and U_- call no factor hook and equal what the uncached
+    hooks give."""
+    systems = [build_system(find_scenario(n)) for n in (a, b)]
+    if a == b:
+        systems[1] = systems[0]
+    prod = make_product(*systems)
+    for sys in systems:
+        for k in range(4):
+            cotraj.plus_group(sys, sys.model.base_element(k))
+            cotraj.minus_group(sys, sys.model.base_element(k))
+    calls = [count_calls(monkeypatch, sys.model, hook)
+             for sys in systems for hook in ("plus_group_impl", "minus_group_impl")]
+    for k in range(4):
+        U = prod.model.base_element(k)
+        prod.model.plus_group_impl(prod.endo, U)
+        prod.model.minus_group_impl(prod.endo, U)
+    assert all(not c for c in calls)
+    monkeypatch.undo()
+    _assert_product_limits_match(prod, systems, prod.endo, 3)
+
+
+def test_product_limits_at_powers_of_phi():
+    """The factor cache is keyed by the factor endomorphism, so the limits
+    at phi^2 of a product, and those of a product of squares, are the
+    uncached factor hooks' even after the limits at phi are cached."""
+    systems = [build_system(find_scenario(n)) for n in ("q2_half", "shift_z2_compact")]
+    prod = make_product(*systems)
+    _assert_product_limits_match(prod, systems, prod.endo, 2)
+    square = prod.model.endo_power(prod.endo, 2)
+    _assert_product_limits_match(prod, systems, square, 2)
+    squares = [TdlcSystem(s.model, s.model.endo_power(s.endo, 2)) for s in systems]
+    power_prod = make_product(*squares)
+    _assert_product_limits_match(power_prod, squares, power_prod.endo, 2)
+
+
 def test_report_forward_core_op_counts(monkeypatch):
     """Op-count gate: one report computes each forward core once per key."""
     plus = count_calls(monkeypatch, PadicModel, "plus_group_impl")
@@ -408,7 +482,9 @@ def test_linalg_elimination_counts(monkeypatch):
     (3, 2) and (1920, 1828); now the operands carry their duals, and the
     forward core is imaged once.  While the entropy certificate built each
     probed base element a second time, the report made (975, 1781); while
-    the nub took every candidate's displacement index again, (943, 1725).
+    the nub took every candidate's displacement index again, (943, 1725);
+    while each tidy-above transform and the cotrajectory table built their
+    own backward chain, (927, 1701).
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -424,7 +500,7 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (927, 1701)
+    assert (len(rrefs), len(hnfs)) == (887, 1621)
 
 
 def test_annihilator_runs_once_per_handle(monkeypatch):
@@ -458,8 +534,8 @@ def test_annihilator_runs_once_per_handle(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 927, 1701, 404, id="phi=1/2"),
-    pytest.param("2", 329, 612, 133, id="phi=2"),
+    pytest.param("1/2", 887, 1621, 384, id="phi=1/2"),
+    pytest.param("2", 289, 532, 113, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -474,7 +550,9 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     three times, (1920, 1828, 412) and (594, 739, 141); while the entropy
     certificate built each probed base element a second time, (975, 1781,
     412) and (377, 692, 141); while the nub took every candidate's
-    displacement index again, (943, 1725, 412) and (345, 636, 141)."""
+    displacement index again, (943, 1725, 412) and (345, 636, 141); while
+    each tidy-above transform and the cotrajectory table built their own
+    backward chain, (927, 1701, 404) and (329, 612, 133)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
@@ -486,6 +564,19 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     assert code == cli.EXIT_OK
     assert ((len(rref_calls), len(hnf_calls), len(intersect_calls))
             == (rrefs, hnfs, intersects))
+
+
+def test_verify_all_op_counts(monkeypatch):
+    """Op-count gate, as (p-adic ``minus_group_impl``, rref, zp_column_hnf)
+    over one ``verify all``.  While products called their factor hooks
+    again, each reader rebuilt its backward chain and the forward/backward
+    identities took a power of phi for every (n, k), the run made (79,
+    18932, 33035)."""
+    rrefs, hnfs = count_eliminations(monkeypatch)
+    minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == cli.EXIT_OK
+    assert (len(minus), len(rrefs), len(hnfs)) == (50, 13906, 23166)
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
