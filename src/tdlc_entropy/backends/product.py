@@ -4,6 +4,9 @@ Handles are pairs of factor handles, every operation is componentwise and
 indices multiply, so the factor backends certify their own parts.  The model
 keeps its two factor systems and reads each factor's U_+ and U_- from that
 system's cache, so a product shares the limits its factors have computed.
+``cotraj`` reads a product's cotrajectory and image chain from the factor
+systems too (``factor_systems``), and ``plus_plus_closure`` reads there
+whether a factor's image chain stopped.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
+from .. import cotraj
 from ..core import (
     InvariantViolation,
     QuotientConstruction,
@@ -57,6 +61,13 @@ class ProductModel:
 
     def pair(self, *parts) -> ProductSubgroup:
         return ProductSubgroup(self, parts)
+
+    def factor_systems(self, phi: ProductEndo) -> tuple:
+        """The systems of phi's parts: the factor system itself where the part
+        is its endomorphism (as in every system ``make_product`` builds), a
+        new system with an empty cache otherwise."""
+        return tuple(s if s.endo == p else TdlcSystem(s.model, p)
+                     for s, p in zip(self.systems, phi.parts))
 
     def _zip(self, method, *shares):
         """Lazily, per factor: ``method`` (a factor method's name, or a function
@@ -150,9 +161,13 @@ class ProductModel:
         return n_star, {"factors": certs}
 
     def plus_plus_closure(self, phi, u_plus, last, tidy_probe):
-        """Closed when each factor's union is."""
-        per = tuple(self._zip(_factor_plus_plus_closure, phi.parts, u_plus.parts, last.parts,
-                              repeat(tidy_probe)))
+        """Closed when each factor's union is.  A factor's union is its
+        ``last`` image when the factor's cached image chain stopped there or
+        sooner; otherwise its own backend judges it."""
+        per = [(True, {"method": "image chain stabilized"})
+               if len(cotraj.image_chain(s, u, tidy_probe + 2)) <= tidy_probe + 2
+               else s.model.plus_plus_closure(s.endo, u, v, tidy_probe)
+               for s, u, v in zip(self.factor_systems(phi), u_plus.parts, last.parts)]
         return all(closed for closed, _ in per), {"factors": [cert for _, cert in per]}
 
     def entropy_base_certificate(self, probed):
@@ -195,14 +210,6 @@ def _factor_alpha_stabilization(model, phi, U, handles):
             raise InvariantViolation("factor cotrajectory index is infinite")
         alphas.append(ix.value)
     return model.alpha_stabilization(phi, U, handles, alphas)
-
-
-def _factor_plus_plus_closure(model, phi, u_plus, last, tidy_probe):
-    """A factor's union is its ``last`` image when that is fixed; otherwise
-    its own backend judges it."""
-    if model.image(phi, last) == last:
-        return True, {"method": "image chain stabilized"}
-    return model.plus_plus_closure(phi, u_plus, last, tidy_probe)
 
 
 def make_product(sys1: TdlcSystem, sys2: TdlcSystem, name: str = "") -> TdlcSystem:

@@ -14,7 +14,9 @@ depth.  Every handle has ``describe()``, ``is_open``, ``is_compact`` and
 ``is_normal``.  What follows from these primitives alone is written here
 once: the subgroup flags (``ClosedSubgroupSpec.verify``), the fixpoint
 chain, the limit chain behind U_+ and U_- and the cotrajectory fixpoint
-plateau.  The image chain of U_+ lives in ``cotraj.is_tidy_below``.
+plateau.  The cached chains (the cotrajectory U_{-n} and the image chain
+phi^n(U_+)) live in ``cotraj``, which reads a product's chains from its
+factor systems.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class TdlcSystem:
     """A concretely represented group together with a continuous endomorphism.
 
     The system owns the cache behind ``memo``: derived quantities (backend
-    limits, forward cores, cotrajectory prefixes, tidy transforms, entropy,
-    scale) are computed once per system and live exactly as long as it does.
-    The cache takes no part in equality.
+    limits, forward cores, tidy transforms, entropy, scale) are computed once
+    per system and live exactly as long as it does; chains (the cotrajectory
+    and the image chain) are cached as prefixes that grow on demand
+    (``memo_prefix``).  The cache takes no part in equality.
     """
 
     model: Backend
@@ -139,15 +142,19 @@ class TdlcSystem:
         return value
 
     def memo_prefix(self, key, length: int, extend: Callable) -> tuple:
-        """The first ``length`` entries of a sequence cached under ``key``.
+        """The first ``length`` entries of a sequence cached under ``key``,
+        or all of it when it ends sooner.
 
-        When fewer are cached, ``extend(cached)`` returns a tuple of at least
-        ``length`` entries that starts with them, and it replaces the cached
-        one, so the cached value stays immutable.
+        When fewer are cached and the sequence has not ended,
+        ``extend(cached)`` returns a tuple that starts with them and replaces
+        the cached one, so the cached value stays immutable.  It holds at
+        least ``length`` entries, or fewer when the sequence ends there, and
+        an ended sequence is never extended again.
         """
-        seq = self._cache.get(key, ())
-        if len(seq) < length:
-            seq = self._cache[key] = extend(seq)
+        seq, ended = self._cache.get(key, ((), False))
+        if len(seq) < length and not ended:
+            seq = extend(seq)
+            self._cache[key] = seq, len(seq) < length
         return seq[:length]
 
     def limit(self, forward: bool, phi, U) -> tuple:

@@ -11,20 +11,24 @@ stabilization certificates and never reports a value from an uncertified
 plateau.
 
 The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
-``tidy_above_transform``) is cached on the system, and so is the
-cotrajectory prefix U_0, ..., U_{-n} of ``minus_chain``, which grows when a
-longer one is asked for.  The cotrajectory table (``alpha_sequence``) is
-built afresh on every call.  The limit route must stay independent of the
-forward core, because their agreement is the library's central
-cross-check; it does, since the cached chain is built from U by
-intersections and preimages alone and never reads U_+ or U_-.  The forward
-chain U_n (``plus_chain``) serves the forward/backward identities that
-``verify`` checks, and is not cached.
+``tidy_above_transform``) is cached on the system, and so are two chains,
+each a prefix that grows when a longer one is asked for: the cotrajectory
+U_0, ..., U_{-n} of ``minus_chain`` and the image chain V, phi(V), ... of
+``image_chain``, which ends at its first fixed image.  A product system
+reads both chains from its factor systems (``_cached_chain``), so a chain
+that a factor system holds is never built again.  The cotrajectory table
+(``alpha_sequence``) is built afresh on every call.  The limit route must
+stay independent of the forward core, because their agreement is the
+library's central cross-check; it does, since the cotrajectory is built
+from U by intersections and preimages alone and never reads U_+ or U_-.
+The forward chain U_n (``plus_chain``) serves the forward/backward
+identities that ``verify`` checks, and is not cached.
 
-Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ...,
-which ``is_tidy_below`` runs here for every backend; a backend only judges,
-through ``plus_plus_closure``, whether the union U_++ is closed when no image
-within the probe is fixed.
+Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ... of
+``image_chain``, whose first step ``plus_group`` has already taken for its
+fixed-point check; ``is_tidy_below`` checks it here for every backend, and
+a backend only judges, through ``plus_plus_closure``, whether the union
+U_++ is closed when no image within the probe is fixed.
 """
 
 from __future__ import annotations
@@ -102,13 +106,58 @@ def _chain_prefix(sys: TdlcSystem, U, n: int, move, chain=()):
     return out
 
 
+def _cached_chain(sys: TdlcSystem, key: str, grow, U, n: int) -> tuple:
+    """The first n + 1 entries of the chain ``key`` from U, or all of them
+    when it ends sooner, cached on the system as one growing prefix.
+
+    A product's chain is the pair of its factors' chains, each read (and
+    cached) on its factor system, so a chain that a factor system holds is
+    never built again; a factor chain that ended sooner is padded with its
+    last entry.  Any other system grows its own chain with
+    ``grow(sys, U, n, cached)``.
+    """
+    model = sys.model
+    if model.kind == "product":
+        def extend(cached):
+            parts = [_cached_chain(s, key, grow, u, n)
+                     for s, u in zip(model.factor_systems(sys.endo), U.parts)]
+            return cached + tuple(model.pair(*(p[min(i, len(p) - 1)] for p in parts))
+                                  for i in range(len(cached), max(map(len, parts))))
+    else:
+        def extend(cached):
+            return grow(sys, U, n, cached)
+    return sys.memo_prefix((key, U), n + 1, extend)
+
+
+def _preimage_steps(sys: TdlcSystem, U, n: int, cached) -> tuple:
+    return tuple(_chain_prefix(sys, U, n, sys.model.preimage, cached))
+
+
+def _image_steps(sys: TdlcSystem, V, n: int, cached) -> tuple:
+    out = list(cached) or [V]
+    while len(out) <= n:
+        nxt = sys.model.image(sys.endo, out[-1])
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return tuple(out)
+
+
 def minus_chain(sys: TdlcSystem, U, n: int) -> tuple:
     """U_0, ..., U_{-n}: U_{-j-1} = U n phi^{-1}(U_{-j}) is U_{-j} n phi^{-j-1}(U).
 
     The system keeps the longest prefix built so far and extends it.
     """
-    return sys.memo_prefix(("minus_chain", U), n + 1, lambda chain: tuple(
-        _chain_prefix(sys, U, n, sys.model.preimage, chain)))
+    return _cached_chain(sys, "minus_chain", _preimage_steps, U, n)
+
+
+def image_chain(sys: TdlcSystem, V, n: int) -> tuple:
+    """V, phi(V), ..., phi^n(V), ending at the first fixed image when one
+    comes sooner: then phi(chain[-1]) == chain[-1].
+
+    The system keeps the longest prefix built so far and extends it.
+    """
+    return _cached_chain(sys, "image_chain", _image_steps, V, n)
 
 
 def plus_chain(sys: TdlcSystem, U, n: int):
@@ -170,7 +219,7 @@ def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
 
 def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
     handle, method, steps, certificate = sys.limit(True, sys.endo, U)
-    img = sys.model.image(sys.endo, handle)
+    img = image_chain(sys, handle, 1)[-1]
     if sys.model.intersect(U, img) != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
     image_index = sys.model.index(handle, img)
@@ -240,26 +289,24 @@ def is_tidy_below(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE) -> T
     [phi^{n+1}(U_+) : phi^n(U_+)] for n <= ``tidy_probe`` and their union
     U_++ is closed.
 
-    The images increase.  At the first fixed image U_++ is that image, so it
-    is closed and every later index is 1.  When none of the ``tidy_probe +
-    1`` images is fixed, the backend's ``plus_plus_closure`` judges U_++ from
-    the last one.
+    The images increase; they are read off the cached ``image_chain``.  At
+    the first fixed image U_++ is that image, so it is closed and every
+    later index is 1.  When none of the ``tidy_probe + 1`` images is fixed,
+    the backend's ``plus_plus_closure`` judges U_++ from the last one.
     """
-    model, phi = sys.model, sys.endo
-    u_plus = current = plus_group(sys, U).handle
+    model = sys.model
+    u_plus = plus_group(sys, U).handle
+    chain = image_chain(sys, u_plus, tidy_probe + 1)
     indices = []
-    for n in range(tidy_probe + 1):
-        nxt = model.image(phi, current)
+    for current, nxt in zip(chain, chain[1:]):
         if not model.contains(nxt, current):
             raise InvariantViolation("phi^n U+ is not increasing")
-        if nxt == current:
-            indices.append(IndexValue(1))
-            closed, certificate = True, {"method": "image chain stabilized", "steps": n}
-            break
         indices.append(model.index(current, nxt))
-        current = nxt
+    if len(chain) <= tidy_probe + 1:
+        indices.append(IndexValue(1))
+        closed, certificate = True, {"method": "image chain stabilized", "steps": len(chain) - 1}
     else:
-        closed, certificate = model.plus_plus_closure(phi, u_plus, current, tidy_probe)
+        closed, certificate = model.plus_plus_closure(sys.endo, u_plus, chain[-1], tidy_probe)
     constant = len(set(indices)) == 1
     return TidyBelowResult(
         value=closed and constant,

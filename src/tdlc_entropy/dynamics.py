@@ -439,11 +439,10 @@ def quotient_table_equality(sys: TdlcSystem, H: ClosedSubgroupSpec, probe: int =
     return Verdict(PASS, "projected entropy table matches", {"checked": checked})
 
 
-def verify_product_formula(sys1: TdlcSystem, sys2: TdlcSystem, probe: int = 6) -> Verdict:
-    """Entropy adds and scale multiplies over a direct product."""
-    from .backends.product import make_product
-
-    prod = make_product(sys1, sys2)
+def verify_product_formula(prod: TdlcSystem, probe: int = 6) -> Verdict:
+    """Entropy adds and scale multiplies over a direct product, built by
+    ``make_product`` from the two factor systems it keeps."""
+    sys1, sys2 = prod.model.systems
     try:
         h1 = topological_entropy(sys1, probe).value
         h2 = topological_entropy(sys2, probe).value

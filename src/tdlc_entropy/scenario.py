@@ -112,6 +112,16 @@ def _from_model(model, endo):
     return build
 
 
+def _product_system(factors, name):
+    """The product of the two factor fragments' systems; equal fragments
+    build one system, so the product reads both factors' chains and limits
+    from one cache."""
+    first, second = factors
+    left = SPECS[first["backend"]].system(first)
+    right = left if second == first else SPECS[second["backend"]].system(second)
+    return product_backend.make_product(left, right, name=name)
+
+
 def _window_profile(model, ctor):
     alpha = model.alphabet
     values = {int(pos): alpha.generated_id(map(tuple, gens))
@@ -230,8 +240,7 @@ SPECS = {
                 _valid_fragment(f, {"backend": BACKENDS[:-1]}, "a factor") for f in v),
         )},
         required=("factors",),
-        system=lambda d: product_backend.make_product(
-            *(SPECS[f["backend"]].system(f) for f in d["factors"]), name=d.get("name", "")),
+        system=lambda d: _product_system(d["factors"], d.get("name", "")),
         subgroups={"pair": (_PAIR, lambda m, c: m.pair(*map(_construct, m.factors, c["pair"])))},
     ),
 }

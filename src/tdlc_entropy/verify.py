@@ -182,17 +182,20 @@ PRODUCT_PAIRS = (
 
 
 def suite_products(probe: int = 3, catalog=None) -> list:
-    """Product formula over cross-backend pairs, and the diagonal agreement."""
+    """Product formula over cross-backend pairs, and the diagonal agreement,
+    which reads the entropy and scale of the checked q2_half square."""
     built = {data["name"]: sys for data, sys, _ in catalog or _catalog_systems()}
     entries = []
+    products = {}
     for a, b in PRODUCT_PAIRS:
-        v = dynamics.verify_product_formula(built[a], built[b], probe)
+        products[a, b] = make_product(built[a], built[b])
+        v = dynamics.verify_product_formula(products[a, b], probe)
         entries.append({
             "name": f"products/{a}*{b}",
             "status": v.status,
             "details": v.details,
         })
-    prod = make_product(built["q2_half"], built["q2_half"])
+    prod = products["q2_half", "q2_half"]
     diag = built["padic_diag_half_half"]
     hp = dynamics.topological_entropy(prod, probe).value
     hd = dynamics.topological_entropy(diag, probe).value

@@ -219,7 +219,8 @@ def test_tidy_below_table_bytes():
 def test_tidy_below_product_with_one_stabilized_factor():
     """S3 x Q_2 under (id, 1/2): the finite factor's images are fixed at once,
     the p-adic factor's never are, so the product asks its hook, which reads
-    the finite factor off its last image and asks the p-adic backend."""
+    off the finite factor's image chain that it stopped and asks the p-adic
+    backend."""
     sys = make_product(finite_s3(), q2_half())
     res = cotraj.is_tidy_below(sys, sys.model.base_element(0), 4)
     assert res.value is True
@@ -232,6 +233,24 @@ def test_tidy_below_product_with_one_stabilized_factor():
              "expanding_dim": 1, "cover_power": 1},
         ],
     }
+
+
+def test_tidy_below_images_a_stopped_factor_once(monkeypatch):
+    """Op-count gate, as finite images in (``plus_group``, ``is_tidy_below``)
+    on S3 x Q_2 at base element 0 and tidy_probe 8.  The finite factor's
+    limit takes one image, and ``plus_group`` reads phi(U_+) off the
+    factor's image chain, which takes the chain's one image and finds it
+    fixed; ``is_tidy_below`` pads that chain and the product's
+    ``plus_plus_closure`` reads that it stopped.  While the product imaged
+    each factor at every step of its own chain and its hook imaged the
+    finite factor's last once more, the counts were (2, 10)."""
+    sys = make_product(finite_s3(), q2_half())
+    images = count_calls(monkeypatch, sys.model.factors[0], "image")
+    u = sys.model.base_element(0)
+    cotraj.plus_group(sys, u)
+    before = len(images)
+    assert cotraj.is_tidy_below(sys, u, 8).value is True
+    assert (before, len(images) - before) == (2, 0)
 
 
 def test_finite_plus_plus_closure_is_never_reached():
@@ -365,19 +384,84 @@ def test_unresolved_is_raised_again_not_cached(monkeypatch):
     assert len(calls) == 2
 
 
+def literal_minus_chain(sys, U, n):
+    """U_0, ..., U_{-n} by a plain loop of the model's preimage and intersect."""
+    out = [U]
+    for _ in range(n):
+        out.append(sys.model.intersect(U, sys.model.preimage(sys.endo, out[-1])))
+    return tuple(out)
+
+
+def literal_image_chain(sys, V, n):
+    """V, phi(V), ..., phi^n(V) or up to the first fixed image, by a plain
+    loop of the model's image."""
+    out = [V]
+    for _ in range(n):
+        nxt = sys.model.image(sys.endo, out[-1])
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("name", ["q2_half", "shift_z2_compact", "finite_s3",
                                   "product_q2half_laurent3"])
 def test_minus_chain_extends_one_cached_prefix(monkeypatch, name):
     """Asked for 4, 16 and 2 steps, ``minus_chain`` returns the handles of a
-    fresh chain, and takes each preimage once."""
+    fresh chain, and takes each preimage once.  A product takes none itself:
+    each factor model takes its 16, on its factor system."""
     sys = build_system(find_scenario(name))
     u = sys.model.base_element(0)
-    preimages = count_calls(monkeypatch, sys.model, "preimage")
+    own = count_calls(monkeypatch, sys.model, "preimage")
+    factors = [count_calls(monkeypatch, m, "preimage") for m in getattr(sys.model, "factors", ())]
     got = [cotraj.minus_chain(sys, u, n) for n in (4, 16, 2)]
-    assert len(preimages) == 16
+    assert (len(own), [len(c) for c in factors]) == ((0, [16, 16]) if factors else (16, []))
+    monkeypatch.undo()
     for n, chain in zip((4, 16, 2), got):
         assert type(chain) is tuple
-        assert list(chain) == cotraj._chain_prefix(sys, u, n, sys.model.preimage)
+        assert chain == literal_minus_chain(sys, u, n)
+
+
+# every product the products suite checks (a pair of equal names shares one
+# system, as in ``suite_products``) and both catalog products
+PRODUCT_CASES = [f"{a}*{b}" for a, b in verify.PRODUCT_PAIRS] + [
+    "product_q2half_laurent3", "product_q2half_squared"]
+
+
+def build_product(case):
+    if "*" not in case:
+        return build_system(find_scenario(case))
+    a, b = case.split("*")
+    left = build_system(find_scenario(a))
+    return make_product(left, left if a == b else build_system(find_scenario(b)))
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_chains_equal_literal_loops(case):
+    """A product's cotrajectory and image chain, read from its factor
+    systems and asked for 4, then 16, then 2 steps, equal plain loops of the
+    product's own primitives, at base elements 0 and 1; the image chains
+    start at U_+."""
+    prod = build_product(case)
+    for k in range(2):
+        u = prod.model.base_element(k)
+        u_plus = cotraj.plus_group(prod, u).handle
+        for n in (4, 16, 2):
+            assert cotraj.minus_chain(prod, u, n) == literal_minus_chain(prod, u, n)
+            assert cotraj.image_chain(prod, u_plus, n) == literal_image_chain(prod, u_plus, n)
+
+
+def test_product_image_chain_pads_a_factor_fixed_at_step_0():
+    """S3 x Q_2 under (id, 1/2): the finite factor's image chain is fixed at
+    step 0 and the p-adic one is never fixed, so the product pads the finite
+    part with its fixed image and its chain does not end."""
+    prod = make_product(finite_s3(), q2_half())
+    u_plus = cotraj.plus_group(prod, prod.model.base_element(0)).handle
+    chain = cotraj.image_chain(prod, u_plus, 8)
+    factor_chains = [cotraj.image_chain(s, p, 8) for s, p in zip(prod.model.systems, u_plus.parts)]
+    assert [len(c) for c in factor_chains] == [1, 9]
+    assert [h.parts for h in chain] == [(u_plus.parts[0], p) for p in factor_chains[1]]
+    assert chain == literal_image_chain(prod, u_plus, 8)
 
 
 def _uncached_product_limit(systems, forward, phi, U):
@@ -484,7 +568,8 @@ def test_linalg_elimination_counts(monkeypatch):
     probed base element a second time, the report made (975, 1781); while
     the nub took every candidate's displacement index again, (943, 1725);
     while each tidy-above transform and the cotrajectory table built their
-    own backward chain, (927, 1701).
+    own backward chain, (927, 1701); while ``_plus_group`` and the tidy-below
+    image chain each took phi(U_+), (887, 1621).
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -500,7 +585,7 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (887, 1621)
+    assert (len(rrefs), len(hnfs)) == (876, 1610)
 
 
 def test_annihilator_runs_once_per_handle(monkeypatch):
@@ -534,8 +619,8 @@ def test_annihilator_runs_once_per_handle(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 887, 1621, 384, id="phi=1/2"),
-    pytest.param("2", 289, 532, 113, id="phi=2"),
+    pytest.param("1/2", 876, 1610, 384, id="phi=1/2"),
+    pytest.param("2", 289, 517, 113, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -552,7 +637,9 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     412) and (377, 692, 141); while the nub took every candidate's
     displacement index again, (943, 1725, 412) and (345, 636, 141); while
     each tidy-above transform and the cotrajectory table built their own
-    backward chain, (927, 1701, 404) and (329, 612, 133)."""
+    backward chain, (927, 1701, 404) and (329, 612, 133); while
+    ``_plus_group`` and the tidy-below image chain each took phi(U_+), (887,
+    1621, 384) and (289, 532, 113)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
@@ -571,12 +658,14 @@ def test_verify_all_op_counts(monkeypatch):
     over one ``verify all``.  While products called their factor hooks
     again, each reader rebuilt its backward chain and the forward/backward
     identities took a power of phi for every (n, k), the run made (79,
-    18932, 33035)."""
+    18932, 33035); while products built their chains from their own
+    primitives, a scenario with equal factors built two factor systems and
+    ``_plus_group`` took its own image of U_+, (50, 13906, 23166)."""
     rrefs, hnfs = count_eliminations(monkeypatch)
     minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert (len(minus), len(rrefs), len(hnfs)) == (50, 13906, 23166)
+    assert (len(minus), len(rrefs), len(hnfs)) == (45, 11818, 19342)
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
@@ -617,8 +706,10 @@ def test_alpha_sequence_rejects_a_chain_that_is_not_decreasing(monkeypatch):
 
 @pytest.mark.parametrize("make_sys", [q2_half, shift_z2], ids=["padic", "shift"])
 def test_image_chain_stops_at_a_stable_forward_core(monkeypatch, make_sys):
-    """Op-count gate: on a phi-stable U+ the image chain of ``is_tidy_below``
-    takes one image, not tidy_probe + 1, and the backend is not asked."""
+    """Op-count gate: on a phi-stable U+ the image chain stops at its first
+    image, which ``plus_group`` took, so ``is_tidy_below`` takes no image, not
+    tidy_probe + 1, and the backend is not asked.  While ``_plus_group`` took
+    its own image, ``is_tidy_below`` took (1, 0)."""
     sys = make_sys()
     model = sys.model
     u = model.full_group()
@@ -626,7 +717,7 @@ def test_image_chain_stops_at_a_stable_forward_core(monkeypatch, make_sys):
     images = count_calls(monkeypatch, type(model), "image")
     closures = count_calls(monkeypatch, type(model), "plus_plus_closure")
     res = cotraj.is_tidy_below(sys, u, 6)
-    assert (len(images), len(closures)) == (1, 0)
+    assert (len(images), len(closures)) == (0, 0)
     assert res.value is True
     assert res.certificate == {"closed": True, "index_constant": True,
                                "method": "image chain stabilized", "steps": 0}

@@ -280,7 +280,7 @@ def test_quotient_table_equality_finite():
 
 
 def test_product_formula_cross_backend():
-    v = dynamics.verify_product_formula(q2_half(), laurent(3), probe=3)
+    v = dynamics.verify_product_formula(make_product(q2_half(), laurent(3)), probe=3)
     assert v.status == PASS
     assert v.details["h_product"] == "log 6"
 

@@ -32,6 +32,7 @@ REPORT_SHA256 = {
     "padic_diag.json": "ba51361adf793f2e780e2dbbdfda5fadcabdb890c95bd91c606d5f8a60606d74",
     "padic_dim3_three_slopes.json": "d99759dc15276b581e94932695dc2b535701729a2aea0483dd302df527b3ee34",
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
+    "product_square.json": "4d2e8918c69bf1af227ceaf753f3c0246f7d1c8212c21bb2ea53782b73f69865",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
     "shift_z2xz4_sigma.json": "74ccab8fd818ec9e6914572aea8357854119b46dd7bd3fea2e47a37d230b5359",
@@ -44,6 +45,7 @@ DEFAULT_REPORT_SHA256 = {
     "padic_diag.json": "a8bdc4b1470fd262555872338648ef58f8c8cad1001fe74b90639ce1fa1c03f8",
     "padic_dim3_three_slopes.json": "f796c5fe34519b75589f2305ff851c16d9e48171653bebc051a1a579c0689e78",
     "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
+    "product_square.json": "e10155018ea4133244477c38e96f5241f99c11b4b855d1097ff15e27e0aa4ef0",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
     "shift_z2xz4_sigma.json": "bb1247bcabc1624fbb291de2e226cd4150ca6d810d78c586ddc30eb369e3bac0",
@@ -55,6 +57,7 @@ TIDY_PROBE_1_SHA256 = {
     "finite_s3.json": "bbbe16e4ef242f66b52dddc2368effce0956ee3f06e076b483b40ea6b5b3d30a",
     "padic_diag.json": "1f400199ad2f5485f0c011691fdfccf47ffed4281855a7f597be5ae741838236",
     "padic_dim3_three_slopes.json": "e0cd77bc0ba6f8e7ae0363199cb33fead19952d336b615612b51198c17c1371b",
+    "product_square.json": "b909c3ac7e0cbce2ca5fd88efb796fd558026177b93df6fd105208e281a8d2bf",
     "q2_half.json": "85266b2cdfb242f97d72032e068ce72cac8e5723612dbf72574b4c1f82a679ea",
     "shift_z2.json": "f320e145d9656eced3afcc4caa7c2590b35fdfc8a5c8868ce7c23d8f907d57db",
     "shift_z2xz4_sigma.json": "d9e819181187544977dedeaa895502b0eb83869def176974b2edb4e1bc311fb7",

@@ -2,6 +2,7 @@ import argparse
 import copy
 import io
 import json
+import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc_entropy import cli, scenario, verify
 from tdlc_entropy.core import ClosedSubgroupSpec
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
+from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.scenario import (
     ScenarioError,
     build_subgroups,
@@ -418,3 +420,26 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
         code, _ = run_cli(["entropy", str(path), "--probe", "2"])
         assert code == cli.EXIT_OK
     assert len(built) == 1
+
+
+def test_equal_product_factors_share_one_system(monkeypatch):
+    """A product scenario whose two factor fragments are equal builds one
+    factor system, and reports the bytes that two factor systems give."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "product_square.json")
+    data = scenario.load_scenario_file(path)
+    options = ([], ["--probe", "3", "--tidy-probe", "4", "--resolution", "4"], ["--format", "csv"])
+
+    def reports():
+        out = [run_cli(["report", path, *opts]) for opts in options]
+        out.append(run_cli(["tidy", path, "--tidy-probe", "1"]))
+        assert all(code == cli.EXIT_OK for code, _ in out)
+        return [text for _, text in out]
+
+    left, right = build_system(data).model.systems
+    assert left is right
+    shared = reports()
+    monkeypatch.setattr(scenario, "_product_system", lambda factors, name: make_product(
+        *(scenario.SPECS[f["backend"]].system(f) for f in factors), name=name))
+    left, right = build_system(data).model.systems
+    assert left is not right
+    assert reports() == shared
