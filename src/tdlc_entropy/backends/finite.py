@@ -482,91 +482,78 @@ class FiniteGroupModel:
         Covers the multiplicativity chain rule, the product/intersection
         exchange, both monotonicity inequalities, the two homomorphism index
         identities over every endomorphism, the snake count and the
-        normalized-core properties.  Any violation is fatal.
+        normalized-core properties.  Any violation is fatal.  Each operand
+        (meet, set product, join, and per endomorphism each preimage, image
+        and product with the kernel) is built once.
         """
         subs = self.all_subgroups()
         counts = {k: 0 for k in ("gi1", "gi2", "gi3", "gi4", "gi5", "gi6", "snake", "magic")}
+        sets = {S: set(S.members) for S in subs}
+        pairs = [(K, H) for K in subs for H in subs if sets[H] <= sets[K]]
+        meet = {(A, B): self.intersect(A, B) for A in subs for B in subs}
+        mul = {(A, B): self.set_mul(A.members, B.members) for A in subs for B in subs}
+        # AB as a subgroup when AB = BA, else None
+        join = {(A, B): self.subgroup(ab) if ab == mul[B, A] else None
+                for (A, B), ab in mul.items()}
 
         def idx(V, U):
             return len(U.members) // len(V.members)
 
-        for K in subs:
-            kset = set(K.members)
-            for H in subs:
-                if not set(H.members) <= kset:
-                    continue
-                for L in subs:
-                    if kset <= set(L.members):
-                        # gi1: [L:H] = [L:K][K:H]
-                        if idx(H, L) != idx(K, L) * idx(H, K):
-                            raise InvariantViolation("gi(1) failed")
-                        counts["gi1"] += 1
-                    # gi3: [K:H] >= [K n L : H n L]
-                    KL = self.intersect(K, L)
-                    HL = self.intersect(H, L)
-                    if idx(H, K) < idx(HL, KL):
-                        raise InvariantViolation("gi(3) failed")
-                    counts["gi3"] += 1
-                    # gi4: [K:H] >= [KL:HL] provided HL = LH
-                    hl = self.set_mul(H.members, L.members)
-                    if hl == self.set_mul(L.members, H.members):
-                        hl_sub = self.subgroup(hl)
-                        kl = self.set_mul(K.members, L.members)
-                        if idx(H, K) < self.coset_count(kl, hl_sub):
-                            raise InvariantViolation("gi(4) failed")
-                        counts["gi4"] += 1
+        for K, H in pairs:
+            for L in subs:
+                if sets[K] <= sets[L]:
+                    # gi1: [L:H] = [L:K][K:H]
+                    if idx(H, L) != idx(K, L) * idx(H, K):
+                        raise InvariantViolation("gi(1) failed")
+                    counts["gi1"] += 1
+                # gi3: [K:H] >= [K n L : H n L]
+                if idx(H, K) < idx(meet[H, L], meet[K, L]):
+                    raise InvariantViolation("gi(3) failed")
+                counts["gi3"] += 1
+                # gi4: [K:H] >= [KL:HL] provided HL = LH
+                if join[H, L] is not None:
+                    if idx(H, K) < self.coset_count(mul[K, L], join[H, L]):
+                        raise InvariantViolation("gi(4) failed")
+                    counts["gi4"] += 1
 
         for L in subs:
             for H in subs:
                 # gi2: [LH:H] = [L : H n L]
-                lh_count = self.coset_count(self.set_mul(L.members, H.members), H)
-                if lh_count != idx(self.intersect(H, L), L):
+                if self.coset_count(mul[L, H], H) != idx(meet[H, L], L):
                     raise InvariantViolation("gi(2) failed")
                 counts["gi2"] += 1
 
         for phi in self.endomorphisms():
-            img = self.image(phi, self.full_group())
             ker = self.kernel_handle(phi)
-            for K in subs:
-                kset = set(K.members)
-                for H in subs:
-                    if not set(H.members) <= kset:
-                        continue
-                    # gi5: [phi^-1 K : phi^-1 H] = [K n Im : H n Im] <= [K:H]
-                    pk, ph = self.preimage(phi, K), self.preimage(phi, H)
-                    lhs = idx(ph, pk)
-                    rhs = idx(self.intersect(H, img), self.intersect(K, img))
-                    if lhs != rhs or lhs > idx(H, K):
-                        raise InvariantViolation("gi(5) failed")
-                    counts["gi5"] += 1
-                    # gi6: [K ker : H ker] = [phi K : phi H] <= [K:H]
-                    kker = self.subgroup(self.set_mul(K.members, ker.members))
-                    hker = self.subgroup(self.set_mul(H.members, ker.members))
-                    lhs = idx(hker, kker)
-                    rhs = idx(self.image(phi, H), self.image(phi, K))
-                    if lhs != rhs or rhs > idx(H, K):
-                        raise InvariantViolation("gi(6) failed")
-                    counts["gi6"] += 1
+            pre = {S: self.preimage(phi, S) for S in subs}
+            img = {S: self.image(phi, S) for S in subs}
+            with_ker = {S: self.subgroup(self.set_mul(S.members, ker.members)) for S in subs}
+            im = img[self.full_group()]
+            for K, H in pairs:
+                # gi5: [phi^-1 K : phi^-1 H] = [K n Im : H n Im] <= [K:H]
+                lhs = idx(pre[H], pre[K])
+                if lhs != idx(meet[H, im], meet[K, im]) or lhs > idx(H, K):
+                    raise InvariantViolation("gi(5) failed")
+                counts["gi5"] += 1
+                # gi6: [K ker : H ker] = [phi K : phi H] <= [K:H]
+                rhs = idx(img[H], img[K])
+                if idx(with_ker[H], with_ker[K]) != rhs or rhs > idx(H, K):
+                    raise InvariantViolation("gi(6) failed")
+                counts["gi6"] += 1
 
         B = self.full_group()
         for A in subs:
             for Bp in subs:
-                ba = self.set_mul(Bp.members, A.members)
-                if ba != self.set_mul(A.members, Bp.members):
+                if join[Bp, A] is None:
                     continue
-                ba_sub = self.subgroup(ba)
-                Ap = self.intersect(A, Bp)
-                if idx(Bp, B) != idx(Ap, A) * idx(ba_sub, B):
+                if idx(Bp, B) != idx(meet[A, Bp], A) * idx(join[Bp, A], B):
                     raise InvariantViolation("snake failed")
                 counts["snake"] += 1
 
         for K in subs:
             for C in subs:
-                L = self.normalized_core(K, C)
-                cl = self.set_mul(C.members, L.members)
-                if cl != self.set_mul(L.members, C.members):
+                if join[C, self.normalized_core(K, C)] is None:
                     raise InvariantViolation("CL is not a subgroup after the core")
-                self.subgroup(cl)
                 counts["magic"] += 1
 
         return counts

@@ -17,12 +17,13 @@ U_0, ..., U_{-n} of ``minus_chain`` and the image chain V, phi(V), ... of
 ``image_chain``, which ends at its first fixed image.  A product system
 reads both chains from its factor systems (``_cached_chain``), so a chain
 that a factor system holds is never built again.  The cotrajectory table
-(``alpha_sequence``) is built afresh on every call.  The limit route must
-stay independent of the forward core, because their agreement is the
-library's central cross-check; it does, since the cotrajectory is built
-from U by intersections and preimages alone and never reads U_+ or U_-.
-The forward chain U_n (``plus_chain``) serves the forward/backward
-identities that ``verify`` checks, and is not cached.
+(``alpha_sequence``, read by ``htop_limit_estimate``) is cached per (U,
+n_max).  The limit route must stay independent of the forward core,
+because their agreement is the library's central cross-check; it does,
+since the cotrajectory is built from U by intersections and preimages
+alone and never reads U_+ or U_-.  Only the forward chain U_n
+(``plus_chain``), which serves the forward/backward identities that
+``verify`` checks, is not cached.
 
 Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ... of
 ``image_chain``, whose first step ``plus_group`` has already taken for its
@@ -166,7 +167,8 @@ def plus_chain(sys: TdlcSystem, U, n: int):
 
 
 def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> CotrajectoryTable:
-    """The table of c_n and alpha_n for n <= n_max with inline invariants.
+    """The table of c_n and alpha_n for n <= n_max with inline invariants,
+    computed once per (system, U, n_max): a certificate may depend on n_max.
 
     Any violation of divisibility, monotonicity or the nested-chain structure
     is a backend bug and is fatal.  The stabilization index is certified by
@@ -174,6 +176,10 @@ def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> Cotrajecto
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    return sys.memo(("alpha_sequence", U, n_max), _alpha_sequence, sys, U, n_max)
+
+
+def _alpha_sequence(sys: TdlcSystem, U, n_max: int) -> CotrajectoryTable:
     minus = minus_chain(sys, U, n_max + 1)
     model = sys.model
     cs = []
@@ -315,10 +321,8 @@ def is_tidy_below(sys: TdlcSystem, U, tidy_probe: int = DEFAULT_TIDY_PROBE) -> T
 
 
 def is_minimizing(sys: TdlcSystem, U, scale_value: int) -> bool:
-    """U attains the scale: [phi(U) : U n phi(U)] equals the given value."""
-    img = sys.model.image(sys.endo, U)
-    meet = sys.model.intersect(U, img)
-    return sys.model.index(meet, img) == IndexValue(scale_value)
+    """U attains the scale: its displacement index equals the given value."""
+    return displacement_index(sys, U) == IndexValue(scale_value)
 
 
 def displacement_index(sys: TdlcSystem, U) -> IndexValue:

@@ -4,9 +4,12 @@ Each suite returns a list of entries {"name", "status", ...}; a run summary
 counts PASS/FAIL/SKIPPED/INCONCLUSIVE.  Ordering is deterministic so reports
 are byte-stable.
 
+Every suite runs at the fixed depths below and takes only the catalog.
 ``run_suite`` builds the catalog once and hands it to every suite, so the
-suites of one run share each system and its cache.  A suite called on its
-own builds a fresh catalog.
+suites of one run share each system and its cache, one cotrajectory table
+per system included.  A suite called on its own builds a fresh catalog.
+``run_suite`` looks up ``suite_<name>`` as it runs it, so a rebinding of
+that attribute (as a timing harness does) takes effect.
 """
 
 from __future__ import annotations
@@ -21,6 +24,15 @@ from .scenario import build_subgroups, build_system
 
 INDEX_GROUPS = ("S3", "D4", "Q8", "Z12", "A4")
 
+PROBE = 3  # limit-free, products, oracle, monotonicity
+IDENTITY_PROBE = 4  # addition, scale-link
+SCALE_LINK_RESOLUTION = 6
+COTRAJECTORY_DEPTH = 16  # the forward/backward identities
+TABLE_N_MAX = 12  # the one table that cotrajectory, limit-free and oracle read
+
+SUITE_NAMES = ("indices", "cotrajectory", "addition", "scale-link", "limit-free",
+               "products", "oracle", "monotonicity", "all")
+
 
 def _catalog_systems() -> list:
     """(scenario data, system, named subgroups) for every catalog entry."""
@@ -31,8 +43,9 @@ def _catalog_systems() -> list:
     return out
 
 
-def suite_indices() -> list:
-    """Exhaustive index-identity checks over the finite group catalog."""
+def suite_indices(catalog=None) -> list:
+    """Exhaustive index-identity checks over the finite group catalog
+    (``catalog`` is unused: ``run_suite`` calls every suite alike)."""
     entries = []
     for name in INDEX_GROUPS:
         model = finite_backend.NAMED_GROUPS[name]()
@@ -53,10 +66,13 @@ def _forward_backward_identities(sys: TdlcSystem, U, n_max: int):
     powers = [model.endo_power(sys.endo, k) for k in range(n_max + 1)]
     checked = 0
     for n in range(n_max + 1):
-        if model.image(powers[n], minus[n]) != plus[n]:
+        # phi^n(U_-n) serves both identities at k = n; phi^0 is the identity
+        top = model.image(powers[n], minus[n]) if n else minus[0]
+        if top != plus[n]:
             return False, f"U_n != phi^n(U_-n) at n={n}", checked
-        for k in range(0, n + 1, max(1, n // 3) if n else 1):
-            if model.image(powers[k], minus[n]) != model.intersect(plus[k], minus[n - k]):
+        for k in range(0, n + 1, max(1, n // 3)):
+            image = top if k == n else model.image(powers[k], minus[n]) if k else minus[n]
+            if image != model.intersect(plus[k], minus[n - k]):
                 return False, f"phi^k(U_-n) != U_k n U_-(n-k) at n={n},k={k}", checked
             checked += 1
     for n in range(n_max):
@@ -68,8 +84,9 @@ def _forward_backward_identities(sys: TdlcSystem, U, n_max: int):
     return True, "", checked
 
 
-def suite_cotrajectory(n_max: int = 16, catalog=None) -> list:
-    """Forward/backward identities and index laws at every probed depth.
+def suite_cotrajectory(catalog=None) -> list:
+    """Forward/backward identities to ``COTRAJECTORY_DEPTH`` and the index
+    laws of the table to ``TABLE_N_MAX``.
 
     A table whose stabilization is unresolved or uncertified makes the entry
     INCONCLUSIVE, never PASS.
@@ -77,16 +94,14 @@ def suite_cotrajectory(n_max: int = 16, catalog=None) -> list:
     entries = []
     for data, sys, _ in catalog or _catalog_systems():
         u = sys.model.base_element(0)
-        pg = cotraj.plus_group(sys, u)
-        fixed = sys.model.intersect(u, sys.model.image(sys.endo, pg.handle)) == pg.handle
-        ok, reason, checked = _forward_backward_identities(sys, u, n_max)
+        ok, reason, checked = _forward_backward_identities(sys, u, COTRAJECTORY_DEPTH)
         n_star = None
         try:
-            n_star = cotraj.alpha_sequence(sys, u, min(n_max, 12)).n_star
+            n_star = cotraj.alpha_sequence(sys, u, TABLE_N_MAX).n_star
             unresolved = "alpha did not certifiably stabilize"
         except UnresolvedError as exc:
             unresolved = str(exc)
-        if not (ok and fixed):
+        if not ok:
             status = FAIL
         elif n_star is None:
             status, reason = INCONCLUSIVE, unresolved
@@ -102,7 +117,7 @@ def suite_cotrajectory(n_max: int = 16, catalog=None) -> list:
     return entries
 
 
-def suite_addition(probe: int = 4, catalog=None) -> list:
+def suite_addition(catalog=None) -> list:
     """Every additivity instance declared in the catalog, plus degenerates."""
     entries = []
     for data, sys, subgroups in catalog or _catalog_systems():
@@ -111,7 +126,7 @@ def suite_addition(probe: int = 4, catalog=None) -> list:
                 continue
             handle = subgroups[chk["subgroup"]]
             spec = ClosedSubgroupSpec.verify(sys, handle)
-            v = dynamics.verify_addition_theorem(sys, spec, probe)
+            v = dynamics.verify_addition_theorem(sys, spec, IDENTITY_PROBE)
             entries.append({
                 "name": f"addition/{data['name']}/{chk['subgroup']}",
                 "status": v.status,
@@ -121,11 +136,12 @@ def suite_addition(probe: int = 4, catalog=None) -> list:
     return entries
 
 
-def suite_scale_link(probe: int = 4, resolution: int = 6, catalog=None) -> list:
+def suite_scale_link(catalog=None) -> list:
     """Scale-entropy link and the equality-case matrix on every system."""
     entries = []
     for data, sys, _ in catalog or _catalog_systems():
-        v = dynamics.verify_scale_entropy_link(sys, probe=probe, resolution=resolution)
+        v = dynamics.verify_scale_entropy_link(sys, probe=IDENTITY_PROBE,
+                                               resolution=SCALE_LINK_RESOLUTION)
         entries.append({
             "name": f"scale-link/{data['name']}",
             "status": v.status,
@@ -135,7 +151,7 @@ def suite_scale_link(probe: int = 4, resolution: int = 6, catalog=None) -> list:
     return entries
 
 
-def suite_limit_free(probe: int = 3, n_max: int = 12, catalog=None) -> list:
+def suite_limit_free(catalog=None) -> list:
     """The central cross-check: both entropy routes agree at every resolved
     base element of every catalog system."""
     entries = []
@@ -143,11 +159,11 @@ def suite_limit_free(probe: int = 3, n_max: int = 12, catalog=None) -> list:
     for data, sys, _ in catalog or _catalog_systems():
         agree = True
         reason = ""
-        for k in range(probe + 1):
+        for k in range(PROBE + 1):
             u = sys.model.base_element(k)
             try:
                 local = cotraj.htop_local(sys, u)
-                limit = cotraj.htop_limit_estimate(sys, u, n_max)
+                limit = cotraj.htop_limit_estimate(sys, u, TABLE_N_MAX)
             except UnresolvedError as exc:
                 reason = f"unresolved at base {k}: {exc}"
                 continue
@@ -181,7 +197,7 @@ PRODUCT_PAIRS = (
 )
 
 
-def suite_products(probe: int = 3, catalog=None) -> list:
+def suite_products(catalog=None) -> list:
     """Product formula over cross-backend pairs, and the diagonal agreement,
     which reads the entropy and scale of the checked q2_half square."""
     built = {data["name"]: sys for data, sys, _ in catalog or _catalog_systems()}
@@ -189,7 +205,7 @@ def suite_products(probe: int = 3, catalog=None) -> list:
     products = {}
     for a, b in PRODUCT_PAIRS:
         products[a, b] = make_product(built[a], built[b])
-        v = dynamics.verify_product_formula(products[a, b], probe)
+        v = dynamics.verify_product_formula(products[a, b], PROBE)
         entries.append({
             "name": f"products/{a}*{b}",
             "status": v.status,
@@ -197,10 +213,10 @@ def suite_products(probe: int = 3, catalog=None) -> list:
         })
     prod = products["q2_half", "q2_half"]
     diag = built["padic_diag_half_half"]
-    hp = dynamics.topological_entropy(prod, probe).value
-    hd = dynamics.topological_entropy(diag, probe).value
-    sp = dynamics.scale(prod, probe=probe).value
-    sd = dynamics.scale(diag, probe=probe).value
+    hp = dynamics.topological_entropy(prod, PROBE).value
+    hd = dynamics.topological_entropy(diag, PROBE).value
+    sp = dynamics.scale(prod, probe=PROBE).value
+    sd = dynamics.scale(diag, probe=PROBE).value
     entries.append({
         "name": "products/diagonal-agreement",
         "status": PASS if (hp == hd and sp == sd) else FAIL,
@@ -209,15 +225,15 @@ def suite_products(probe: int = 3, catalog=None) -> list:
     return entries
 
 
-def suite_oracle(probe: int = 3, n_max: int = 12, catalog=None) -> list:
+def suite_oracle(catalog=None) -> list:
     """Newton polygon prediction vs stabilized alpha vs the scale search."""
     entries = []
     for data, sys, _ in catalog or _catalog_systems():
         if sys.model.kind != "padic":
             continue
         predicted = sys.model.scale_oracle(sys.endo)
-        table = cotraj.alpha_sequence(sys, sys.model.base_element(0), n_max)
-        s = dynamics.scale(sys, probe=probe)
+        table = cotraj.alpha_sequence(sys, sys.model.base_element(0), TABLE_N_MAX)
+        s = dynamics.scale(sys, probe=PROBE)
         ok = (
             table.n_star is not None
             and table.stable_alpha.value == predicted
@@ -235,7 +251,7 @@ def suite_oracle(probe: int = 3, n_max: int = 12, catalog=None) -> list:
     return entries
 
 
-def suite_monotonicity(probe: int = 3, catalog=None) -> list:
+def suite_monotonicity(catalog=None) -> list:
     """Restriction monotonicity and the projected entropy table equality."""
     entries = []
     for data, sys, subgroups in catalog or _catalog_systems():
@@ -243,14 +259,14 @@ def suite_monotonicity(probe: int = 3, catalog=None) -> list:
             spec = ClosedSubgroupSpec.verify(sys, handle)
             if not spec.phi_invariant:
                 continue
-            v = dynamics.restriction_monotonicity(sys, spec, probe)
+            v = dynamics.restriction_monotonicity(sys, spec, PROBE)
             entries.append({
                 "name": f"monotonicity/restrict/{data['name']}/{name}",
                 "status": v.status,
                 "reason": v.reason,
             })
             if spec.compact:
-                v = dynamics.quotient_table_equality(sys, spec, probe)
+                v = dynamics.quotient_table_equality(sys, spec, PROBE)
                 entries.append({
                     "name": f"monotonicity/quotient-table/{data['name']}/{name}",
                     "status": v.status,
@@ -259,34 +275,15 @@ def suite_monotonicity(probe: int = 3, catalog=None) -> list:
     return entries
 
 
-# each entry looks its suite up at call time, so a rebinding of
-# ``verify.suite_<name>`` (as a timing harness does) is honoured
-_SUITES = {
-    "indices": lambda catalog: suite_indices(),
-    "cotrajectory": lambda catalog: suite_cotrajectory(catalog=catalog),
-    "addition": lambda catalog: suite_addition(catalog=catalog),
-    "scale-link": lambda catalog: suite_scale_link(catalog=catalog),
-    "limit-free": lambda catalog: suite_limit_free(catalog=catalog),
-    "products": lambda catalog: suite_products(catalog=catalog),
-    "oracle": lambda catalog: suite_oracle(catalog=catalog),
-    "monotonicity": lambda catalog: suite_monotonicity(catalog=catalog),
-}
-
-SUITE_NAMES = (*_SUITES, "all")
-
-
 def run_suite(name: str) -> dict:
     """Run one named suite (or 'all'); returns a deterministic summary."""
-    if name == "all":
-        names = list(_SUITES)
-    elif name in _SUITES:
-        names = [name]
-    else:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    catalog = None if names == ["indices"] else _catalog_systems()
+    names = SUITE_NAMES[:-1] if name == "all" else (name,)
+    catalog = None if names == ("indices",) else _catalog_systems()
     entries = []
     for n in names:
-        entries.extend(_SUITES[n](catalog))
+        entries.extend(globals()[f"suite_{n.replace('-', '_')}"](catalog))
     summary = {status: 0 for status in (PASS, FAIL, SKIPPED, INCONCLUSIVE)}
     for e in entries:
         summary[e["status"]] = summary.get(e["status"], 0) + 1

@@ -48,7 +48,7 @@ def timed(budget_seconds):
 
 def test_criterion_1_limit_free_consistency():
     finish = timed(10.0)
-    entries = suite_limit_free(probe=3, n_max=12)
+    entries = suite_limit_free()
     count_entry = entries[-1]
     assert count_entry["instances"] >= 40
     assert all(e["status"] == PASS for e in entries)
@@ -115,7 +115,7 @@ def test_criterion_3_scale_values():
 
 def test_criterion_4_scale_entropy_link():
     finish = timed(10.0)
-    entries = suite_scale_link(probe=4, resolution=6)
+    entries = suite_scale_link()
     assert all(e["status"] == PASS for e in entries)
     by_name = {e["name"].split("/", 1)[1]: e for e in entries}
     compact_shift = by_name["shift_z2_compact"]["details"]
@@ -146,7 +146,7 @@ def test_criterion_5_index_lemma_suite():
 
 def test_criterion_6_cotrajectory_identities():
     finish = timed(20.0)
-    entries = suite_cotrajectory(n_max=16)
+    entries = suite_cotrajectory()
     assert all(e["status"] == PASS for e in entries)
     elapsed = finish("cotrajectory")
     print(f"\nACCEPTANCE 6 PASS: cotrajectory identities at n<=16 on "
@@ -155,7 +155,7 @@ def test_criterion_6_cotrajectory_identities():
 
 def test_criterion_7_product_formula():
     finish = timed(5.0)
-    entries = suite_products(probe=3)
+    entries = suite_products()
     products = [e for e in entries if e["name"] != "products/diagonal-agreement"]
     assert len(products) >= 5
     assert all(e["status"] == PASS for e in entries)
@@ -166,7 +166,7 @@ def test_criterion_7_product_formula():
 
 def test_criterion_8_oracle_agreement():
     finish = timed(5.0)
-    entries = suite_oracle(probe=3, n_max=12)
+    entries = suite_oracle()
     names = {e["name"].split("/", 1)[1] for e in entries}
     assert {"padic_diag_half_half", "padic_jordan_half", "padic_singular",
             "padic_mixed_2_half"} <= names
@@ -177,7 +177,7 @@ def test_criterion_8_oracle_agreement():
 
 def test_criterion_9_monotonicity():
     finish = timed(10.0)
-    entries = suite_monotonicity(probe=3)
+    entries = suite_monotonicity()
     assert entries
     assert all(e["status"] in (PASS, SKIPPED) for e in entries)
     restricted = [e for e in entries if "/restrict/" in e["name"] and e["status"] == PASS]

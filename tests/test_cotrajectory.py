@@ -384,6 +384,33 @@ def test_unresolved_is_raised_again_not_cached(monkeypatch):
     assert len(calls) == 2
 
 
+def test_alpha_sequence_is_one_table_per_system_subgroup_and_length(monkeypatch):
+    """Over one catalog, the cotrajectory, limit-free and oracle suites
+    certify each table once: the (base(0), ``TABLE_N_MAX``) table that all
+    three read included.  Another length builds its own table, and a
+    length below 1 is refused before the cache is read."""
+    catalog = verify._catalog_systems()
+    calls = [count_calls(monkeypatch, sys.model, "alpha_stabilization") for _, sys, _ in catalog]
+    verify.suite_cotrajectory(catalog)
+    verify.suite_limit_free(catalog)
+    verify.suite_oracle(catalog)
+    for (data, sys, _), made in zip(catalog, calls):
+        keys = [(phi, U, len(alphas) - 1) for phi, U, _, alphas in made]
+        assert len(keys) == len(set(keys)), data["name"]
+        assert (sys.endo, sys.model.base_element(0), verify.TABLE_N_MAX) in keys, data["name"]
+    (_, sys, _), made = next((entry, made) for entry, made in zip(catalog, calls)
+                             if entry[0]["name"] == "q2_half")
+    u = sys.model.base_element(0)
+    cached = cotraj.alpha_sequence(sys, u, verify.TABLE_N_MAX)
+    before = len(made)
+    other = cotraj.alpha_sequence(sys, u, 8)
+    assert len(made) == before + 1 and len(other.rows) == 9
+    assert cotraj.alpha_sequence(sys, u, verify.TABLE_N_MAX) is cached
+    with pytest.raises(ValueError):
+        cotraj.alpha_sequence(sys, u, 0)
+    assert ("alpha_sequence", u, 0) not in sys._cache
+
+
 def literal_minus_chain(sys, U, n):
     """U_0, ..., U_{-n} by a plain loop of the model's preimage and intersect."""
     out = [U]
@@ -660,12 +687,14 @@ def test_verify_all_op_counts(monkeypatch):
     identities took a power of phi for every (n, k), the run made (79,
     18932, 33035); while products built their chains from their own
     primitives, a scenario with equal factors built two factor systems and
-    ``_plus_group`` took its own image of U_+, (50, 13906, 23166)."""
+    ``_plus_group`` took its own image of U_+, (50, 13906, 23166); while
+    each suite rebuilt its cotrajectory table and the identities took
+    phi^n(U_-n) twice and phi^0(U_-n) at all, (45, 11818, 19342)."""
     rrefs, hnfs = count_eliminations(monkeypatch)
     minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert (len(minus), len(rrefs), len(hnfs)) == (45, 11818, 19342)
+    assert (len(minus), len(rrefs), len(hnfs)) == (45, 11516, 19032)
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):

@@ -194,13 +194,33 @@ def test_cli_tidy_command(tmp_path):
 def test_cli_verify_exit_zero():
     """The CLI runs every suite ``run_suite`` knows (``all`` runs in the
     golden-output gate) and refuses any other name."""
-    for name in verify._SUITES:
+    for name in verify.SUITE_NAMES[:-1]:
         code, out = run_cli(["verify", name])
         assert code == cli.EXIT_OK, name
         assert json.loads(out)["summary"]["FAIL"] == 0
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "no-such-suite"])
     assert exc.value.code == cli.EXIT_INVALID
+
+
+def test_run_suite_looks_up_each_suite_when_it_runs_it(monkeypatch):
+    """``run_suite("all")`` calls ``verify.suite_<name>`` as bound when it
+    runs, once per suite, in ``SUITE_NAMES`` order, with one catalog; a
+    timing harness relies on this by rebinding the suites.  ``indices``
+    alone builds no catalog."""
+    calls, builds = [], []
+    catalog = object()
+    monkeypatch.setattr(verify, "_catalog_systems", lambda: builds.append(1) or catalog)
+    for name in verify.SUITE_NAMES[:-1]:
+        monkeypatch.setattr(verify, f"suite_{name.replace('-', '_')}",
+                            lambda catalog=None, _name=name: calls.append((_name, catalog)) or [])
+    verify.run_suite("all")
+    assert calls == [(name, catalog) for name in verify.SUITE_NAMES[:-1]]
+    assert len(builds) == 1
+    calls.clear()
+    builds.clear()
+    verify.run_suite("indices")
+    assert (calls, builds) == ([("indices", None)], [])
 
 
 def test_shipped_scenario_files_match_catalog():

@@ -84,7 +84,8 @@ def test_cotrajectory_suite_is_inconclusive_when_alpha_is_unresolved(monkeypatch
         return cotraj.CotrajectoryTable(subgroup=U, rows=(), n_star=None, certificate={})
 
     monkeypatch.setattr(cotraj, "alpha_sequence", unresolved_alpha)
-    entries = verify.suite_cotrajectory(n_max=4)
+    monkeypatch.setattr(verify, "COTRAJECTORY_DEPTH", 4)
+    entries = verify.suite_cotrajectory()
     assert entries
     assert {e["status"] for e in entries} == {dynamics.INCONCLUSIVE}
     assert all(e["n_star"] is None and e["reason"] for e in entries)
