@@ -337,6 +337,10 @@ class FiniteGroupModel:
             self, tuple(x for x in range(self.order) if phi.mapping[x] in mem)
         )
 
+    def meet_preimage(self, U: FiniteSubgroup, phi: FiniteEndo,
+                      V: FiniteSubgroup) -> FiniteSubgroup:
+        return self.intersect(U, self.preimage(phi, V))
+
     def contains(self, U: FiniteSubgroup, V: FiniteSubgroup) -> bool:
         """V <= U"""
         check_model(self, U, V)

@@ -19,7 +19,8 @@ generators runs it once, when it is made; ``from_constraints`` builds the
 canonical handle W of span(N) + Z_(p) D, runs it once on W, and keeps W as
 the result's dual.  Intersections and preimages stack the carried duals and
 take their annihilator, which is exact, needs no iteration and converts no
-operand again.  The elimination is one rref of an augmented matrix
+operand again; the cotrajectory step U n phi^{-1}(V) (``meet_preimage``)
+stacks U's dual with V's times the matrix and takes one annihilator.  The elimination is one rref of an augmented matrix
 (``linalg.kernel_and_solutions``) that yields the kernel split and every
 particular solution at once.  Membership and containment read the dual and
 eliminate nothing: N and D are cleared to ints once per handle, and each
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -151,6 +153,14 @@ class PadicEndo:
     @cached_property
     def char_poly(self) -> tuple:
         return charpoly(self.matrix)
+
+    @cached_property
+    def int_columns(self) -> tuple:
+        """The matrix cleared to ints: the columns of den * matrix for the
+        lcm den of its denominators, and v_p(den)."""
+        den = lcm(*(x.denominator for row in self.matrix for x in row))
+        cols = zip(*((x.numerator * (den // x.denominator) for x in row) for row in self.matrix))
+        return tuple(cols), _vp_int(den, self.model.p)
 
     @cached_property
     def rational_factors(self) -> tuple:
@@ -309,6 +319,20 @@ class PadicModel:
         n, d = U.dual
         a = phi.matrix
         return self.from_constraints(mat_mul(n, a), mat_mul(d, a))
+
+    def meet_preimage(self, U: PadicSubgroup, phi: PadicEndo, V: PadicSubgroup) -> PadicSubgroup:
+        """U n phi^{-1}(V) in one ``from_constraints``: x lies in it iff U's
+        constraints hold at x and V's at A x, so its dual is U's stacked with
+        V's times A.  The product is taken on ints: with A = a / den and a row
+        R / den_R of V's D, the row R a / p^(v_p(den_R) + v_p(den)) spans the
+        same Z_(p)-line as R A."""
+        check_model(self, U, V)
+        (nu, du), (nv, dv) = U.dual, V.int_dual
+        cols, e = phi.int_columns
+        return self.from_constraints(
+            nu + tuple(_row_times(r, cols) for r in nv),
+            du + tuple(_row_times(r, cols, self.p ** (v + e)) for r, v in dv),
+        )
 
     # -- specs, quotient, restriction -------------------------------------------
 
@@ -598,6 +622,12 @@ def _annihilator(subspace, module, dim: int) -> tuple:
     if None in d_rows:
         raise InvariantViolation("span basis lost full column rank")
     return n_rows, d_rows
+
+
+def _row_times(row, cols, den: int = 1) -> tuple:
+    """The int row times the matrix of int ``cols``, over ``den``."""
+    out = [sum(map(mul, row, c)) for c in cols]
+    return tuple(out) if den == 1 else tuple(F(x, den) for x in out)
 
 
 def _first_nonzero(v) -> int:

@@ -96,6 +96,10 @@ class ProductModel:
         check_model(self, U)
         return self.pair(*self._zip("preimage", phi.parts, U.parts))
 
+    def meet_preimage(self, U, phi, V):
+        check_model(self, U, V)
+        return self.pair(*self._zip("meet_preimage", U.parts, phi.parts, V.parts))
+
     def contains(self, U, V) -> bool:
         check_model(self, U, V)
         return all(self._zip("contains", U.parts, V.parts))

@@ -319,6 +319,9 @@ class ShiftProfileModel:
         check_model(self, U)
         return self._mapped(U, -phi.k, phi.preimage_id)
 
+    def meet_preimage(self, U: Profile, phi: ShiftEndo, V: Profile) -> Profile:
+        return self.intersect(U, self.preimage(phi, V))
+
     def translate(self, U: Profile, t: int) -> Profile:
         """The shift automorphism by t applied to the handle."""
         ident = tuple(range(len(self.alphabet.subgroup_sets)))

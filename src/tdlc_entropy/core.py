@@ -69,7 +69,14 @@ class Backend(Protocol):
     def image(self, phi, U):
         """phi(U), compact when U is; its openness is never asserted."""
     def preimage(self, phi, U):
-        """phi^{-1}(U), possibly non-compact: meet it with a compact open U first."""
+        """phi^{-1}(U), possibly non-compact: meet it with a compact open U first.
+        Only the backward limit (``limit_chain``, ``cotraj.minus_group``) still
+        calls it; it leaves the protocol when tidiness above is read off one
+        index instead of U_-."""
+    def meet_preimage(self, U, phi, V):
+        """U n phi^{-1}(V), the cotrajectory step U_{-n-1} = U n phi^{-1}(U_{-n});
+        equal to ``intersect(U, preimage(phi, V))``, in one step where the
+        backend has one."""
     def index(self, V, U) -> IndexValue:
         """Exact [U:V] for V <= U, infinite when V is not open in U."""
     def contains(self, U, V) -> bool:

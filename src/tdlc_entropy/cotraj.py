@@ -13,17 +13,18 @@ plateau.
 The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
 ``tidy_above_transform``) is cached on the system, and so are two chains,
 each a prefix that grows when a longer one is asked for: the cotrajectory
-U_0, ..., U_{-n} of ``minus_chain`` and the image chain V, phi(V), ... of
-``image_chain``, which ends at its first fixed image.  A product system
-reads both chains from its factor systems (``_cached_chain``), so a chain
-that a factor system holds is never built again.  The cotrajectory table
-(``alpha_sequence``, read by ``htop_limit_estimate``) is cached per (U,
-n_max).  The limit route must stay independent of the forward core,
-because their agreement is the library's central cross-check; it does,
-since the cotrajectory is built from U by intersections and preimages
-alone and never reads U_+ or U_-.  Only the forward chain U_n
-(``plus_chain``), which serves the forward/backward identities that
-``verify`` checks, is not cached.
+U_0, ..., U_{-n} of ``minus_chain``, each step one ``meet_preimage``, and
+the image chain V, phi(V), ... of ``image_chain``, which ends at its first
+fixed image.  A product system reads both chains from its factor systems
+(``_cached_chain``), so a chain that a factor system holds is never built
+again.  The cotrajectory table (``alpha_sequence``, read by
+``htop_limit_estimate``) is cached per (U, n_max).  The limit route must
+stay independent of the forward core, because their agreement is the
+library's central cross-check; it does, since the cotrajectory is built
+from U by ``meet_preimage`` steps alone and never reads U_+ or U_-.  Only
+the forward chain U_n (``plus_chain``), which serves the forward/backward
+identities that ``verify`` checks, is not cached; it hands back the images
+phi(U_n) it took.
 
 Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ... of
 ``image_chain``, whose first step ``plus_group`` has already taken for its
@@ -98,15 +99,6 @@ class TidyBelowResult:
     certificate: dict
 
 
-def _chain_prefix(sys: TdlcSystem, U, n: int, move, chain=()):
-    """U and the first n iterates of h -> U n move(phi, h), extending
-    ``chain``, a prefix of them."""
-    out = list(chain) or [U]
-    while len(out) <= n:
-        out.append(sys.model.intersect(U, move(sys.endo, out[-1])))
-    return out
-
-
 def _cached_chain(sys: TdlcSystem, key: str, grow, U, n: int) -> tuple:
     """The first n + 1 entries of the chain ``key`` from U, or all of them
     when it ends sooner, cached on the system as one growing prefix.
@@ -131,7 +123,10 @@ def _cached_chain(sys: TdlcSystem, key: str, grow, U, n: int) -> tuple:
 
 
 def _preimage_steps(sys: TdlcSystem, U, n: int, cached) -> tuple:
-    return tuple(_chain_prefix(sys, U, n, sys.model.preimage, cached))
+    out = list(cached) or [U]
+    while len(out) <= n:
+        out.append(sys.model.meet_preimage(U, sys.endo, out[-1]))
+    return tuple(out)
 
 
 def _image_steps(sys: TdlcSystem, V, n: int, cached) -> tuple:
@@ -161,9 +156,14 @@ def image_chain(sys: TdlcSystem, V, n: int) -> tuple:
     return _cached_chain(sys, "image_chain", _image_steps, V, n)
 
 
-def plus_chain(sys: TdlcSystem, U, n: int):
-    """U_0, ..., U_n: U_{j+1} = U n phi(U_j)."""
-    return _chain_prefix(sys, U, n, sys.model.image)
+def plus_chain(sys: TdlcSystem, U, n: int) -> tuple:
+    """(U_0, ..., U_n) and the images (phi(U_0), ..., phi(U_{n-1})) that
+    built them: U_{j+1} = U n phi(U_j)."""
+    chain, images = [U], []
+    while len(chain) <= n:
+        images.append(sys.model.image(sys.endo, chain[-1]))
+        chain.append(sys.model.intersect(U, images[-1]))
+    return chain, images
 
 
 def alpha_sequence(sys: TdlcSystem, U, n_max: int = DEFAULT_N_MAX) -> CotrajectoryTable:

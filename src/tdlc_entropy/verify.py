@@ -62,7 +62,7 @@ def suite_indices(catalog=None) -> list:
 def _forward_backward_identities(sys: TdlcSystem, U, n_max: int):
     model = sys.model
     minus = cotraj.minus_chain(sys, U, n_max + 1)
-    plus = cotraj.plus_chain(sys, U, n_max + 1)
+    plus, plus_images = cotraj.plus_chain(sys, U, n_max + 1)
     powers = [model.endo_power(sys.endo, k) for k in range(n_max + 1)]
     checked = 0
     for n in range(n_max + 1):
@@ -76,7 +76,7 @@ def _forward_backward_identities(sys: TdlcSystem, U, n_max: int):
                 return False, f"phi^k(U_-n) != U_k n U_-(n-k) at n={n},k={k}", checked
             checked += 1
     for n in range(n_max):
-        lhs = model.index(plus[n + 1], model.image(sys.endo, plus[n]))
+        lhs = model.index(plus[n + 1], plus_images[n])
         rhs = model.index(minus[n + 1], minus[n])
         if lhs != rhs:
             return False, f"[phi(U_n):U_n+1] != [U_-n:U_-n-1] at n={n}", checked

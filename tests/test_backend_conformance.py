@@ -6,6 +6,7 @@ fallbacks; this test is what makes that safe.
 """
 
 import ast
+import functools
 import inspect
 import pathlib
 
@@ -13,8 +14,8 @@ import pytest
 
 import tdlc_entropy
 
-from tdlc_entropy import core, cotraj
-from tdlc_entropy.backends.catalog import find_scenario
+from tdlc_entropy import core, cotraj, verify
+from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.finite import FiniteGroupModel
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import ProductModel, make_product
@@ -122,3 +123,28 @@ def test_every_built_handle_describes_itself(system):
         assert isinstance(h.describe(), str)
         assert isinstance(h.is_open, bool) and isinstance(h.is_compact, bool)
         assert isinstance(h.is_normal, bool)
+
+
+@functools.cache
+def _catalog_system(name):
+    return build_system(find_scenario(name))
+
+
+# every catalog system and every product that the products suite checks
+MEET_PREIMAGE_CASES = [data["name"] for data in catalog_scenarios()] + [
+    f"{a}*{b}" for a, b in verify.PRODUCT_PAIRS]
+
+
+@pytest.mark.parametrize("case", MEET_PREIMAGE_CASES)
+def test_meet_preimage_is_the_meet_with_the_preimage(case):
+    """``meet_preimage(U, phi, V) == intersect(U, preimage(phi, V))`` at base
+    elements 0-2, with V each of their first three cotrajectory steps."""
+    if "*" in case:
+        system = make_product(*map(_catalog_system, case.split("*")))
+    else:
+        system = _catalog_system(case)
+    model, phi = system.model, system.endo
+    for k in range(3):
+        u = model.base_element(k)
+        for v in cotraj.minus_chain(system, u, 2):
+            assert model.meet_preimage(u, phi, v) == model.intersect(u, model.preimage(phi, v))

@@ -484,6 +484,29 @@ def test_intersect_of_mixed_handles_agrees_with_membership(data):
         assert (model.member(u, x) and model.member(v, x)) == model.member(w, x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_meet_preimage_agrees_with_intersect_of_the_preimage(data):
+    """U n phi^{-1}(V) in one constraint solve is the meet of U with the
+    preimage, dual included, for non-integral and singular matrices and
+    handles with a subspace part."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    dim = data.draw(st.integers(1, 4))
+    model = PadicModel(p, dim)
+    entries = st.sampled_from([F(0), F(1), F(-1), F(p), F(1, p), F(-3, p * p), F(2, 3), F(7, 5)])
+    matrix = [[data.draw(entries) for _ in range(dim)] for _ in range(dim)]
+    if data.draw(st.booleans()):
+        # singular: the last row is a multiple of the first (or zero in dim 1)
+        c = data.draw(entries)
+        matrix[-1] = [c * x for x in matrix[0]] if dim > 1 else [F(0)]
+    phi = model.endo(matrix)
+    u, v = _draw_mixed_handle(data, model), _draw_mixed_handle(data, model)
+    got = model.meet_preimage(u, phi, v)
+    expected = model.intersect(u, model.preimage(phi, v))
+    assert got == expected
+    assert got.dual == expected.dual
+
+
 # Fraction references for membership, containment and index: coefficients by
 # back-substitution over the module columns, and the index as the p-adic
 # valuation of the transition determinant.
@@ -1093,8 +1116,9 @@ def test_lattice_primitives_agree_with_the_finite_section(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integral_image_and_preimage_agree_with_the_finite_section(data):
-    """For p-integral phi: phi(M) + qL and phi^{-1}(M) n L against the finite
-    image and preimage under phi mod q."""
+    """For p-integral phi: phi(M) + qL, phi^{-1}(M) n L and the cotrajectory
+    step V n phi^{-1}(M) against the finite image, preimage and meet with the
+    preimage under phi mod q."""
     model, n, q, group, index = _draw_section_shape(data)
     d = model.dim
     a = [[_draw_p_integral(data, model.p, q) for _ in range(d)] for _ in range(d)]
@@ -1107,3 +1131,9 @@ def test_integral_image_and_preimage_agree_with_the_finite_section(data):
     assert _section(group, index, q, image) == group.image(sigma, su)
     preimage = model.intersect(model.preimage(phi, u), model.full_lattice())
     assert _section(group, index, q, preimage) == group.preimage(sigma, su)
+    assert model.meet_preimage(model.full_lattice(), phi, u) == preimage
+    v = _draw_section_lattice(data, model, q)
+    meet = model.meet_preimage(v, phi, u)
+    sv = _section(group, index, q, v)
+    assert _section(group, index, q, meet) == group.intersect(sv, group.preimage(sigma, su))
+

@@ -69,13 +69,13 @@ def test_minus_n_examples():
 def test_plus_n_examples():
     sys = q2_half()
     u = sys.model.full_lattice()
-    assert cotraj.plus_chain(sys, u, 3)[3] == u  # Z_2 is already forward invariant
+    assert cotraj.plus_chain(sys, u, 3)[0][3] == u  # Z_2 is already forward invariant
 
     d = q2_double()
     u = d.model.full_lattice()
-    assert cotraj.plus_chain(d, u, 1)[1] == d.model.lattice([[2]])
-    assert cotraj.plus_chain(d, u, 4)[4] == d.model.lattice([[16]])
-    assert cotraj.plus_chain(d, u, 0)[0] == u
+    assert cotraj.plus_chain(d, u, 1)[0][1] == d.model.lattice([[2]])
+    assert cotraj.plus_chain(d, u, 4)[0][4] == d.model.lattice([[16]])
+    assert cotraj.plus_chain(d, u, 0)[0][0] == u
 
 
 def test_alpha_sequence_q2_half():
@@ -292,7 +292,7 @@ def test_forward_backward_identities_small_probe():
     for sys, pick in mini_catalog():
         u = pick(sys)
         minus = cotraj.minus_chain(sys, u, nmax + 1)
-        plus = cotraj.plus_chain(sys, u, nmax + 1)
+        plus, _ = cotraj.plus_chain(sys, u, nmax + 1)
         for n in range(nmax + 1):
             phin = sys.model.endo_power(sys.endo, n)
             assert sys.model.image(phin, minus[n]) == plus[n]
@@ -312,13 +312,13 @@ def test_stable_subgroup_below_plus_n():
     s = shift_z2()
     u = s.model.full_group()
     h = s.model.full_group()  # the whole group is stable under the shift
-    for un in cotraj.plus_chain(s, u, 4):
+    for un in cotraj.plus_chain(s, u, 4)[0]:
         assert s.model.contains(un, h)
 
     f = finite_s3()
     a3 = next(x for x in f.model.all_subgroups() if len(x) == 3)
     u = f.model.full_group()
-    for un in cotraj.plus_chain(f, u, 4):
+    for un in cotraj.plus_chain(f, u, 4)[0]:
         assert f.model.contains(un, a3)
 
 
@@ -327,7 +327,7 @@ def test_normalizer_descends_to_plus_n():
     f = finite_s3()
     a3 = next(x for x in f.model.all_subgroups() if len(x) == 3)
     u = f.model.full_group()
-    for un in cotraj.plus_chain(f, u, 3):
+    for un in cotraj.plus_chain(f, u, 3)[0]:
         norm = f.model.normalizer(un)
         assert f.model.contains(norm, a3)
 
@@ -432,15 +432,20 @@ def literal_image_chain(sys, V, n):
 
 
 @pytest.mark.parametrize("name", ["q2_half", "shift_z2_compact", "finite_s3",
-                                  "product_q2half_laurent3"])
+                                  "product_q2half_laurent3", "padic_dim4_cotraj.json"])
 def test_minus_chain_extends_one_cached_prefix(monkeypatch, name):
     """Asked for 4, 16 and 2 steps, ``minus_chain`` returns the handles of a
-    fresh chain, and takes each preimage once.  A product takes none itself:
-    each factor model takes its 16, on its factor system."""
-    sys = build_system(find_scenario(name))
+    plain loop of the model's ``intersect`` and ``preimage``, and takes each
+    step ``meet_preimage`` once.  A product takes none itself: each factor
+    model takes its 16, on its factor system."""
+    if name.endswith(".json"):
+        sys = build_system(load_scenario_file(os.path.join(SCENARIOS, name)))
+    else:
+        sys = build_system(find_scenario(name))
     u = sys.model.base_element(0)
-    own = count_calls(monkeypatch, sys.model, "preimage")
-    factors = [count_calls(monkeypatch, m, "preimage") for m in getattr(sys.model, "factors", ())]
+    own = count_calls(monkeypatch, sys.model, "meet_preimage")
+    factors = [count_calls(monkeypatch, m, "meet_preimage")
+               for m in getattr(sys.model, "factors", ())]
     got = [cotraj.minus_chain(sys, u, n) for n in (4, 16, 2)]
     assert (len(own), [len(c) for c in factors]) == ((0, [16, 16]) if factors else (16, []))
     monkeypatch.undo()
@@ -596,7 +601,8 @@ def test_linalg_elimination_counts(monkeypatch):
     the nub took every candidate's displacement index again, (943, 1725);
     while each tidy-above transform and the cotrajectory table built their
     own backward chain, (927, 1701); while ``_plus_group`` and the tidy-below
-    image chain each took phi(U_+), (887, 1621).
+    image chain each took phi(U_+), (887, 1621); while each cotrajectory
+    step took a preimage and then an intersection, (876, 1610).
     """
     m = PadicModel(2, 2)
     u = m.lattice([[1, 2], [3, 4]])
@@ -612,7 +618,7 @@ def test_linalg_elimination_counts(monkeypatch):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(rrefs), len(hnfs)) == (876, 1610)
+    assert (len(rrefs), len(hnfs)) == (812, 1482)
 
 
 def test_annihilator_runs_once_per_handle(monkeypatch):
@@ -646,8 +652,8 @@ def test_annihilator_runs_once_per_handle(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, rrefs, hnfs, intersects", [
-    pytest.param("1/2", 876, 1610, 384, id="phi=1/2"),
-    pytest.param("2", 289, 517, 113, id="phi=2"),
+    pytest.param("1/2", 812, 1482, 320, id="phi=1/2"),
+    pytest.param("2", 225, 389, 49, id="phi=2"),
 ])
 def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, entry, rrefs,
                                                       hnfs, intersects):
@@ -666,7 +672,9 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
     each tidy-above transform and the cotrajectory table built their own
     backward chain, (927, 1701, 404) and (329, 612, 133); while
     ``_plus_group`` and the tidy-below image chain each took phi(U_+), (887,
-    1621, 384) and (289, 532, 113)."""
+    1621, 384) and (289, 532, 113); while each cotrajectory step took a
+    preimage and then an intersection, (876, 1610, 384) and (289, 517,
+    113)."""
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**data, "matrix": [[entry]]}))
@@ -689,12 +697,25 @@ def test_verify_all_op_counts(monkeypatch):
     primitives, a scenario with equal factors built two factor systems and
     ``_plus_group`` took its own image of U_+, (50, 13906, 23166); while
     each suite rebuilt its cotrajectory table and the identities took
-    phi^n(U_-n) twice and phi^0(U_-n) at all, (45, 11818, 19342)."""
+    phi^n(U_-n) twice and phi^0(U_-n) at all, (45, 11818, 19342); while each
+    cotrajectory step took a preimage and then an intersection and the
+    index exchange imaged each U_n again, (45, 11516, 19032)."""
     rrefs, hnfs = count_eliminations(monkeypatch)
     minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert (len(minus), len(rrefs), len(hnfs)) == (45, 11516, 19032)
+    assert (len(minus), len(rrefs), len(hnfs)) == (45, 10546, 17414)
+
+
+def test_verify_all_images_each_forward_step_once(monkeypatch):
+    """Op-count gate: the index exchange of the forward/backward identities
+    reads phi(U_n) from ``plus_chain``, which took it to build U_{n+1}.
+    While it imaged each U_n again, one ``verify all`` made 1,546 p-adic
+    images."""
+    images = count_calls(monkeypatch, PadicModel, "image")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == cli.EXIT_OK
+    assert len(images) <= 1386
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):

@@ -1,5 +1,5 @@
 """Byte-identity gate: the sha256 of ``verify all`` and of every shipped
-scenario report is pinned.
+scenario's reports and cotrajectory table is pinned.
 
 The determinism tests only compare two runs of the same code with each other;
 these hashes catch a change that alters any output byte.  A change that means
@@ -31,6 +31,7 @@ REPORT_SHA256 = {
     "laurent_z3.json": "8e8ef5415cc7dd8ead1245bd376329a63fc87eaaa058317718686b6ed5f242ec",
     "padic_diag.json": "ba51361adf793f2e780e2dbbdfda5fadcabdb890c95bd91c606d5f8a60606d74",
     "padic_dim3_three_slopes.json": "d99759dc15276b581e94932695dc2b535701729a2aea0483dd302df527b3ee34",
+    "padic_dim4_cotraj.json": "0816388ed7e36b601733f2aad94c37b4795a4205bc86eb9dec39918a21406d02",
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
     "product_square.json": "4d2e8918c69bf1af227ceaf753f3c0246f7d1c8212c21bb2ea53782b73f69865",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
@@ -44,11 +45,26 @@ DEFAULT_REPORT_SHA256 = {
     "laurent_z3.json": "4ea0dc06658017f210c00d3e89659831e8ab6211f0650c2a957662f2493b5ba3",
     "padic_diag.json": "a8bdc4b1470fd262555872338648ef58f8c8cad1001fe74b90639ce1fa1c03f8",
     "padic_dim3_three_slopes.json": "f796c5fe34519b75589f2305ff851c16d9e48171653bebc051a1a579c0689e78",
+    "padic_dim4_cotraj.json": "bdc9b0952de42f130705a9c20d05b2a3f6d9ba660cd258432ac5adcbbb9359fe",
     "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
     "product_square.json": "e10155018ea4133244477c38e96f5241f99c11b4b855d1097ff15e27e0aa4ef0",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
     "shift_z2xz4_sigma.json": "bb1247bcabc1624fbb291de2e226cd4150ca6d810d78c586ddc30eb369e3bac0",
+}
+
+# cotraj SCENARIO, the standalone cotrajectory table at the base subgroup
+COTRAJ_SHA256 = {
+    "finite_s3.json": "c1d7b525c3f93ce9e00c63d3e5150535c5b38c6534b3a9bf391f969e70a4ae8c",
+    "laurent_z3.json": "11fec87d30da45df3eb98bfe2f35ebaadbbcb15be69d655dd27756cce2a1de92",
+    "padic_diag.json": "4313bed493b30e205cf21bd169fcb53e2841276ef896e8d8092f060ab0adfd8f",
+    "padic_dim3_three_slopes.json": "9550b3b6fd83e5c3758c9fb6add0542cb58d5a35f64e85c2f90fec935ae6ce3d",
+    "padic_dim4_cotraj.json": "a7b0e3c1e20c557c8d231ec7a182f8a6d11bde46a601c241fce0df48480196f2",
+    "product.json": "3cb1aebb8705225f8d5d5ba92c1a7adafca57203093c8f982c7c09397f9cd8ff",
+    "product_square.json": "d3c76bb171c639fc526b1c39e69d9c5ae5935b5368619fdc67a3c58fea108ef0",
+    "q2_half.json": "ebeabc827a831c5eb95cd3258553889e58bb8755900215b64f76a161f682612a",
+    "shift_z2.json": "37fc4300b3bf3bdfa556bf76891cfebb6f5a966ac013d859dacdd9fc1660b4b7",
+    "shift_z2xz4_sigma.json": "a14e16ad5326ad20d4fce8c6622eac39359bd334fd4f7d3e651bc291efeb21aa",
 }
 
 # tidy SCENARIO --tidy-probe 1, the shortest image chain, on every scenario
@@ -74,7 +90,8 @@ def cli_sha256(argv):
 
 def test_every_shipped_scenario_is_pinned():
     shipped = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
-    assert shipped == sorted(REPORT_SHA256) == sorted(DEFAULT_REPORT_SHA256)
+    assert (shipped == sorted(REPORT_SHA256) == sorted(DEFAULT_REPORT_SHA256)
+            == sorted(COTRAJ_SHA256))
     named = []
     for filename in shipped:
         with open(os.path.join(SCENARIOS, filename), encoding="utf-8") as f:
@@ -92,6 +109,12 @@ def test_every_shipped_scenario_is_pinned():
 def test_scenario_report_bytes(filename, options, digest):
     path = os.path.join(SCENARIOS, filename)
     assert cli_sha256(["report", path, *options]) == digest
+
+
+@pytest.mark.parametrize("filename, digest", sorted(COTRAJ_SHA256.items()))
+def test_cotraj_table_bytes(filename, digest):
+    path = os.path.join(SCENARIOS, filename)
+    assert cli_sha256(["cotraj", path]) == digest
 
 
 @pytest.mark.parametrize("filename, digest", sorted(TIDY_PROBE_1_SHA256.items()))
