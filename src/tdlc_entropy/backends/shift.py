@@ -7,10 +7,29 @@ endomorphisms and the quotient and restriction of F by a subgroup F0 come
 from the finite backend.
 
 Subgroups are *profiles*: an explicit window of subgroup values plus a
-periodic pattern on each side, indexed by absolute residue so equality of
-handles is equality of subgroups.  Limit subgroups along the dynamics are
-computed in closed form by walking the defining recursion until it enters a
-cycle, which also yields the stabilization certificates.
+periodic pattern on each side.  ``make_profile`` keeps every profile in one
+canonical form, so equality of handles is equality of subgroups:
+
+- each tail pattern is minimal and indexed by absolute residue, the value at
+  i being ``pattern[i % len(pattern)]``;
+- the window is trimmed at both ends: its first value differs from the left
+  tail's at that position and its last from the right tail's;
+- when the window is empty, the start is 0 if the tails are equal and
+  otherwise the first position of the right tail, where the tails disagree.
+
+Each binary primitive is one aligned pass: ``_combine`` reads both operands
+by range (``Profile.values``) over a period of the joint left tail, the
+union of the windows and a period of the joint right tail, and looks each
+pair up in an alphabet table.  Meet, join and the cotrajectory step
+U n phi^{-1}(V) all go through it; ``contains`` and ``index`` zip the
+operands' value ranges against the alphabet's containment and order tables.  The pass relies
+on the canonical form: tails indexed by absolute residue line up by position
+alone, and ``index`` tells equal tails apart from unequal ones by comparing
+the tuples.
+
+Limit subgroups along the dynamics are computed in closed form by walking
+the defining recursion until it enters a cycle, which also yields the
+stabilization certificates.
 """
 
 from __future__ import annotations
@@ -68,6 +87,11 @@ class Alphabet:
         self.full_id = self.id_of[group.full_group()]
         self.meet = self._table(group.intersect)
         self.join = self._table(group.set_product)
+        self.orders = tuple(len(S) for S in self.subgroups)
+        self.identity = tuple(range(len(self.subgroups)))
+        # includes[big][small]: subgroup ``small`` lies in subgroup ``big``
+        self.includes = tuple(tuple(row[small] == small for small in range(len(row)))
+                              for row in self.meet)
 
     def _table(self, op):
         return tuple(tuple(self.id_of[op(S, T)] for T in self.subgroups) for S in self.subgroups)
@@ -82,10 +106,7 @@ class Alphabet:
         return self.id_of[self.group.generated_subgroup(self._index[g] for g in gens)]
 
     def order_of(self, sid: int) -> int:
-        return len(self.subgroups[sid])
-
-    def contains_id(self, big: int, small: int) -> bool:
-        return self.subgroup_sets[small] <= self.subgroup_sets[big]
+        return self.orders[sid]
 
 
 def cyclic_alphabet(orders) -> Alphabet:
@@ -118,10 +139,20 @@ def matrix_hom(alphabet: Alphabet, orders, matrix) -> FiniteEndo:
 def _minimal_pattern(pat):
     pat = tuple(pat)
     n = len(pat)
+    if n == 1:
+        return pat
     for q in range(1, n + 1):
         if n % q == 0 and all(pat[j] == pat[j % q] for j in range(n)):
             return pat[:q]
     return pat
+
+
+def _cycle(pat: tuple, i: int, n: int) -> tuple:
+    """``pat[(i + j) % len(pat)]`` for j = 0, ..., n - 1."""
+    if len(pat) == 1:
+        return pat * n
+    off = i % len(pat)
+    return (pat * ((off + n) // len(pat) + 1))[off:off + n]
 
 
 @dataclass(frozen=True)
@@ -149,6 +180,15 @@ class Profile:
         if i < self.end:
             return self.window[i - self.start]
         return self.right[i % len(self.right)]
+
+    def values(self, lo: int, hi: int) -> tuple:
+        """The values at positions lo, ..., hi - 1."""
+        start = self.start
+        mid_lo = min(max(lo, start), hi)
+        mid_hi = max(min(hi, start + len(self.window)), mid_lo)
+        return (_cycle(self.left, lo, mid_lo - lo)
+                + self.window[mid_lo - start:mid_hi - start]
+                + _cycle(self.right, mid_hi, hi - mid_hi))
 
     @property
     def is_compact(self) -> bool:
@@ -212,12 +252,13 @@ class ShiftProfileModel:
     def make_profile(self, left, start, window, right) -> Profile:
         left = _minimal_pattern(left)
         right = _minimal_pattern(right)
-        window = list(window)
-        while window and window[0] == left[start % len(left)]:
-            window.pop(0)
-            start += 1
-        while window and window[-1] == right[(start + len(window) - 1) % len(right)]:
-            window.pop()
+        a, b = 0, len(window)
+        while a < b and window[a] == left[(start + a) % len(left)]:
+            a += 1
+        while b > a and window[b - 1] == right[(start + b - 1) % len(right)]:
+            b -= 1
+        window = tuple(window[a:b])
+        start += a
         if not window:
             if left == right:
                 start = 0
@@ -228,7 +269,7 @@ class ShiftProfileModel:
                     guard -= 1
                     if guard < 0:
                         raise InvariantViolation("distinct tail patterns never disagree")
-        return Profile(self, left, start, tuple(window), right)
+        return Profile(self, left, start, window, right)
 
     def constant_profile(self, sid: int) -> Profile:
         return self.make_profile((sid,), 0, (), (sid,))
@@ -284,31 +325,40 @@ class ShiftProfileModel:
 
     # -- pointwise operations ----------------------------------------------------
 
-    def _pointwise(self, U: Profile, V: Profile, table) -> Profile:
+    @staticmethod
+    def _span(U: Profile, V: Profile, shift: int):
+        """The positions a..b-1 over which U(i) and V(i + shift) are read:
+        a period of the joint left tail from a, the union [lo, hi) of the
+        windows, and a period of the joint right tail ending at b, where a
+        and b are multiples of their periods.  Returns (a, b, lo, hi, lper, rper)."""
         lper = lcm(len(U.left), len(V.left))
         rper = lcm(len(U.right), len(V.right))
-        lo = min(U.start, V.start)
-        hi = max(U.end, V.end)
-        left = tuple(table[U.left[r % len(U.left)]][V.left[r % len(V.left)]] for r in range(lper))
-        right = tuple(
-            table[U.right[r % len(U.right)]][V.right[r % len(V.right)]] for r in range(rper)
-        )
-        window = tuple(table[U.value_at(i)][V.value_at(i)] for i in range(lo, hi))
-        return self.make_profile(left, lo, window, right)
+        lo = min(U.start, V.start - shift)
+        hi = max(U.end, V.end - shift)
+        return lo // lper * lper - lper, -(-hi // rper) * rper + rper, lo, hi, lper, rper
+
+    def _combine(self, U: Profile, V: Profile, table, shift: int, value_map) -> Profile:
+        """Profile with value(i) = table[U(i)][value_map[V(i + shift)]]."""
+        a, b, lo, hi, lper, rper = self._span(U, V, shift)
+        out = [table[u][value_map[v]]
+               for u, v in zip(U.values(a, b), V.values(a + shift, b + shift))]
+        return self.make_profile(out[:lper], lo, out[lo - a:hi - a], out[b - a - rper:])
 
     def intersect(self, U: Profile, V: Profile) -> Profile:
         check_model(self, U, V)
-        return self._pointwise(U, V, self.alphabet.meet)
+        alpha = self.alphabet
+        return self._combine(U, V, alpha.meet, 0, alpha.identity)
 
     def set_product(self, U: Profile, V: Profile) -> Profile:
         check_model(self, U, V)
-        return self._pointwise(U, V, self.alphabet.join)
+        alpha = self.alphabet
+        return self._combine(U, V, alpha.join, 0, alpha.identity)
 
     def _mapped(self, U: Profile, shift: int, value_map) -> Profile:
         """Profile with value'(i) = value_map[value(i + shift)]."""
-        left = tuple(value_map[U.left[(r + shift) % len(U.left)]] for r in range(len(U.left)))
-        right = tuple(value_map[U.right[(r + shift) % len(U.right)]] for r in range(len(U.right)))
-        window = tuple(value_map[v] for v in U.window)
+        left = [value_map[v] for v in _cycle(U.left, shift, len(U.left))]
+        right = [value_map[v] for v in _cycle(U.right, shift, len(U.right))]
+        window = [value_map[v] for v in U.window]
         return self.make_profile(left, U.start - shift, window, right)
 
     def image(self, phi: ShiftEndo, U: Profile) -> Profile:
@@ -320,29 +370,22 @@ class ShiftProfileModel:
         return self._mapped(U, -phi.k, phi.preimage_id)
 
     def meet_preimage(self, U: Profile, phi: ShiftEndo, V: Profile) -> Profile:
-        return self.intersect(U, self.preimage(phi, V))
+        """U n phi^{-1}(V): the value at i is U(i) n sigma^{-1}(V(i - k))."""
+        check_model(self, U, V)
+        return self._combine(U, V, self.alphabet.meet, -phi.k, phi.preimage_id)
 
     def translate(self, U: Profile, t: int) -> Profile:
         """The shift automorphism by t applied to the handle."""
-        ident = tuple(range(len(self.alphabet.subgroup_sets)))
-        return self._mapped(U, -t, ident)
+        return self._mapped(U, -t, self.alphabet.identity)
 
     # -- containment and index -----------------------------------------------------
 
-    def _probe_positions(self, U: Profile, V: Profile):
-        lper = lcm(len(U.left), len(V.left))
-        rper = lcm(len(U.right), len(V.right))
-        lo = min(U.start, V.start)
-        hi = max(U.end, V.end)
-        return range(lo - lper, hi + rper)
-
     def contains(self, U: Profile, V: Profile) -> bool:
-        """V <= U, checked pointwise over a representative range."""
+        """V <= U, checked pointwise over the aligned span."""
         check_model(self, U, V)
-        alpha = self.alphabet
-        return all(
-            alpha.contains_id(U.value_at(i), V.value_at(i)) for i in self._probe_positions(U, V)
-        )
+        includes = self.alphabet.includes
+        a, b, *_ = self._span(U, V, 0)
+        return all([includes[u][v] for u, v in zip(U.values(a, b), V.values(a, b))])
 
     def index(self, V: Profile, U: Profile) -> IndexValue:
         """Exact [U:V]; infinite unless the tail patterns agree."""
@@ -351,12 +394,12 @@ class ShiftProfileModel:
             raise ValueError("index requires V <= U")
         if U.left != V.left or U.right != V.right:
             return INFINITE_INDEX
-        alpha = self.alphabet
-        total = 1
+        orders = self.alphabet.orders
         lo = min(U.start, V.start)
         hi = max(U.end, V.end)
-        for i in range(lo, hi):
-            total *= alpha.order_of(U.value_at(i)) // alpha.order_of(V.value_at(i))
+        total = 1
+        for u, v in zip(U.values(lo, hi), V.values(lo, hi)):
+            total *= orders[u] // orders[v]
         return IndexValue(total)
 
     # -- limit profiles --------------------------------------------------------------
@@ -478,7 +521,8 @@ class ShiftProfileModel:
             return None
         lo = min(U.start, V.start)
         hi = max(U.end, V.end)
-        return tuple(i for i in range(lo, hi) if U.value_at(i) != V.value_at(i))
+        pairs = zip(range(lo, hi), U.values(lo, hi), V.values(lo, hi))
+        return tuple(i for i, u, v in pairs if u != v)
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certify the alpha plateau via the closed-form cotrajectory cycle.
@@ -594,8 +638,8 @@ class ShiftProfileModel:
                 img = self.image(phi, shifted)
                 val = self.index(self.intersect(shifted, img), img)
                 if scale_value is None or val == IndexValue(scale_value):
-                    ident = tuple(range(len(self.alphabet.subgroup_sets)))
-                    tail_limit, _ = self.limit_profile(witness, -step, ident, self.alphabet.meet)
+                    tail_limit, _ = self.limit_profile(witness, -step, self.alphabet.identity,
+                                                       self.alphabet.meet)
                     if tail_limit == self.trivial_subgroup():
                         return (
                             tail_limit,

@@ -1,13 +1,15 @@
 import itertools
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tdlc_entropy import cotraj
 from tdlc_entropy.backends import shift
 from tdlc_entropy.backends.shift import (
     MAX_ALPHABET_ORDER,
     TAIL_MODES,
+    Profile,
     ShiftProfileModel,
     cyclic_alphabet,
     matrix_hom,
@@ -450,3 +452,140 @@ def test_closed_forms_agree_with_literal_chains(case, tail_mode, k, data):
                               data.draw(tails), data.draw(tails))
     for u in (m.base_element(0), m.base_element(1), window):
         closed_forms_agree_with_fixpoints(shift, m, phi, u)
+
+
+# -- differential test of the one-pass profile arithmetic -------------------------
+# The reference reads every operand position by position through value_at and
+# trims with list.pop, the direct reading of the profile definitions; the
+# one-pass arithmetic must give the same profiles.
+
+
+def ref_make_profile(model, left, start, window, right):
+    left, right = shift._minimal_pattern(left), shift._minimal_pattern(right)
+    window = list(window)
+    while window and window[0] == left[start % len(left)]:
+        window.pop(0)
+        start += 1
+    while window and window[-1] == right[(start + len(window) - 1) % len(right)]:
+        window.pop()
+    if not window:
+        if left == right:
+            start = 0
+        else:
+            while left[start % len(left)] == right[start % len(right)]:
+                start += 1
+    return Profile(model, left, start, tuple(window), right)
+
+
+def ref_pointwise(model, U, V, table):
+    lper = lcm(len(U.left), len(V.left))
+    rper = lcm(len(U.right), len(V.right))
+    lo, hi = min(U.start, V.start), max(U.end, V.end)
+    left = [table[U.left[r % len(U.left)]][V.left[r % len(V.left)]] for r in range(lper)]
+    right = [table[U.right[r % len(U.right)]][V.right[r % len(V.right)]] for r in range(rper)]
+    window = [table[U.value_at(i)][V.value_at(i)] for i in range(lo, hi)]
+    return ref_make_profile(model, left, lo, window, right)
+
+
+def ref_mapped(model, U, shift_by, value_map):
+    left = [value_map[U.left[(r + shift_by) % len(U.left)]] for r in range(len(U.left))]
+    right = [value_map[U.right[(r + shift_by) % len(U.right)]] for r in range(len(U.right))]
+    window = [value_map[v] for v in U.window]
+    return ref_make_profile(model, left, U.start - shift_by, window, right)
+
+
+def ref_positions(U, V):
+    lper = lcm(len(U.left), len(V.left))
+    rper = lcm(len(U.right), len(V.right))
+    return range(min(U.start, V.start) - lper, max(U.end, V.end) + rper)
+
+
+def ref_contains(model, U, V):
+    sets = model.alphabet.subgroup_sets
+    return all(sets[V.value_at(i)] <= sets[U.value_at(i)] for i in ref_positions(U, V))
+
+
+def ref_index(model, V, U):
+    if U.left != V.left or U.right != V.right:
+        return INFINITE_INDEX
+    sets = model.alphabet.subgroup_sets
+    return IndexValue(prod(len(sets[U.value_at(i)]) // len(sets[V.value_at(i)])
+                           for i in range(min(U.start, V.start), max(U.end, V.end))))
+
+
+def assert_canonical(P):
+    """Minimal tails, a window trimmed at both ends, a normalised start."""
+    for pat in (P.left, P.right):
+        assert not any(len(pat) % q == 0 and pat == pat[:q] * (len(pat) // q)
+                       for q in range(1, len(pat)))
+    if P.window:
+        assert P.window[0] != P.left[P.start % len(P.left)]
+        assert P.window[-1] != P.right[(P.end - 1) % len(P.right)]
+    elif P.left == P.right:
+        assert P.start == 0
+    else:
+        assert P.left[P.start % len(P.left)] != P.right[P.start % len(P.right)]
+
+
+@st.composite
+def profiles(draw, model):
+    ids = st.integers(0, len(model.alphabet.subgroups) - 1)
+    pattern = st.lists(ids, min_size=1, max_size=3).map(tuple)
+    window = draw(st.lists(ids, max_size=5))
+    return model.make_profile(draw(pattern), draw(st.integers(-3, 3)), window, draw(pattern))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alphabets_with_sigma(bound=9), st.sampled_from(TAIL_MODES), st.integers(-3, 3),
+       st.data())
+def test_one_pass_arithmetic_matches_pointwise_reference(case, tail_mode, k, data):
+    orders, matrix = case
+    alpha = cyclic_alphabet(orders)
+    m = ShiftProfileModel(alpha, tail_mode)
+    phi = m.endo(k, matrix_hom(alpha, orders, matrix))
+    U, V = data.draw(profiles(m)), data.draw(profiles(m))
+    for P in (U, V):
+        assert_canonical(P)
+    lo = data.draw(st.integers(-8, 8))
+    hi = data.draw(st.integers(lo, lo + 12))
+    assert U.values(lo, hi) == tuple(U.value_at(i) for i in range(lo, hi))
+    ident = tuple(range(len(alpha.subgroups)))
+    meet = m.intersect(U, V)
+    got = {
+        "intersect": (meet, ref_pointwise(m, U, V, alpha.meet)),
+        "set_product": (m.set_product(U, V), ref_pointwise(m, U, V, alpha.join)),
+        "image": (m.image(phi, U), ref_mapped(m, U, k, phi.image_id)),
+        "preimage": (m.preimage(phi, U), ref_mapped(m, U, -k, phi.preimage_id)),
+        "meet_preimage": (m.meet_preimage(U, phi, V),
+                          ref_pointwise(m, U, ref_mapped(m, V, -k, phi.preimage_id), alpha.meet)),
+        "translate": (m.translate(U, k), ref_mapped(m, U, -k, ident)),
+    }
+    for name, (result, expected) in got.items():
+        assert result == expected, name
+        assert_canonical(result)
+    for big, small in ((U, V), (V, U), (U, meet), (V, meet), (meet, U)):
+        assert m.contains(big, small) == ref_contains(m, big, small)
+    for big in (U, V):
+        assert m.index(meet, big) == ref_index(m, meet, big)
+
+
+def test_cotrajectory_step_builds_one_profile(monkeypatch):
+    """Each of minus_chain's n steps is one meet_preimage, which builds its
+    profile in one pass: n calls of make_profile, not an intermediate
+    preimage profile per step as well."""
+    alpha = cyclic_alphabet([2, 2])
+    m = ShiftProfileModel(alpha, "compact")
+    sys = TdlcSystem(m, m.endo(2, matrix_hom(alpha, (2, 2), [[0, 1], [1, 1]])))
+    U = m.base_element(1)
+    built = []
+    make_profile = ShiftProfileModel.make_profile
+
+    def counted(self, *args):
+        built.append(args)
+        return make_profile(self, *args)
+
+    monkeypatch.setattr(ShiftProfileModel, "make_profile", counted)
+    n = 6
+    chain = cotraj.minus_chain(sys, U, n)
+    assert len(chain) == n + 1
+    assert len(built) == n

@@ -36,6 +36,7 @@ REPORT_SHA256 = {
     "product_square.json": "4d2e8918c69bf1af227ceaf753f3c0246f7d1c8212c21bb2ea53782b73f69865",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
+    "shift_z2xz2_k2_periodic.json": "88fb4c00bd3fea687a98e3448a14c2600ee271d699b2d5d271a8e4349c4b0e97",
     "shift_z2xz4_sigma.json": "74ccab8fd818ec9e6914572aea8357854119b46dd7bd3fea2e47a37d230b5359",
 }
 
@@ -50,6 +51,7 @@ DEFAULT_REPORT_SHA256 = {
     "product_square.json": "e10155018ea4133244477c38e96f5241f99c11b4b855d1097ff15e27e0aa4ef0",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
+    "shift_z2xz2_k2_periodic.json": "1908dccdd0933267403e814b670ad5290755ce452a594b48521e005239c3999d",
     "shift_z2xz4_sigma.json": "bb1247bcabc1624fbb291de2e226cd4150ca6d810d78c586ddc30eb369e3bac0",
 }
 
@@ -64,6 +66,7 @@ COTRAJ_SHA256 = {
     "product_square.json": "d3c76bb171c639fc526b1c39e69d9c5ae5935b5368619fdc67a3c58fea108ef0",
     "q2_half.json": "ebeabc827a831c5eb95cd3258553889e58bb8755900215b64f76a161f682612a",
     "shift_z2.json": "37fc4300b3bf3bdfa556bf76891cfebb6f5a966ac013d859dacdd9fc1660b4b7",
+    "shift_z2xz2_k2_periodic.json": "3c80c4eba99523d0f065b4243b1c21394a6efc8b44b580f925fe04676afeb5eb",
     "shift_z2xz4_sigma.json": "a14e16ad5326ad20d4fce8c6622eac39359bd334fd4f7d3e651bc291efeb21aa",
 }
 
@@ -76,6 +79,7 @@ TIDY_PROBE_1_SHA256 = {
     "product_square.json": "b909c3ac7e0cbce2ca5fd88efb796fd558026177b93df6fd105208e281a8d2bf",
     "q2_half.json": "85266b2cdfb242f97d72032e068ce72cac8e5723612dbf72574b4c1f82a679ea",
     "shift_z2.json": "f320e145d9656eced3afcc4caa7c2590b35fdfc8a5c8868ce7c23d8f907d57db",
+    "shift_z2xz2_k2_periodic.json": "dd4b15f1d059c23e9f6b161d9d8aa4d30835eb1936069ba0a99e726c2932e18b",
     "shift_z2xz4_sigma.json": "d9e819181187544977dedeaa895502b0eb83869def176974b2edb4e1bc311fb7",
 }
 
