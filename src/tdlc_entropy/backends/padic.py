@@ -7,7 +7,9 @@ and the canonical form is a reduced-row-echelon basis for V plus a p-local
 column Hermite form for L projected mod V; the eliminations behind both run
 on Python ints in ``linalg``.  Every index is a pure p-power read off the
 Hermite pivots: [U:V] = p^(sum a_t(V) - sum a_t(U)) when the first nonzero
-entry of module column t is p^a_t.
+entry of module column t is p^a_t.  ``zp_column_hnf`` returns those pivots
+with the columns, and each handle carries them (``pivots``), so ``index``
+reads them and takes no valuation.
 
 Each handle also carries its dual description by constraints, ``dual`` =
 (N, D): x lies in the subgroup iff N x = 0 and D x is p-integral, as in the
@@ -87,19 +89,23 @@ class PadicSubgroup:
     """Canonical closed subgroup V + L of Q_p^d.
 
     ``subspace`` holds rref basis rows of V; ``module`` holds the p-local
-    Hermite columns of L projected mod V.  ``dual`` is a constraint pair
+    Hermite columns of L projected mod V, and ``pivots`` their (row, a_t)
+    pairs as the Hermite form returned them: column t's first nonzero entry
+    is p^a_t at that row.  ``dual`` is a constraint pair
     (N, D): x lies in the subgroup iff N x = 0 and D x is p-integral.  It is
     built with the handle and read by every intersection and preimage, which
     never convert an operand again, and by every membership and containment
     test.  Different handles of one subgroup may carry different duals, so
     ``dual`` takes no part in equality or hashing: handles are equal iff the
-    subgroups are equal.
+    subgroups are equal.  ``pivots`` follow from ``module`` and stay out of
+    both too.
     """
 
     model: "PadicModel"
     subspace: tuple
     module: tuple
     dual: tuple = field(compare=False, repr=False)
+    pivots: tuple = field(compare=False, repr=False)
 
     @property
     def is_compact(self) -> bool:
@@ -199,14 +205,15 @@ class PadicModel:
     # -- handle construction --------------------------------------------------
 
     def _canonical(self, subspace_rows, module_cols) -> tuple:
-        """The rref rows of V and the Hermite columns of L projected mod V."""
+        """The rref rows of V, the Hermite columns of L projected mod V and
+        their pivots."""
         rows = rref(frac_matrix(subspace_rows))[0] if subspace_rows else ()
         cols = [_reduce_mod_rows(rows, c) for c in module_cols]
-        return rows, zp_column_hnf(cols, self.dim, self.p)[0]
+        return (rows, *zp_column_hnf(cols, self.dim, self.p))
 
     def closed_subgroup(self, subspace_rows=(), module_cols=()) -> PadicSubgroup:
-        rows, module = self._canonical(subspace_rows, module_cols)
-        return PadicSubgroup(self, rows, module, _annihilator(rows, module, self.dim))
+        rows, module, pivots = self._canonical(subspace_rows, module_cols)
+        return PadicSubgroup(self, rows, module, _annihilator(rows, module, self.dim), pivots)
 
     def lattice(self, cols) -> PadicSubgroup:
         return self.closed_subgroup((), cols)
@@ -247,9 +254,9 @@ class PadicModel:
         """The closed subgroup {x : N x = 0, D x p-integral}: the annihilator
         of the canonical handle W of span(N) + Z_(p) D, carrying W's rows and
         module as its dual."""
-        w = self._canonical(n_rows, d_rows)
-        rows, module = self._canonical(*_annihilator(*w, self.dim))
-        return PadicSubgroup(self, rows, module, w)
+        w = self._canonical(n_rows, d_rows)[:2]
+        rows, module, pivots = self._canonical(*_annihilator(*w, self.dim))
+        return PadicSubgroup(self, rows, module, w, pivots)
 
     # -- membership, containment, index ---------------------------------------
 
@@ -279,18 +286,17 @@ class PadicModel:
 
         Both modules are in column Hermite form over the same span, so they
         share pivot rows and the transition matrix is triangular with
-        diagonal p**(a_t(V) - a_t(U)): [U:V] = p**(sum a(V) - sum a(U)).
+        diagonal p**(a_t(V) - a_t(U)): [U:V] = p**(sum a(V) - sum a(U)),
+        read off the carried pivots.
         """
         check_model(self, U, V)
         if not self.contains(U, V):
             raise ValueError("index requires V <= U")
         if V.subspace != U.subspace or len(V.module) < len(U.module):
             return INFINITE_INDEX
-        rows_u, a_u = _hermite_pivots(U.module, self.p)
-        rows_v, a_v = _hermite_pivots(V.module, self.p)
-        if rows_u != rows_v:
+        if [i for i, _ in U.pivots] != [i for i, _ in V.pivots]:
             raise InvariantViolation("contained module has different Hermite pivot rows")
-        v = a_v - a_u
+        v = sum(a for _, a in V.pivots) - sum(a for _, a in U.pivots)
         if v < 0:
             raise InvariantViolation("transition matrix is not p-integral")
         return IndexValue(self.p**v)
@@ -657,13 +663,6 @@ def _carried_images(a, rows) -> list:
     if any(any(_reduce_mod_rows(rows, img)) for img in images):
         raise UnsupportedSubgroupError("H is not carried into itself")
     return images
-
-
-def _hermite_pivots(module, p: int) -> tuple[tuple, int]:
-    """Pivot rows of a column Hermite form and the sum of their exponents a_t,
-    where the first nonzero entry of column t is p**a_t."""
-    rows = tuple(_first_nonzero(col) for col in module)
-    return rows, sum(pval(col[i], p) for col, i in zip(module, rows))
 
 
 # -- polynomial helpers -------------------------------------------------------------

@@ -201,22 +201,22 @@ def det(a) -> Fraction:
 
 
 def charpoly(a) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_d) of det(x*I - A), monic, by Faddeev-LeVerrier."""
-    a = frac_matrix(a)
+    """Coefficients (c_0, ..., c_d) of det(x*I - A), monic, by Faddeev-LeVerrier
+    on the int matrix B = den * A (Cohen 1993, ch. 2): c_i(A) = c_i(B) / den**(d - i).
+    Each c_{d-k} = -tr(B M_k) / k, M_{k+1} = B M_k + c_{d-k} I is exact, as an
+    int matrix's c_i and every M_k, an int polynomial in B, are integral."""
     d = len(a)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m = identity_matrix(d)
-    c = Fraction(1)
+    flat, den = _clear_denominators([x for row in a for x in row])
+    b = [flat[i * d:(i + 1) * d] for i in range(d)]
+    coeffs = [0] * d + [1]
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        am = mat_mul(a, m)
-        tr = sum(am[i][i] for i in range(d))
-        c = -tr / k
+        m = [list(row) for row in mat_mul(b, m)]
+        c = -sum(m[i][i] for i in range(d)) // k
         coeffs[d - k] = c
-        m = tuple(
-            tuple(am[i][j] + (c if i == j else 0) for j in range(d)) for i in range(d)
-        )
-    return tuple(coeffs)
+        for i in range(d):
+            m[i][i] += c
+    return tuple(Fraction(c, den ** (d - i)) for i, c in enumerate(coeffs))
 
 
 def integer_kernel(a) -> list[tuple[int, ...]]:

@@ -555,6 +555,17 @@ def test_product_limits_at_powers_of_phi():
     _assert_product_limits_match(power_prod, squares, power_prod.endo, 2)
 
 
+def test_product_plateau_is_the_latest_factor_plateau():
+    """The shipped p-adic x shift scenario: its factors certify at n = 2 and
+    n = 0, and the product at the later of the two, in either order."""
+    prod = build_system(load_scenario_file(os.path.join(SCENARIOS, "product_padic3_shift_nstar.json")))
+    u = prod.model.base_element(0)
+    stars = [cotraj.alpha_sequence(s, p, 16).n_star for s, p in zip(prod.model.systems, u.parts)]
+    assert stars == [2, 0] and cotraj.alpha_sequence(prod, u, 16).n_star == 2
+    swapped = make_product(*reversed(prod.model.systems))
+    assert cotraj.alpha_sequence(swapped, swapped.model.base_element(0), 16).n_star == 2
+
+
 def test_report_forward_core_op_counts(monkeypatch):
     """Op-count gate: one report computes each forward core once per key."""
     plus = count_calls(monkeypatch, PadicModel, "plus_group_impl")

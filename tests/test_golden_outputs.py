@@ -33,6 +33,7 @@ REPORT_SHA256 = {
     "padic_dim3_three_slopes.json": "d99759dc15276b581e94932695dc2b535701729a2aea0483dd302df527b3ee34",
     "padic_dim4_cotraj.json": "0816388ed7e36b601733f2aad94c37b4795a4205bc86eb9dec39918a21406d02",
     "product.json": "acf089e33723a9dafac3d5eb5622ecc493c439aa4134fda020ae81021f45f313",
+    "product_padic3_shift_nstar.json": "b36619cd0e8ef61e84bd38a10eaa6a2a153dcf9f726dadfe6f0a60aa5d290f9a",
     "product_square.json": "4d2e8918c69bf1af227ceaf753f3c0246f7d1c8212c21bb2ea53782b73f69865",
     "q2_half.json": "ade0e458f64409cfe9f811f01a0bfd35c1c1cf9b567ff71cd7bcf500537d9d9b",
     "shift_z2.json": "1ae1ab6fd81a5a94454d56a3a3dca5ecb1d385784b00e559547bef22fdea68fb",
@@ -48,6 +49,7 @@ DEFAULT_REPORT_SHA256 = {
     "padic_dim3_three_slopes.json": "f796c5fe34519b75589f2305ff851c16d9e48171653bebc051a1a579c0689e78",
     "padic_dim4_cotraj.json": "bdc9b0952de42f130705a9c20d05b2a3f6d9ba660cd258432ac5adcbbb9359fe",
     "product.json": "b265d39529fdda1fa134524789f2523141614ba2751ebc04cc0bcf60114e1e04",
+    "product_padic3_shift_nstar.json": "151b95d10e78b2c7051955f0b185b8957e670de71b7ff415829669a48381eb9c",
     "product_square.json": "e10155018ea4133244477c38e96f5241f99c11b4b855d1097ff15e27e0aa4ef0",
     "q2_half.json": "0301074f1680bf24afd9ae9724ca065ad208fb38a1a33fdedae7fdb6a081ff7d",
     "shift_z2.json": "a9dec3c2ff987c906e09091fc896c4070f338810de2c295a72f36a0447a9bbd3",
@@ -63,6 +65,7 @@ COTRAJ_SHA256 = {
     "padic_dim3_three_slopes.json": "9550b3b6fd83e5c3758c9fb6add0542cb58d5a35f64e85c2f90fec935ae6ce3d",
     "padic_dim4_cotraj.json": "a7b0e3c1e20c557c8d231ec7a182f8a6d11bde46a601c241fce0df48480196f2",
     "product.json": "3cb1aebb8705225f8d5d5ba92c1a7adafca57203093c8f982c7c09397f9cd8ff",
+    "product_padic3_shift_nstar.json": "4fe432ecfa509d152aecb8f5f5dbee9ef7bfa0a6fc7e73a4376164086f9a44ef",
     "product_square.json": "d3c76bb171c639fc526b1c39e69d9c5ae5935b5368619fdc67a3c58fea108ef0",
     "q2_half.json": "ebeabc827a831c5eb95cd3258553889e58bb8755900215b64f76a161f682612a",
     "shift_z2.json": "37fc4300b3bf3bdfa556bf76891cfebb6f5a966ac013d859dacdd9fc1660b4b7",

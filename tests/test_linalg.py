@@ -230,6 +230,55 @@ def test_det_and_charpoly():
     assert charpoly([[2, 0], [0, F(1, 2)]]) == (F(1), F(-5, 2), F(1))
 
 
+def reference_charpoly(a):
+    """Faddeev-LeVerrier on Fractions, the route ``charpoly`` took before it
+    cleared denominators."""
+    a = frac_matrix(a)
+    d = len(a)
+    coeffs = [F(0)] * d + [F(1)]
+    m = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        am = mat_mul(a, m)
+        c = -sum(am[i][i] for i in range(d)) / k
+        coeffs[d - k] = c
+        m = [[am[i][j] + (c if i == j else 0) for j in range(d)] for i in range(d)]
+    return tuple(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_charpoly_agrees_with_fraction_reference(data):
+    """The integer recursion equals the Fraction one on rational matrices of
+    dim 0 to 8 (``MAX_DIM``): zero, singular, nilpotent and with large
+    denominators."""
+    d = data.draw(st.integers(0, 8))
+    den = st.sampled_from([1, 2, 3, 7, 12, 2**61 - 1, 10**12 + 39])
+    entry = st.builds(F, st.integers(-10**6, 10**6), den)
+    kind = data.draw(st.sampled_from(["random", "zero", "singular", "nilpotent"]))
+    if kind == "zero":
+        a = [[F(0)] * d for _ in range(d)]
+    elif kind == "nilpotent":  # strictly upper triangular, conjugated by a shear
+        n = [[data.draw(entry) if j > i else F(0) for j in range(d)] for i in range(d)]
+        c = data.draw(entry)
+        s = [[F(int(i == j)) + (c if j == i + 1 else 0) for j in range(d)] for i in range(d)]
+        s_inv = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+        for i in reversed(range(d - 1)):  # back substitution: s @ s_inv = I
+            s_inv[i] = [x - c * y for x, y in zip(s_inv[i], s_inv[i + 1])]
+        a = mat_mul(mat_mul(s, n), s_inv)
+    else:
+        a = [[data.draw(entry) for _ in range(d)] for _ in range(d)]
+        if kind == "singular" and d:
+            c = data.draw(entry) if d > 1 else F(0)
+            a[-1] = [c * x for x in a[0]]
+    got = charpoly(a)
+    assert got == reference_charpoly(a)
+    assert all(type(c) is F for c in got)
+    if kind in ("zero", "nilpotent"):
+        assert got == tuple([F(0)] * d + [F(1)])
+    if kind == "singular" and d:
+        assert got[0] == 0 and det(a) == 0
+
+
 def test_integer_kernel_exact_and_saturated():
     basis = integer_kernel([[1, 2, 3]])
     assert len(basis) == 2
