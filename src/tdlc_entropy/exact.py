@@ -1,9 +1,15 @@
 """Exact index and entropy arithmetic.
 
-An entropy value is held as the positive integer ``alpha`` with
-``h = log(alpha)``, or as the infinite element.  No logarithm is ever taken
-inside a computation; comparisons and sums are integer-exact.  A decimal
-rendering of ``log(alpha)`` exists for display only.
+Indices and entropies share one algebra: a value is an arbitrary-precision
+integer >= 1 or the infinite element, the product of two values is exact and
+infinity absorbs it, and values are ordered by their integers with infinity
+on top.  ``_ExactValue`` implements it once.  ``IndexValue`` exposes the
+product as ``*``; ``ExactEntropy`` holds ``h = log(alpha)`` and exposes the
+same product as ``+``, since log(alpha) + log(beta) = log(alpha*beta).  No
+logarithm is ever taken inside a computation; a decimal rendering of
+``log(alpha)`` exists for display only.  The two classes never compare equal
+to each other, and mixing them in ``*``, ``+`` or an order raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,32 +24,43 @@ class ExactArithmeticError(ValueError):
 
 
 @dataclass(frozen=True)
-class IndexValue:
-    """A subgroup index: an arbitrary-precision integer >= 1, or infinite.
-
-    ``value`` is ``None`` exactly when the index is infinite.  Finite values
-    multiply exactly; the infinite element is absorbing.
-    """
+class _ExactValue:
+    """An integer >= 1, or the infinite element when ``value`` is None."""
 
     value: Optional[int]
 
     def __post_init__(self):
-        if self.value is not None:
-            if not isinstance(self.value, int) or isinstance(self.value, bool):
-                raise ExactArithmeticError(f"index must be an integer, got {self.value!r}")
-            if self.value < 1:
-                raise ExactArithmeticError(f"index must be >= 1, got {self.value}")
+        v = self.value
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
+            raise ExactArithmeticError(f"{type(self).__name__} needs an integer >= 1, got {v!r}")
+
+    def _product(self, other):
+        """Exact product of two values of one class; infinity absorbs."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.value is None or other.value is None:
+            return type(self)(None)
+        return type(self)(self.value * other.value)
+
+    def __le__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other.value is None or (self.value is not None and self.value <= other.value)
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.value != other.value and self <= other
+
+
+class IndexValue(_ExactValue):
+    """A subgroup index; ``value`` is ``None`` exactly when it is infinite."""
+
+    __mul__ = _ExactValue._product
 
     @property
     def is_finite(self) -> bool:
         return self.value is not None
-
-    def __mul__(self, other: "IndexValue") -> "IndexValue":
-        if not isinstance(other, IndexValue):
-            return NotImplemented
-        if self.value is None or other.value is None:
-            return INFINITE_INDEX
-        return IndexValue(self.value * other.value)
 
     def divide_exact(self, other: "IndexValue") -> "IndexValue":
         """Quotient self/other; both must be finite and other must divide self."""
@@ -60,16 +77,6 @@ class IndexValue:
             return False
         return other.value % self.value == 0
 
-    def __le__(self, other: "IndexValue") -> bool:
-        if other.value is None:
-            return True
-        if self.value is None:
-            return False
-        return self.value <= other.value
-
-    def __lt__(self, other: "IndexValue") -> bool:
-        return self <= other and self != other
-
     def __str__(self) -> str:
         return "infinite" if self.value is None else str(self.value)
 
@@ -77,62 +84,35 @@ class IndexValue:
 INFINITE_INDEX = IndexValue(None)
 
 
-@dataclass(frozen=True)
-class ExactEntropy:
+class ExactEntropy(_ExactValue):
     """log(alpha) for a positive integer alpha, or the infinite entropy.
 
-    ``Finite(1)`` is the zero entropy and the neutral element of addition.
-    Equality of two finite entropies is equality of their alphas; no float
-    is involved anywhere.
+    ``ExactEntropy(1)`` is the zero entropy and the neutral element of
+    addition.  Equality of two finite entropies is equality of their alphas.
     """
 
-    alpha: Optional[int]
+    __add__ = _ExactValue._product
 
-    def __post_init__(self):
-        if self.alpha is not None:
-            if not isinstance(self.alpha, int) or isinstance(self.alpha, bool):
-                raise ExactArithmeticError(f"entropy alpha must be an integer, got {self.alpha!r}")
-            if self.alpha < 1:
-                raise ExactArithmeticError(f"entropy alpha must be >= 1, got {self.alpha}")
+    @property
+    def alpha(self) -> Optional[int]:
+        return self.value
 
     @property
     def is_infinite(self) -> bool:
-        return self.alpha is None
+        return self.value is None
 
     @property
     def is_zero(self) -> bool:
-        return self.alpha == 1
-
-    def __add__(self, other: "ExactEntropy") -> "ExactEntropy":
-        if not isinstance(other, ExactEntropy):
-            return NotImplemented
-        if self.alpha is None or other.alpha is None:
-            return INFINITE_ENTROPY
-        return ExactEntropy(self.alpha * other.alpha)
-
-    def __le__(self, other: "ExactEntropy") -> bool:
-        # log is monotone, so comparing alphas is exact.
-        if other.alpha is None:
-            return True
-        if self.alpha is None:
-            return False
-        return self.alpha <= other.alpha
-
-    def __lt__(self, other: "ExactEntropy") -> bool:
-        return self <= other and self != other
+        return self.value == 1
 
     def ln_display(self) -> str:
         """Decimal approximation of log(alpha), display-only, never computed with."""
-        if self.alpha is None:
-            return "inf"
-        return f"{math.log(self.alpha):.12g}"
+        return "inf" if self.value is None else f"{math.log(self.value):.12g}"
 
     def __str__(self) -> str:
-        if self.alpha is None:
+        if self.value is None:
             return "infinite"
-        if self.alpha == 1:
-            return "0"
-        return f"log {self.alpha}"
+        return "0" if self.value == 1 else f"log {self.value}"
 
 
 ZERO_ENTROPY = ExactEntropy(1)
@@ -140,21 +120,12 @@ INFINITE_ENTROPY = ExactEntropy(None)
 
 
 def entropy_from_index(alpha) -> ExactEntropy:
-    """Entropy log(alpha) of a finite index alpha >= 1, or infinite.
-
-    Accepts an IndexValue or a bare positive integer.  An index of zero is
-    rejected: an index of subgroups is never zero.
-    """
-    if isinstance(alpha, IndexValue):
-        return ExactEntropy(alpha.value)
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
-        if alpha < 1:
-            raise ExactArithmeticError(f"an index is never {alpha}")
-        return ExactEntropy(alpha)
-    raise ExactArithmeticError(f"expected an index, got {alpha!r}")
+    """Entropy log(alpha) of an IndexValue or of a bare index (an integer
+    >= 1, or None for infinity, as in ``IndexValue``); the constructor
+    rejects anything else, such as zero, which is never a subgroup index."""
+    return ExactEntropy(alpha.value if isinstance(alpha, IndexValue) else alpha)
 
 
 def entropy_add(a: ExactEntropy, b: ExactEntropy) -> ExactEntropy:
     """Exact sum: log(alpha) + log(beta) = log(alpha*beta); infinity absorbs."""
     return a + b
-

@@ -264,14 +264,18 @@ _CHECK_FIELDS = {
 
 
 def validate_scenario(data: dict) -> dict:
-    """Check ``data`` against its backend's spec; returns it unchanged.
-    Subgroup constructors are checked when they are built."""
+    """Check ``data`` against its backend's spec, and every subgroup name a
+    check uses against ``subgroups``; returns it unchanged.  Subgroup
+    constructors are checked when they are built."""
     _valid_fragment(data, _TOP_FIELDS, "scenario", required=("schema",))
     for i, chk in enumerate(data.get("checks", [])):
         if not isinstance(chk, dict) or not _conforms(chk.get("type"), tuple(_CHECK_FIELDS)):
             raise ScenarioError(f"checks[{i}] needs a 'type' in {list(_CHECK_FIELDS)}")
         fields = _CHECK_FIELDS[chk["type"]]
         _check_fields(chk, {"type": str, **fields}, set(fields) - {"n_max"}, f"checks[{i}]")
+        for name in chk.get("candidates", [chk["subgroup"]] if "subgroup" in chk else []):
+            if name not in data.get("subgroups", {}):
+                raise ScenarioError(f"check references unknown subgroup {name!r}")
     return data
 
 
@@ -372,8 +376,6 @@ def run_checks(sys: TdlcSystem, data: dict, probe: int, tidy_probe: int, resolut
                     "rejected": [reason for _, reason in rejected],
                     "attains_entropy": best == total,
                 }
-        except KeyError as exc:
-            raise ScenarioError(f"check references unknown subgroup {exc}") from None
         except UnresolvedError as exc:
             entry["result"] = {"status": "UNRESOLVED", "reason": str(exc)}
             unresolved += 1

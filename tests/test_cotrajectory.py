@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -10,7 +11,14 @@ import pytest
 from tdlc_entropy import cli, cotraj, dynamics, linalg, verify
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
-from tdlc_entropy.backends.finite import symmetric_group
+from tdlc_entropy.backends.finite import (
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    quaternion_group,
+    symmetric_group,
+    trivial_group,
+)
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.backends.shift import ShiftProfileModel, cyclic_alphabet
@@ -812,3 +820,91 @@ def test_htop_routes_agree_where_chains_are_skipped():
         u = sys.model.full_lattice()
         assert ("chain_skipped" in cotraj.plus_group(sys, u).certificate) == skipped
         assert cotraj.htop_local(sys, u) == cotraj.htop_limit_estimate(sys, u, 12)
+
+
+def _tidy_above_by_one_index(sys, U) -> bool:
+    """[U : U n phi^-1(U)] = [phi(U_+) : U_+], read off the first cotrajectory
+    step and the forward core.
+
+    For compact open U and any continuous endomorphism phi this holds exactly
+    when U is tidy above, U = U_+ U_- (Willis, Math. Ann. 300, 1994; for
+    endomorphisms, Math. Ann. 361, 2015).  Write U_{-n} = U n phi^-1(U_{-n+1})
+    for the cotrajectory steps, so U_- is the intersection of all U_{-n}.
+
+    - phi(U_+) n U = U_+, so U_+ n phi^-1(U) = U_+ n phi^-1(U_+).  Then
+      u -> phi(u) U_+ maps U_+ onto the cosets of U_+ in phi(U_+), and
+      phi(u) U_+ = phi(v) U_+ exactly when v^-1 u lies in U_+ n phi^-1(U_+).
+      So [U_+ : U_+ n U_{-1}] = [phi(U_+) : U_+].
+    - U_+ U_{-1} is the union of [U_+ : U_+ n U_{-1}] cosets of U_{-1}, and
+      U is the union of [U : U_{-1}] of them.  So the index equation holds
+      exactly when U = U_+ U_{-1}.
+    - U = U_+ U_{-1} implies U_{-n} is contained in U_+ U_{-n-1} for every n:
+      for x in U_{-n}, phi^n(x) lies in U = U_+ U_{-1}; write phi^n(x) = ab
+      with a in U_+ and b in U_{-1}, and take y in U_+ with phi^n(y) = a
+      from a's regressive trajectory, whose points lie in U_+.  Then
+      phi^k(y^-1 x) lies in U for k <= n and phi^(n+1)(y^-1 x) = phi(b)
+      does too, so y^-1 x lies in U_{-n-1}.  So U = U_+ U_{-n} for every n, and since U_+ is compact and
+      the U_{-n} decrease to U_-, U = U_+ U_-.  Conversely U = U_+ U_-
+      gives U = U_+ U_{-1}, since U_- is contained in U_{-1}.
+    """
+    step = cotraj.minus_chain(sys, U, 1)[1]
+    return sys.model.index(step, U) == cotraj.plus_group(sys, U).image_index
+
+
+def _finite_criterion_triples():
+    """Every (group, endomorphism, subgroup) over the trivial group, S3, D4,
+    Q8, Z12 and A4."""
+    for model in (trivial_group(), symmetric_group(3), dihedral_group(4), quaternion_group(),
+                  cyclic_group(12), alternating_group(4)):
+        for phi in model.endomorphisms():
+            sys = TdlcSystem(model, phi)
+            for U in model.all_subgroups():
+                yield sys, U
+
+
+def _catalog_criterion_handles():
+    """Base elements 0-3 of every catalog system and their first 4
+    cotrajectory steps."""
+    for data in catalog_scenarios():
+        sys = build_system(data)
+        for k in range(4):
+            for U in cotraj.minus_chain(sys, sys.model.base_element(k), 4):
+                yield sys, U
+
+
+def _padic_criterion_lattices(rng, count):
+    """Seeded random p-adic lattices of dimension 1-2 under random matrices,
+    singular ones included."""
+    for _ in range(count):
+        p, dim = rng.choice((2, 3, 5)), rng.choice((1, 2))
+        entries = (0, 1, -1, 2, 3, F(1, 2), F(1, 3), p, F(1, p), p * p, F(1, p * p))
+        model = PadicModel(p, dim)
+        matrix = [[rng.choice(entries) for _ in range(dim)] for _ in range(dim)]
+        while True:
+            cols = [[rng.choice((0, 1, -1, 2, 3, p, F(1, p))) for _ in range(dim)]
+                    for _ in range(dim)]
+            if linalg.det(cols) != 0:
+                break
+        yield TdlcSystem(model, model.endo(matrix)), model.lattice(cols)
+
+
+# (handles compared, not tidy above, skipped as unresolved) at the first run
+@pytest.mark.parametrize("draws, counts", [
+    (_finite_criterion_triples, (991, 346, 0)),
+    (_catalog_criterion_handles, (400, 0, 0)),
+    (lambda: _padic_criterion_lattices(random.Random(9), 200), (175, 27, 25)),
+], ids=["finite", "catalog", "padic"])
+def test_tidy_above_agrees_with_its_one_index_criterion(draws, counts):
+    """``is_tidy_above`` (U = U_+ U_-) against the one-index criterion of
+    ``_tidy_above_by_one_index``, on every input where it resolves."""
+    compared = not_tidy = unresolved = 0
+    for sys, U in draws():
+        try:
+            tidy = cotraj.is_tidy_above(sys, U)
+        except UnresolvedError:
+            unresolved += 1
+            continue
+        assert _tidy_above_by_one_index(sys, U) == tidy, (sys.endo, U)
+        compared += 1
+        not_tidy += not tidy
+    assert (compared, not_tidy, unresolved) == counts

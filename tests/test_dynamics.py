@@ -1,7 +1,10 @@
+import functools
 import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from tdlc_entropy import cotraj, dynamics
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
@@ -327,3 +330,98 @@ def test_scale_oracle_on_the_catalog():
     report, _, _ = run_scenario(load_scenario_file(str(SCENARIOS / "product.json")))
     scales = [r["result"] for r in report["results"] if r["check"]["type"] == "scale"]
     assert scales and all(r["oracle_agreement"] is None for r in scales)
+
+
+# ROADMAP item 10: laws between (G, phi) and (G, phi^n) that need no oracle.
+
+def _power_laws_proved(name: str, sys: TdlcSystem) -> bool:
+    """Whether the scale law and Moller's law are asserted on ``sys``.
+
+    On an automorphism they are theorems (Willis, Math. Ann. 300, 1994;
+    Moller, Canad. J. Math. 54, 2002).  On a non-injective phi they are
+    asserted only where proved here:
+
+    - G compact: G is compact open with psi(G) in G, so s(psi) = 1 for every
+      endomorphism psi; and a witness W with d(phi, W) = 1 has phi(W) in W,
+      so phi^n(W) is in W and d(phi^n, W) = 1.
+    - ``padic_singular``, phi = diag(1/2, 0) on Q_2^2: for compact open U let
+      A be its first projection and B = {x : (x, 0) in U}, so B is in A.
+      phi^n(U) = 2^-n A x 0 meets U in B x 0, so
+      d(phi^n, U) = [2^-n A : B] = 2^n [A : B].  Hence s(phi^n) = 2^n,
+      attained at U = Z_2^2, and a U with d(phi, U) = 2 has [A : B] = 1 and
+      d(phi^n, U) = 2^n.
+    """
+    injective = sys.model.kernel_handle(sys.endo) == sys.model.trivial_subgroup()
+    return injective or sys.model.full_group().is_compact or name == "padic_singular"
+
+
+@pytest.mark.parametrize("name", [s["name"] for s in catalog_scenarios()])
+def test_power_laws_on_the_catalog(name):
+    """(G, phi^n) against (G, phi) for n = 2, 3, at probe 3 and tidy probe 4:
+
+    - certified entropies have alpha(phi^n) = alpha(phi)^n, that is
+      h_top(phi^n) = n h_top(phi) (Bowen, Trans. AMS 153, 1971);
+    - s(phi^n) = s(phi)^n;
+    - a scale witness W of phi that is tidy above and below has
+      d(phi^n, W) = d(phi, W)^n, where d(psi, W) = [psi(W) : psi(W) n W]
+      (Moller, Canad. J. Math. 54, 2002).
+    """
+    sys = build_system(find_scenario(name))
+    model = sys.model
+    entropy = dynamics.topological_entropy(sys, 3)
+    scale = dynamics.scale(sys, 3, 4)
+    witness = scale.witness
+    tidy = scale.witness_tidy_above and scale.witness_tidy_below
+    proved = _power_laws_proved(name, sys)
+    for n in (2, 3):
+        power = TdlcSystem(model, model.endo_power(sys.endo, n))
+        entropy_n = dynamics.topological_entropy(power, 3)
+        if entropy.saturated and entropy_n.saturated:
+            assert entropy_n.value == ExactEntropy(
+                None if entropy.value.is_infinite else entropy.value.alpha ** n)
+        if proved:
+            assert dynamics.scale(power, 3, 4).value == scale.value ** n
+            if tidy:
+                assert cotraj.displacement_index(power, witness).value == (
+                    cotraj.displacement_index(sys, witness).value ** n)
+    if not proved:
+        pytest.skip("the power laws are not proved for this non-injective endomorphism")
+
+
+# ROADMAP item 1: p-adic inputs whose characteristic polynomial does not
+# split over Q, where the scale search reports a wrong scale and certifies
+# the nub beside it.  Scales at probe 3 and tidy probe 4: 2, 9 and 8
+# against Newton-polygon oracles 1, 3 and 2.  Each input is a strict xfail
+# of its own, so the change that mends one removes its marker.
+WRONG_CERTIFICATES = {
+    "q2_square_x2_x_4": (2, [["2", "1/2"], ["4", "-1"]]),
+    "q3_cubic": (3, [["1/3", "1/4", "-1/2"], ["1/3", "2", "1/4"], ["5", "1/3", "3"]]),
+    "q2_cube": (2, [[1, 4, 0], ["1/8", "1/2", "1/8"], [0, 4, -1]]),
+}
+WRONG_CERTIFICATE_CASES = [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: the scale search misses the minimizing subgroup "
+               "when the characteristic polynomial does not split over Q"))
+    for name in WRONG_CERTIFICATES
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _wrong_certificate_system(name):
+    p, matrix = WRONG_CERTIFICATES[name]
+    model = PadicModel(p, len(matrix))
+    return TdlcSystem(model, model.endo(matrix), name=name)
+
+
+@pytest.mark.parametrize("name", WRONG_CERTIFICATE_CASES)
+def test_scale_agrees_with_the_newton_polygon(name):
+    sys = _wrong_certificate_system(name)
+    assert dynamics.scale(sys, 3, 4).value == sys.model.scale_oracle(sys.endo)
+
+
+@pytest.mark.parametrize("name", WRONG_CERTIFICATE_CASES)
+def test_nub_is_certified_only_beside_a_right_scale(name):
+    sys = _wrong_certificate_system(name)
+    right = dynamics.scale(sys, 3, 4).value == sys.model.scale_oracle(sys.endo)
+    assert right or not dynamics.nub(sys, resolution=4, probe=3).certified

@@ -80,3 +80,36 @@ def test_display_only_log():
     assert ExactEntropy(1).ln_display() == "0"
     assert ExactEntropy(2).ln_display().startswith("0.693147")
     assert INFINITE_ENTROPY.ln_display() == "inf"
+
+
+@pytest.mark.parametrize("cls", [IndexValue, ExactEntropy])
+@pytest.mark.parametrize("bad", [0, -3, True, 2.0, "2"])
+def test_both_classes_reject_the_same_values(cls, bad):
+    with pytest.raises(ExactArithmeticError):
+        cls(bad)
+
+
+def test_indices_and_entropies_never_mix():
+    assert IndexValue(2) != ExactEntropy(2)
+    assert INFINITE_INDEX != INFINITE_ENTROPY
+    for a, b in ((IndexValue(2), ExactEntropy(2)), (ExactEntropy(2), IndexValue(2))):
+        for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x <= y,
+                   lambda x, y: x < y):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+@given(st.one_of(st.none(), alphas), st.one_of(st.none(), alphas))
+def test_index_product_and_order_match_entropy_sum_and_order(a, b):
+    """One algebra under two names: [x] * [y] is log x + log y, in the same order."""
+    assert (IndexValue(a) * IndexValue(b)).value == (ExactEntropy(a) + ExactEntropy(b)).alpha
+    assert (IndexValue(a) <= IndexValue(b)) == (ExactEntropy(a) <= ExactEntropy(b))
+    assert (IndexValue(a) < IndexValue(b)) == (ExactEntropy(a) < ExactEntropy(b))
+    assert (IndexValue(a) == IndexValue(b)) == (ExactEntropy(a) == ExactEntropy(b))
+
+
+def test_entropy_alpha_is_read_only():
+    with pytest.raises(AttributeError):
+        ExactEntropy(2).alpha = 3
+    with pytest.raises(AttributeError):
+        IndexValue(2).value = 3

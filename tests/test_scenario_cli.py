@@ -1,5 +1,6 @@
 import argparse
 import copy
+import inspect
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdlc_entropy import cli, scenario, verify
+from tdlc_entropy import cli, cotraj, dynamics, scenario, verify
 from tdlc_entropy.core import ClosedSubgroupSpec
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
 from tdlc_entropy.backends.product import make_product
@@ -463,3 +464,44 @@ def test_equal_product_factors_share_one_system(monkeypatch):
     left, right = build_system(data).model.systems
     assert left is not right
     assert reports() == shared
+
+
+def _count_dynamics_calls(monkeypatch):
+    """Wrap every function of ``dynamics`` and ``cotraj``; returns the call log."""
+    calls = []
+    for module in (dynamics, cotraj):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k:
+                                    calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("check", [
+    {"type": "tidy", "subgroup": "nope"},
+    {"type": "addition", "subgroup": "nope"},
+    {"type": "phi_n", "candidates": ["Haxis", "nope"]},
+], ids=["tidy", "addition", "phi_n"])
+def test_unknown_subgroup_name_exits_2_before_any_check_runs(tmp_path, capsys, monkeypatch,
+                                                              check):
+    """A check that names a subgroup ``subgroups`` lacks fails validation:
+    the checks before it do not run."""
+    data = find_scenario("padic_diag_half_half")
+    data["checks"] = data["checks"][:4] + [check]
+    calls = _count_dynamics_calls(monkeypatch)
+    code, err = run_report(tmp_path, capsys, data)
+    assert code == cli.EXIT_INVALID
+    assert err == "error: check references unknown subgroup 'nope'\n"
+    assert calls == []
+    with pytest.raises(ScenarioError, match="unknown subgroup 'nope'"):
+        validate_scenario(data)
+
+
+def test_a_key_error_inside_a_check_is_not_bad_input(monkeypatch):
+    """Only validation turns a missing name into ScenarioError; a KeyError
+    raised by the library while a check runs propagates as itself."""
+    def broken(sys, probe):
+        raise KeyError("internal")
+    monkeypatch.setattr(dynamics, "topological_entropy", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run_scenario(find_scenario("padic_diag_half_half"))
