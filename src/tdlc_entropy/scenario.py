@@ -1,14 +1,17 @@
 """Scenario files: schema validation, system construction, check execution
 and deterministic report emission.
 
-``SPECS`` holds one entry per backend: the JSON type and bound of each field,
-the system builder and the subgroup constructors.  Nothing is built from a
-scenario, or a subgroup from its constructor, before their fields pass these
-checks; the data, which reports echo, is never rewritten.
+``backend_spec`` gives one spec per backend: the JSON type and bound of each
+field, how to build the system and the subgroup constructors.  Each spec is
+built on first use and imports its backend module then, so a command loads
+only the backends its scenario names.  Nothing is built from a scenario, or a
+subgroup from its constructor, before their fields pass these checks; the
+data, which reports echo, is never rewritten.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import namedtuple
@@ -18,10 +21,6 @@ from math import prod
 from typing import Optional
 
 from . import __version__, core, cotraj, dynamics
-from .backends import finite as finite_backend
-from .backends import padic as padic_backend
-from .backends import product as product_backend
-from .backends import shift as shift_backend
 from .core import ClosedSubgroupSpec, TdlcSystem, UnresolvedError
 
 
@@ -92,39 +91,44 @@ def _valid_fragment(frag, common: dict, where: str, required=()) -> bool:
     backend = frag.get("backend") if isinstance(frag, dict) else None
     if not _conforms(backend, common["backend"]):
         raise ScenarioError(f"{where} needs a 'backend' in {list(common['backend'])}")
-    spec = SPECS[backend]
+    spec = backend_spec(backend)
     _check_fields(frag, {**common, **spec.fields}, spec.required + required, where)
     return True
 
 
 # One backend's scenario format: the type of each field, the required ones,
-# ``system(data)``, and the subgroup constructor fields, each with its type
-# and ``build(model, ctor)`` in precedence order (a field whose build is None
-# only modifies another).
+# ``system(data, built)`` (see ``build_system``), and the subgroup constructor
+# fields, each with its type and ``build(model, ctor)`` in precedence order (a
+# field whose build is None only modifies another).
 BackendSpec = namedtuple("BackendSpec", "fields required system subgroups")
 
 
 def _from_model(model, endo):
-    """``system(data)`` from ``model(data)`` and ``endo(model, data)``."""
-    def build(data):
+    """``system(data, built)`` from ``model(data)`` and ``endo(model, data)``."""
+    def build(data, built):
         m = model(data)
         return TdlcSystem(m, endo(m, data), name=data.get("name", m.name))
     return build
 
 
-def _product_system(factors, name):
-    """The product of the two factor fragments' systems; equal fragments
-    build one system, so the product reads both factors' chains and limits
-    from one cache."""
-    first, second = factors
-    left = SPECS[first["backend"]].system(first)
-    right = left if second == first else SPECS[second["backend"]].system(second)
-    return product_backend.make_product(left, right, name=name)
+def _checked(values, field: str, ok, need: str):
+    """``values``, each of which passes ``ok``: the first that does not is
+    refused with the constructor field that holds it."""
+    for x in values:
+        if not ok(x):
+            raise ScenarioError(f"{x!r} in {field!r} is not {need}")
+    return values
+
+
+def _alphabet_elements(model, gens, field: str):
+    alpha = model.alphabet
+    return _checked(gens, field, lambda g: tuple(g) in alpha.elements,
+                    f"an element of the alphabet {alpha.name}")
 
 
 def _window_profile(model, ctor):
     alpha = model.alphabet
-    values = {int(pos): alpha.generated_id(map(tuple, gens))
+    values = {int(pos): alpha.generated_id(map(tuple, _alphabet_elements(model, gens, "window")))
               for pos, gens in ctor["window"].items()}
     left, right = (getattr(alpha, ctor.get(side, "full") + "_id") for side in ("left", "right"))
     return model.window_profile(values, left, right)
@@ -133,11 +137,9 @@ def _window_profile(model, ctor):
 _PARAM = range(1, PARAM_BOUND + 1)
 _BASE_INDEX = range(-PARAM_BOUND, PARAM_BOUND + 1)
 _POSITIONS = {str(i) for i in _BASE_INDEX}
-_ELEMENTS = [range(finite_backend.DEFAULT_ORDER_BOUND)]
 _TRUE = Check("true", lambda v: v is True)
 _TAIL = ("full", "trivial")
 _PAIR = Check("a list of two subgroup constructors", lambda v: isinstance(v, list) and len(v) == 2)
-_ORDER = shift_backend.MAX_ALPHABET_ORDER
 _ENTRY_LIMIT = 10**ENTRY_DIGITS
 # Fraction("1e<n>") builds 10**n before any bound can be checked, so a string
 # whose exponent is beyond 4 * ENTRY_DIGITS is refused unparsed
@@ -163,65 +165,90 @@ def _bounded_rational(value) -> bool:
 _RATIONAL = Check(f'a rational such as 3 or "1/2" with numerator and denominator of at most '
                   f'{ENTRY_DIGITS} digits', _bounded_rational)
 
-SPECS = {
-    "finite": BackendSpec(
+
+def _finite_spec() -> BackendSpec:
+    from .backends import finite
+
+    elements = [range(finite.DEFAULT_ORDER_BOUND)]
+
+    def members(m, c, field):
+        return _checked(c[field], field, lambda x: x < m.order,
+                        f"an element of the group (0..{m.order - 1})")
+
+    return BackendSpec(
         fields={
-            "group": tuple(finite_backend.NAMED_GROUPS),
-            "table": [_ELEMENTS],
+            "group": tuple(finite.NAMED_GROUPS),
+            "table": [elements],
             "names": [str],
             "endo": Check('"identity" or a list of element indices',
-                          lambda v: v == "identity" or _conforms(v, _ELEMENTS)),
+                          lambda v: v == "identity" or _conforms(v, elements)),
         },
         required=(("group", "table"), "endo"),
         system=_from_model(
-            model=lambda d: finite_backend.NAMED_GROUPS[d["group"]]() if "group" in d
-            else finite_backend.FiniteGroupModel(d["table"], names=d.get("names")),
+            model=lambda d: finite.NAMED_GROUPS[d["group"]]() if "group" in d
+            else finite.FiniteGroupModel(d["table"], names=d.get("names")),
             endo=lambda m, d: m.identity_endo() if d["endo"] == "identity" else m.endo(d["endo"]),
         ),
         subgroups={
-            "members": (_ELEMENTS, lambda m, c: m.subgroup(c["members"])),
-            "generated": (_ELEMENTS, lambda m, c: m.generated_subgroup(c["generated"])),
+            "members": (elements, lambda m, c: m.subgroup(members(m, c, "members"))),
+            "generated": (elements, lambda m, c: m.generated_subgroup(members(m, c, "generated"))),
             "full": (_TRUE, lambda m, c: m.full_group()),
             "trivial": (_TRUE, lambda m, c: m.trivial_subgroup()),
         },
-    ),
-    "padic": BackendSpec(
-        fields={"prime": int, "dim": range(padic_backend.MAX_DIM + 1), "matrix": [[_RATIONAL]]},
+    )
+
+
+def _padic_spec() -> BackendSpec:
+    from .backends import padic
+
+    def vectors(m, c, field):
+        return _checked(c[field], field, lambda v: len(v) == m.dim,
+                        f"a vector of length dim = {m.dim}")
+
+    return BackendSpec(
+        fields={"prime": int, "dim": range(padic.MAX_DIM + 1), "matrix": [[_RATIONAL]]},
         required=("prime", "dim", "matrix"),
         system=_from_model(
-            model=lambda d: padic_backend.PadicModel(d["prime"], d["dim"]),
+            model=lambda d: padic.PadicModel(d["prime"], d["dim"]),
             endo=lambda m, d: m.endo(d["matrix"]),
         ),
         subgroups={
-            "lattice": ([[_RATIONAL]], lambda m, c: m.lattice(c["lattice"])),
-            "subspace": ([[_RATIONAL]], lambda m, c: m.closed_subgroup(c["subspace"])),
+            "lattice": ([[_RATIONAL]], lambda m, c: m.lattice(vectors(m, c, "lattice"))),
+            "subspace": ([[_RATIONAL]],
+                         lambda m, c: m.closed_subgroup(vectors(m, c, "subspace"))),
             "zero": (_TRUE, lambda m, c: m.trivial_subgroup()),
             "full_lattice": (_TRUE, lambda m, c: m.full_lattice()),
             "whole": (_TRUE, lambda m, c: m.full_group()),
             "scaled": (_BASE_INDEX, lambda m, c: m.base_element(c["scaled"])),
         },
-    ),
-    "shift": BackendSpec(
+    )
+
+
+def _shift_spec() -> BackendSpec:
+    from .backends import shift
+
+    order = shift.MAX_ALPHABET_ORDER
+    return BackendSpec(
         fields={
-            "alphabet": Check(f"a non-empty list of cyclic orders with product <= {_ORDER}",
-                              lambda v: _conforms(v, [range(1, _ORDER + 1)]) and 0 < len(v)
-                              and prod(v) <= _ORDER),
-            "tail_mode": shift_backend.TAIL_MODES,
-            "shift": range(-shift_backend.MAX_SHIFT, shift_backend.MAX_SHIFT + 1),
+            "alphabet": Check(f"a non-empty list of cyclic orders with product <= {order}",
+                              lambda v: _conforms(v, [range(1, order + 1)]) and 0 < len(v)
+                              and prod(v) <= order),
+            "tail_mode": shift.TAIL_MODES,
+            "shift": range(-shift.MAX_SHIFT, shift.MAX_SHIFT + 1),
             "sigma": [[int]],
         },
         required=("alphabet", "tail_mode", "shift"),
         system=_from_model(
-            model=lambda d: shift_backend.ShiftProfileModel(
-                shift_backend.cyclic_alphabet(d["alphabet"]), d["tail_mode"]),
-            endo=lambda m, d: m.endo(d["shift"], shift_backend.matrix_hom(
+            model=lambda d: shift.ShiftProfileModel(
+                shift.cyclic_alphabet(d["alphabet"]), d["tail_mode"]),
+            endo=lambda m, d: m.endo(d["shift"], shift.matrix_hom(
                 m.alphabet, d["alphabet"], d["sigma"]) if "sigma" in d else None),
         ),
         subgroups={
             "constant": (_TAIL, lambda m, c: m.constant_profile(
                 getattr(m.alphabet, c["constant"] + "_id"))),
-            "constant_gens": ([[int]], lambda m, c: m.constant_profile(
-                m.alphabet.generated_id(map(tuple, c["constant_gens"])))),
+            "constant_gens": ([[int]], lambda m, c: m.constant_profile(m.alphabet.generated_id(
+                map(tuple, _alphabet_elements(m, c["constant_gens"], "constant_gens"))))),
             "base": (_BASE_INDEX, lambda m, c: m.base_element(c["base"])),
             "step": (int, lambda m, c: m.make_profile(
                 (m.alphabet.trivial_id,), c["step"], (), (m.alphabet.full_id,))),
@@ -232,19 +259,40 @@ SPECS = {
             "left": (_TAIL, None),
             "right": (_TAIL, None),
         },
-    ),
-    "product": BackendSpec(
+    )
+
+
+def _product_spec() -> BackendSpec:
+    from .backends import product
+
+    return BackendSpec(
         fields={"factors": Check(
             "a list of two backend fragments (no product among them)",
             lambda v: isinstance(v, list) and len(v) == 2 and all(
                 _valid_fragment(f, {"backend": BACKENDS[:-1]}, "a factor") for f in v),
         )},
         required=("factors",),
-        system=lambda d: _product_system(d["factors"], d.get("name", "")),
+        system=lambda d, built: product.make_product(
+            *(_system(f, built) for f in d["factors"]), name=d.get("name", "")),
         subgroups={"pair": (_PAIR, lambda m, c: m.pair(*map(_construct, m.factors, c["pair"])))},
-    ),
+    )
+
+
+_SPEC_OF = {
+    "finite": _finite_spec,
+    "padic": _padic_spec,
+    "shift": _shift_spec,
+    "product": _product_spec,
 }
-BACKENDS = tuple(SPECS)
+BACKENDS = tuple(_SPEC_OF)
+
+
+@functools.cache
+def backend_spec(backend: str) -> BackendSpec:
+    """The spec of ``backend``, built (and its backend module imported) once,
+    when a scenario first names the backend."""
+    return _SPEC_OF[backend]()
+
 
 _TOP_FIELDS = {
     "schema": range(SCHEMA_VERSION, SCHEMA_VERSION + 1),
@@ -288,14 +336,30 @@ def _error_boundary(what: str):
         raise ScenarioError(f"{what}: {exc}") from None
 
 
-def build_system(data: dict) -> TdlcSystem:
+def build_system(data: dict, built: Optional[dict] = None) -> TdlcSystem:
+    """The system of a scenario.  ``built`` maps each fragment built so far
+    to its system, so that equal fragments build one system and share its
+    cache: a product's two equal factors and, across the calls that pass one
+    ``built``, a system and a product factor equal to it."""
     with _error_boundary(f"bad {data['backend']} system"):
-        return SPECS[data["backend"]].system(data)
+        return _system(data, {} if built is None else built)
+
+
+def _system(frag: dict, built: dict) -> TdlcSystem:
+    """The system of a backend fragment, built once per ``built``.  The key is
+    the backend and its fields; the name only labels the system that the
+    first fragment of that key built."""
+    spec = backend_spec(frag["backend"])
+    key = json.dumps([frag["backend"], {k: frag[k] for k in spec.fields if k in frag}],
+                     sort_keys=True)
+    if key not in built:
+        built[key] = spec.system(frag, built)
+    return built[key]
 
 
 def _construct(model, ctor):
     """The handle of a subgroup constructor, after checking its fields."""
-    subgroups = SPECS[model.kind].subgroups
+    subgroups = backend_spec(model.kind).subgroups
     _check_fields(ctor, {key: kind for key, (kind, _) in subgroups.items()}, (), "the constructor")
     for key, (_, build) in subgroups.items():
         if build is not None and key in ctor:

@@ -7,7 +7,11 @@ are byte-stable.
 Every suite runs at the fixed depths below and takes only the catalog.
 ``run_suite`` builds the catalog once and hands it to every suite, so the
 suites of one run share each system and its cache, one cotrajectory table
-per system included.  A suite called on its own builds a fresh catalog.
+per system included; equal system fragments build one system, so a catalog
+product reads its factors' chains and limits from the standalone systems.
+A suite called on its own builds a fresh catalog.  The catalog and the
+backends it names are imported when a suite first runs, not with this
+module, which the command line imports for ``SUITE_NAMES``.
 ``run_suite`` looks up ``suite_<name>`` as it runs it, so a rebinding of
 that attribute (as a timing harness does) takes effect.
 """
@@ -15,9 +19,6 @@ that attribute (as a timing harness does) takes effect.
 from __future__ import annotations
 
 from . import cotraj, dynamics
-from .backends import finite as finite_backend
-from .backends.catalog import catalog_scenarios
-from .backends.product import make_product
 from .core import ClosedSubgroupSpec, TdlcSystem, UnresolvedError
 from .dynamics import FAIL, INCONCLUSIVE, PASS, SKIPPED
 from .scenario import build_subgroups, build_system
@@ -36,9 +37,12 @@ SUITE_NAMES = ("indices", "cotrajectory", "addition", "scale-link", "limit-free"
 
 def _catalog_systems() -> list:
     """(scenario data, system, named subgroups) for every catalog entry."""
+    from .backends.catalog import catalog_scenarios
+
+    built = {}
     out = []
     for data in catalog_scenarios():
-        sys = build_system(data)
+        sys = build_system(data, built)
         out.append((data, sys, build_subgroups(sys, data)))
     return out
 
@@ -46,9 +50,11 @@ def _catalog_systems() -> list:
 def suite_indices(catalog=None) -> list:
     """Exhaustive index-identity checks over the finite group catalog
     (``catalog`` is unused: ``run_suite`` calls every suite alike)."""
+    from .backends.finite import NAMED_GROUPS
+
     entries = []
     for name in INDEX_GROUPS:
-        model = finite_backend.NAMED_GROUPS[name]()
+        model = NAMED_GROUPS[name]()
         counts = model.check_index_identities()
         entries.append({
             "name": f"indices/{name}",
@@ -200,6 +206,8 @@ PRODUCT_PAIRS = (
 def suite_products(catalog=None) -> list:
     """Product formula over cross-backend pairs, and the diagonal agreement,
     which reads the entropy and scale of the checked q2_half square."""
+    from .backends.product import make_product
+
     built = {data["name"]: sys for data, sys, _ in catalog or _catalog_systems()}
     entries = []
     products = {}

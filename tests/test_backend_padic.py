@@ -1196,3 +1196,32 @@ def test_integral_image_and_preimage_agree_with_the_finite_section(data):
     sv = _section(group, index, q, v)
     assert _section(group, index, q, meet) == group.intersect(sv, group.preimage(sigma, su))
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cotrajectory_table_agrees_with_the_finite_section(data):
+    """The table of U = L under phi = p^-k A, A p-integral, against the chain
+    of the finite section L / qL, q = p^N.  U_-n = {x in L : A^j x in p^(kj) L
+    for j <= n} contains p^(kn) L, so while kn <= N every U_-n lies in the
+    section, and there U_-n = sigma^-1(p^k U_-(n-1)) with sigma = A mod q."""
+    p, n, d = data.draw(st.sampled_from([shape for shape in SECTION_SHAPES if shape[1] >= 2]))
+    k = data.draw(st.integers(1, n // 2))
+    q = p**n
+    group, index = _section_group(q, d)
+    model = PadicModel(p, d)
+    a = [[_draw_p_integral(data, p, q) for _ in range(d)] for _ in range(d)]
+    sys = TdlcSystem(model, model.endo([[x / p**k for x in row] for row in a]))
+    sigma = group.endo(index[tuple(_mod(sum(r * x for r, x in zip(row, e)), q) for row in a)]
+                       for e in index)
+    times_pk = group.endo(index[tuple(p**k * x % q for x in e)] for e in index)
+    n_max = n // k - 1
+    table = cotraj.alpha_sequence(sys, model.full_lattice(), n_max)
+    chain = [group.full_group()]
+    for _ in range(n_max + 1):
+        chain.append(group.preimage(sigma, group.image(times_pk, chain[-1])))
+    for row in table.rows:
+        assert model.contains(row.minus_handle, model.base_element(k * row.n))
+        assert _section(group, index, q, row.minus_handle) == chain[row.n]
+        assert row.c == group.index(chain[row.n], chain[0])
+        assert row.alpha == group.index(chain[row.n + 1], chain[row.n])

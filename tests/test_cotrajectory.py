@@ -396,18 +396,19 @@ def test_alpha_sequence_is_one_table_per_system_subgroup_and_length(monkeypatch)
     """Over one catalog, the cotrajectory, limit-free and oracle suites
     certify each table once: the (base(0), ``TABLE_N_MAX``) table that all
     three read included.  Another length builds its own table, and a
-    length below 1 is refused before the cache is read."""
+    length below 1 is refused before the cache is read.  Tables are counted
+    per system: equal catalog fragments share one system, so the q2_half
+    model also certifies the plateaus of the products that have it as a
+    factor."""
     catalog = verify._catalog_systems()
-    calls = [count_calls(monkeypatch, sys.model, "alpha_stabilization") for _, sys, _ in catalog]
+    made = count_calls(monkeypatch, cotraj, "_alpha_sequence")
     verify.suite_cotrajectory(catalog)
     verify.suite_limit_free(catalog)
     verify.suite_oracle(catalog)
-    for (data, sys, _), made in zip(catalog, calls):
-        keys = [(phi, U, len(alphas) - 1) for phi, U, _, alphas in made]
-        assert len(keys) == len(set(keys)), data["name"]
-        assert (sys.endo, sys.model.base_element(0), verify.TABLE_N_MAX) in keys, data["name"]
-    (_, sys, _), made = next((entry, made) for entry, made in zip(catalog, calls)
-                             if entry[0]["name"] == "q2_half")
+    assert len(made) == len(set(made))
+    for data, sys, _ in catalog:
+        assert (sys, sys.model.base_element(0), verify.TABLE_N_MAX) in made, data["name"]
+    sys = next(sys for data, sys, _ in catalog if data["name"] == "q2_half")
     u = sys.model.base_element(0)
     cached = cotraj.alpha_sequence(sys, u, verify.TABLE_N_MAX)
     before = len(made)
@@ -718,12 +719,14 @@ def test_verify_all_op_counts(monkeypatch):
     each suite rebuilt its cotrajectory table and the identities took
     phi^n(U_-n) twice and phi^0(U_-n) at all, (45, 11818, 19342); while each
     cotrajectory step took a preimage and then an intersection and the
-    index exchange imaged each U_n again, (45, 11516, 19032)."""
+    index exchange imaged each U_n again, (45, 11516, 19032); while the
+    catalog's products built their own factor systems instead of reading
+    the standalone q2_half and laurent_z3 systems, (45, 10546, 17414)."""
     rrefs, hnfs = count_eliminations(monkeypatch)
     minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert (len(minus), len(rrefs), len(hnfs)) == (45, 10546, 17414)
+    assert (len(minus), len(rrefs), len(hnfs)) == (35, 9040, 14446)
 
 
 def test_verify_all_images_each_forward_step_once(monkeypatch):

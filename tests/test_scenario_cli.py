@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -12,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from tdlc_entropy import cli, cotraj, dynamics, scenario, verify
 from tdlc_entropy.core import ClosedSubgroupSpec
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
-from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.scenario import (
     ScenarioError,
     build_subgroups,
@@ -312,6 +313,31 @@ def test_malformed_field_exits_2(tmp_path, capsys, data, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name, ctor, message", [
+    ("padic_diag_half_half", {"lattice": [[1, 0, 0]]},
+     "[1, 0, 0] in 'lattice' is not a vector of length dim = 2"),
+    ("q2_half", {"lattice": [["1/2"], [1, 0]]}, "[1, 0] in 'lattice' is not a vector of length dim = 1"),
+    ("padic_diag_half_half", {"subspace": [[1]]}, "[1] in 'subspace' is not a vector of length dim = 2"),
+    ("product_q2half_laurent3", {"pair": [{"lattice": [[1, 0]]}, {"base": 0}]},
+     "[1, 0] in 'lattice' is not a vector of length dim = 1"),
+    ("finite_s3", {"members": [0, 9]}, "9 in 'members' is not an element of the group (0..5)"),
+    ("finite_s3", {"generated": [6]}, "6 in 'generated' is not an element of the group (0..5)"),
+    ("shift_z2xz2_sigma_swap", {"constant_gens": [[1]]},
+     "[1] in 'constant_gens' is not an element of the alphabet Z2xZ2"),
+    ("laurent_z3", {"window": {"0": [[1], [3]]}}, "[3] in 'window' is not an element of the alphabet Z3"),
+], ids=["padic-lattice-dim-2", "padic-lattice-dim-1", "padic-subspace", "product-pair",
+        "finite-members", "finite-generated", "shift-constant-gens", "shift-window"])
+def test_constructor_entry_outside_the_group_exits_2_naming_its_field(tmp_path, capsys, name,
+                                                                       ctor, message):
+    """A p-adic vector whose length is not ``dim``, or an element that the
+    finite group or the alphabet lacks, is refused when the subgroup is built
+    from the scenario, with the field that holds it."""
+    data = with_fields(name, subgroups={"H": ctor}, checks=[{"type": "tidy", "subgroup": "H"}])
+    code, err = run_report(tmp_path, capsys, data)
+    assert code == cli.EXIT_INVALID
+    assert err == f"error: bad subgroup {name}.H: {message}\n"
+
+
 BOUNDS = [
     # (scenario, fields at the limit, fields one past it, CLI flags at/past it)
     ("finite_trivial", {"probe": 64}, {"probe": 65}, None),
@@ -459,8 +485,8 @@ def test_equal_product_factors_share_one_system(monkeypatch):
     left, right = build_system(data).model.systems
     assert left is right
     shared = reports()
-    monkeypatch.setattr(scenario, "_product_system", lambda factors, name: make_product(
-        *(scenario.SPECS[f["backend"]].system(f) for f in factors), name=name))
+    monkeypatch.setattr(scenario, "_system", lambda frag, built: scenario.backend_spec(
+        frag["backend"]).system(frag, built))
     left, right = build_system(data).model.systems
     assert left is not right
     assert reports() == shared
@@ -505,3 +531,50 @@ def test_a_key_error_inside_a_check_is_not_bad_input(monkeypatch):
     monkeypatch.setattr(dynamics, "topological_entropy", broken)
     with pytest.raises(KeyError, match="internal"):
         run_scenario(find_scenario("padic_diag_half_half"))
+
+
+# Runs one command in a fresh interpreter and prints the package's modules
+# loaded by its end.
+LOADED_MODULES = """
+import io, json, sys
+from contextlib import redirect_stdout
+from tdlc_entropy import cli
+with redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == cli.EXIT_OK, sys.argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tdlc_entropy")))
+"""
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tdlc_entropy")
+# what every command loads: the command line, the scenario layer, the dynamics
+# it calls, and ``verify``, whose SUITE_NAMES are the choices of ``verify``
+FRONT = ["tdlc_entropy", "tdlc_entropy.cli", "tdlc_entropy.core", "tdlc_entropy.cotraj",
+         "tdlc_entropy.dynamics", "tdlc_entropy.exact", "tdlc_entropy.scenario",
+         "tdlc_entropy.verify", "tdlc_entropy.backends"]
+
+
+# every module of the package, named from its path
+EVERY_MODULE = sorted(
+    ".".join(["tdlc_entropy", *os.path.relpath(os.path.join(root, f), PACKAGE)[:-3].split(os.sep)])
+    .removesuffix(".__init__")
+    for root, _, files in os.walk(PACKAGE) for f in files if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["report", "q2_half.json"], FRONT + ["tdlc_entropy.backends.padic", "tdlc_entropy.linalg",
+                                          "tdlc_entropy.polyfactor"]),
+    (["report", "shift_z2.json"], FRONT + ["tdlc_entropy.backends.finite",
+                                           "tdlc_entropy.backends.shift"]),
+    (["verify", "all"], EVERY_MODULE),
+], ids=["padic-report", "shift-report", "verify-all"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    """A report loads the backends its scenario names (the shift backend
+    builds on the finite one) and not the others, nor the verify catalog;
+    ``verify all`` loads every module of the package."""
+    scenarios = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+    argv = [os.path.join(scenarios, a) if a.endswith(".json") else a for a in argv]
+    src = os.path.abspath(os.path.join(PACKAGE, os.pardir))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(loaded)
