@@ -12,7 +12,6 @@ makes this backend the oracle the other backends are cross-checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..core import (
@@ -23,13 +22,14 @@ from ..core import (
     check_model,
     cotrajectory_fixpoint,
     limit_chain,
+    record,
 )
 from ..exact import IndexValue
 
 DEFAULT_ORDER_BOUND = 256
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSubgroup:
     """A subgroup as a sorted tuple of element indices (canonical form)."""
 
@@ -58,7 +58,7 @@ class FiniteSubgroup:
         return "{" + ",".join(names[i] for i in self.members) + "}"
 
 
-@dataclass(frozen=True)
+@record
 class FiniteEndo:
     """An endomorphism as the tuple of images, verified multiplicative."""
 

@@ -35,7 +35,6 @@ polynomial; ``polyfactor`` finds those factors exactly in pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -50,7 +49,9 @@ from ..core import (
     UnsupportedSubgroupError,
     chain_fixpoint,
     check_model,
+    field,
     limit_chain,
+    record,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from ..linalg import (
@@ -84,7 +85,7 @@ CHAIN_STEP_CAP = 64
 MAX_DIM = 8
 
 
-@dataclass(frozen=True)
+@record
 class PadicSubgroup:
     """Canonical closed subgroup V + L of Q_p^d.
 
@@ -141,7 +142,7 @@ class PadicSubgroup:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class PadicEndo:
     """A continuous endomorphism of Q_p^d: multiplication by a rational matrix.
 

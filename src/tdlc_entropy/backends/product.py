@@ -11,7 +11,6 @@ whether a factor's image chain stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .. import cotraj
@@ -20,11 +19,12 @@ from ..core import (
     QuotientConstruction,
     TdlcSystem,
     check_model,
+    record,
 )
 from ..exact import IndexValue
 
 
-@dataclass(frozen=True)
+@record
 class ProductSubgroup:
     model: "ProductModel"
     parts: tuple
@@ -45,7 +45,7 @@ class ProductSubgroup:
         return " x ".join(p.describe() for p in self.parts)
 
 
-@dataclass(frozen=True)
+@record
 class ProductEndo:
     model: "ProductModel"
     parts: tuple

@@ -35,7 +35,6 @@ stabilization certificates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
 
@@ -49,6 +48,7 @@ from ..core import (
     check_model,
     cotrajectory_fixpoint,
     limit_chain,
+    record,
 )
 from ..exact import INFINITE_INDEX, IndexValue
 from .finite import FiniteEndo, FiniteGroupModel
@@ -155,7 +155,7 @@ def _cycle(pat: tuple, i: int, n: int) -> tuple:
     return (pat * ((off + n) // len(pat) + 1))[off:off + n]
 
 
-@dataclass(frozen=True)
+@record
 class Profile:
     """A profile subgroup: explicit window plus periodic tails.
 
@@ -221,7 +221,7 @@ class Profile:
         return f"profile[({lpat})*|{self.start}:{','.join(orders)}|({rpat})*]"
 
 
-@dataclass(frozen=True)
+@record
 class ShiftEndo:
     """x maps to sigma applied coordinatewise after a shift by k.
 

@@ -17,11 +17,17 @@ chain, the limit chain behind U_+ and U_- and the cotrajectory fixpoint
 plateau.  The cached chains (the cotrajectory U_{-n} and the image chain
 phi^n(U_+)) live in ``cotraj``, which reads a product's chains from its
 factor systems.
+
+The package's immutable records (systems, specs, reports, handles and
+endomorphisms) are plain classes made by ``record`` here, for import cost:
+each command is a fresh process, a frozen dataclass compiles five or six
+generated methods per class at import, and the module that makes them loads
+``inspect``.  ``record`` compiles one small piece of code per class and
+imports nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol
 
 from .exact import IndexValue
@@ -120,7 +126,99 @@ class Backend(Protocol):
 _MISSING = object()
 
 
-@dataclass(frozen=True)
+class _Field:
+    __slots__ = ("default", "default_factory", "init", "compare", "repr")
+
+    def __init__(self, default, default_factory, init, compare, repr):
+        self.default = default
+        self.default_factory = default_factory
+        self.init = init
+        self.compare = compare
+        self.repr = repr
+
+
+def field(*, default_factory=None, init=True, compare=True, repr=True):
+    """A record field's options, given as its default in the class body: a
+    ``default_factory`` called per instance (and, with ``init=False``,
+    left out of ``__init__``), and whether the field takes part in ``==``
+    and ``hash`` (``compare``) and in ``repr``."""
+    return _Field(_MISSING, default_factory, init, compare, repr)
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__repr_fields__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make ``cls`` an immutable record of its own annotated fields, in order.
+
+    Behaves as a frozen dataclass: ``__init__`` takes the fields (a field
+    without a default before any with one); ``==`` holds only between
+    instances of the same class and compares the compared fields as one
+    tuple; ``hash`` is the hash of that tuple; ``repr`` reads
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    ``AttributeError``.  A field's default is a plain class attribute or a
+    ``field(...)``.  ``__init__``, ``__eq__`` and ``__hash__`` are compiled
+    together, once per class.  Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on them.
+    """
+    scope = {"_set": object.__setattr__, "_MISSING": _MISSING}
+    params, sets, compared, shown = [], [], [], []
+    for name in cls.__annotations__:
+        spec = cls.__dict__.get(name, _MISSING)
+        if isinstance(spec, _Field):
+            delattr(cls, name)
+        else:
+            spec = _Field(spec, None, True, True, True)
+        value = name
+        if spec.default_factory is not None:
+            scope[f"_f_{name}"] = spec.default_factory
+            value = f"_f_{name}()"
+            if spec.init:
+                params.append(f"{name}=_MISSING")
+                value = f"{value} if {name} is _MISSING else {name}"
+        elif spec.default is not _MISSING:
+            scope[f"_d_{name}"] = spec.default
+            params.append(f"{name}=_d_{name}")
+        else:
+            params.append(name)
+        sets.append(f"    _set(self, {name!r}, {value})\n")
+        if spec.compare:
+            compared.append(name)
+        if spec.repr:
+            shown.append(name)
+    mine = "(" + "".join(f"self.{name}," for name in compared) + ")"
+    theirs = "(" + "".join(f"other.{name}," for name in compared) + ")"
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {mine} == {theirs}\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash({mine})\n",
+        scope,
+    )
+    for method in ("__init__", "__eq__", "__hash__"):
+        fn = scope[method]
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
+    cls.__repr_fields__ = tuple(shown)
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+@record
 class TdlcSystem:
     """A concretely represented group together with a continuous endomorphism.
 
@@ -173,7 +271,7 @@ class TdlcSystem:
         return self.memo(("limit", forward, phi, U), hook, phi, U)
 
 
-@dataclass(frozen=True)
+@record
 class ClosedSubgroupSpec:
     """A closed subgroup with flags recomputed from the model's primitives.
 
@@ -202,7 +300,7 @@ class ClosedSubgroupSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class QuotientConstruction:
     system: TdlcSystem
     project: Callable[[Any], Any]          # handle in G  ->  handle in G/H

@@ -35,17 +35,16 @@ U_++ is closed when no image within the probe is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvariantViolation, TdlcSystem, UnresolvedError
+from .core import InvariantViolation, TdlcSystem, UnresolvedError, record
 from .exact import ExactEntropy, IndexValue, entropy_from_index
 
 DEFAULT_N_MAX = 64
 DEFAULT_TIDY_PROBE = 16
 
 
-@dataclass(frozen=True)
+@record
 class CotrajectoryRow:
     """Row n of the table: U_{-n}, c_n = [U : U_{-n}] and alpha_n = [U_{-n} : U_{-n-1}]."""
 
@@ -55,7 +54,7 @@ class CotrajectoryRow:
     alpha: IndexValue
 
 
-@dataclass(frozen=True)
+@record
 class CotrajectoryTable:
     """Indices along the cotrajectory, with the certified stabilization point.
 
@@ -75,7 +74,7 @@ class CotrajectoryTable:
         return self.rows[self.n_star].alpha
 
 
-@dataclass(frozen=True)
+@record
 class PlusGroupResult:
     """The forward core U_+ with the method that produced it.
 
@@ -93,7 +92,7 @@ class PlusGroupResult:
     image_index: IndexValue
 
 
-@dataclass(frozen=True)
+@record
 class TidyBelowResult:
     value: bool
     certificate: dict

@@ -9,7 +9,6 @@ bound, never silently an answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cotraj
@@ -19,6 +18,8 @@ from .core import (
     TdlcSystem,
     UnresolvedError,
     UnsupportedSubgroupError,
+    field,
+    record,
 )
 from .exact import ExactEntropy, ZERO_ENTROPY, entropy_add, entropy_from_index
 
@@ -28,7 +29,7 @@ SKIPPED = "SKIPPED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     """Entropy as the supremum over the probed base, with its witness.
 
@@ -60,7 +61,7 @@ class EntropyReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ScaleReport:
     value: int
     witness: object
@@ -80,7 +81,7 @@ class ScaleReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class NubReport:
     handle: object
     resolution: int
@@ -98,7 +99,7 @@ class NubReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
     reason: str

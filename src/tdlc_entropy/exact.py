@@ -15,7 +15,6 @@ to each other, and mixing them in ``*``, ``+`` or an order raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 
@@ -23,16 +22,36 @@ class ExactArithmeticError(ValueError):
     """Raised when a value outside the representable class is constructed."""
 
 
-@dataclass(frozen=True)
 class _ExactValue:
-    """An integer >= 1, or the infinite element when ``value`` is None."""
+    """An integer >= 1, or the infinite element when ``value`` is None.
 
-    value: Optional[int]
+    An immutable record of its one field, written out by hand: ``core``'s
+    ``record`` cannot serve here, since ``core`` imports this module.
+    """
 
-    def __post_init__(self):
-        v = self.value
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
-            raise ExactArithmeticError(f"{type(self).__name__} needs an integer >= 1, got {v!r}")
+    def __init__(self, value: Optional[int]):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                                  or value < 1):
+            raise ExactArithmeticError(
+                f"{type(self).__name__} needs an integer >= 1, got {value!r}")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(value={self.value!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _product(self, other):
         """Exact product of two values of one class; infinity absorbs."""

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -11,7 +10,12 @@ from tdlc_entropy import cotraj
 from tdlc_entropy.backends import padic
 from tdlc_entropy.backends.catalog import catalog_scenarios
 from tdlc_entropy.backends.finite import FiniteGroupModel
-from tdlc_entropy.backends.padic import PadicModel, _poly_eval_matrix, _root_valuations
+from tdlc_entropy.backends.padic import (
+    PadicModel,
+    PadicSubgroup,
+    _poly_eval_matrix,
+    _root_valuations,
+)
 from tdlc_entropy.core import TdlcSystem, UnresolvedError, UnsupportedSubgroupError, chain_fixpoint
 from tdlc_entropy.linalg import (
     _clear_denominators,
@@ -876,7 +880,8 @@ def test_dual_takes_no_part_in_equality():
     rebuilt = model.from_constraints(*h.dual)
     assert rebuilt.dual != h.dual
     n_rows, d_rows = h.dual
-    reordered = dataclasses.replace(h, dual=(n_rows, tuple(reversed(d_rows)) + (d_rows[0],)))
+    reordered = PadicSubgroup(model, h.subspace, h.module,
+                              (n_rows, tuple(reversed(d_rows)) + (d_rows[0],)), h.pivots)
     for other in (rebuilt, reordered):
         assert other == h and hash(other) == hash(h)
     assert len({h, rebuilt, reordered}) == 1

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tdlc_entropy import cotraj
 from tdlc_entropy.backends import shift
+from tdlc_entropy.backends.finite import FiniteGroupModel
 from tdlc_entropy.backends.shift import (
     MAX_ALPHABET_ORDER,
     TAIL_MODES,
@@ -589,3 +590,73 @@ def test_cotrajectory_step_builds_one_profile(monkeypatch):
     chain = cotraj.minus_chain(sys, U, n)
     assert len(chain) == n + 1
     assert len(built) == n
+
+
+# -- the finite backend as an oracle on F^window ---------------------------------------
+# Two profiles with the same left tail and the same right tail differ only on
+# a window of w positions.  On such a pair every primitive is the finite
+# backend's on F^w, read off the window, while the common tails are carried
+# along pointwise.
+
+
+def power_group(alpha, w):
+    """F^w as a finite group, and the index of each of its elements: a
+    tuple of w alphabet elements, multiplied coordinatewise."""
+    group = alpha.group
+    elements = tuple(itertools.product(range(group.order), repeat=w))
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[tuple(map(group.mul, x, y))] for y in elements] for x in elements]
+    return FiniteGroupModel(table, name=f"{group.name}^{w}"), index
+
+
+@settings(max_examples=150, deadline=None)
+@given(alphabets_with_sigma(bound=8).filter(lambda case: prod(case[0]) > 1),
+       st.sampled_from(TAIL_MODES), st.data())
+def test_profiles_with_common_tails_agree_with_the_finite_backend_on_the_window(
+        case, tail_mode, data):
+    orders, matrix = case
+    alpha = cyclic_alphabet(orders)
+    m = ShiftProfileModel(alpha, tail_mode)
+    sigma = matrix_hom(alpha, orders, matrix)
+    phi = m.endo(0, sigma)
+    w = data.draw(st.integers(1, max(w for w in range(1, 7) if alpha.group.order ** w <= 64)))
+    ids = st.integers(0, len(alpha.subgroups) - 1)
+    pattern = st.lists(ids, min_size=1, max_size=2).map(tuple)
+    left, right, lo = data.draw(pattern), data.draw(pattern), data.draw(st.integers(-3, 3))
+    window = st.lists(ids, min_size=w, max_size=w)
+    U = m.make_profile(left, lo, data.draw(window), right)
+    V = m.make_profile(left, lo, data.draw(window), right)
+    assert (U.left, U.right) == (V.left, V.right)
+
+    fw, index = power_group(alpha, w)
+    sigma_w = fw.endo(index[tuple(sigma.mapping[c] for c in x)] for x in index)
+
+    def on_window(P):
+        factors = (alpha.subgroups[v].members for v in P.values(lo, lo + w))
+        return fw.subgroup(index[x] for x in itertools.product(*factors))
+
+    def outside(P):
+        """Values over two periods of each tail (the periods are at most 2)."""
+        return P.values(lo - 4, lo) + P.values(lo + w, lo + w + 4)
+
+    fU, fV = on_window(U), on_window(V)
+    meet = m.intersect(U, V)
+    img, pre = phi.image_id, phi.preimage_id
+    cases = [
+        (meet, fw.intersect(fU, fV), lambda u, v: alpha.meet[u][v]),
+        (m.set_product(U, V), fw.set_product(fU, fV), lambda u, v: alpha.join[u][v]),
+        (m.meet_preimage(U, phi, V), fw.meet_preimage(fU, sigma_w, fV),
+         lambda u, v: alpha.meet[u][pre[v]]),
+        (m.image(phi, U), fw.image(sigma_w, fU), lambda u, v: img[u]),
+        (m.image(phi, V), fw.image(sigma_w, fV), lambda u, v: img[v]),
+        (m.preimage(phi, U), fw.preimage(sigma_w, fU), lambda u, v: pre[u]),
+        (m.preimage(phi, V), fw.preimage(sigma_w, fV), lambda u, v: pre[v]),
+    ]
+    for got, expected, pointwise in cases:
+        assert on_window(got) == expected
+        assert outside(got) == tuple(map(pointwise, outside(U), outside(V)))
+    for big, small in ((U, V), (V, U)):
+        assert m.contains(big, small) == fw.contains(on_window(big), on_window(small))
+        if m.contains(big, small):
+            assert m.index(small, big) == fw.index(on_window(small), on_window(big))
+        assert m.index(meet, big) == fw.index(on_window(meet), on_window(big))
