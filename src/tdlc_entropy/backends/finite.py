@@ -21,7 +21,6 @@ from ..core import (
     UnsupportedSubgroupError,
     check_model,
     cotrajectory_fixpoint,
-    limit_chain,
     record,
 )
 from ..exact import IndexValue
@@ -442,11 +441,10 @@ class FiniteGroupModel:
 
     # -- dynamics hooks -------------------------------------------------------
 
-    def plus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
-        return limit_chain(self, phi, U, True, self.order + 1, _unstable)
-
-    def minus_group_impl(self, phi: FiniteEndo, U: FiniteSubgroup):
-        return limit_chain(self, phi, U, False, self.order + 1, _unstable)
+    def limit_route(self, phi: FiniteEndo, U: FiniteSubgroup, forward: bool):
+        """No closed form: a strictly decreasing chain of subgroups has at
+        most order + 1 members, so the literal chain always stops."""
+        return self.order + 1, None
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         """Certified stabilization index: the cotrajectory chain reaches its
@@ -579,12 +577,6 @@ def _is_prime_power(m: int) -> bool:
     while m % p == 0:
         m //= p
     return m == 1
-
-
-def _unstable(chain):
-    """The closed form of a finite group's chains, which never needs one: a
-    strictly decreasing chain of subgroups has at most order + 1 members."""
-    raise InvariantViolation("decreasing chain did not stabilize in a finite group")
 
 
 # -- standard groups ----------------------------------------------------------

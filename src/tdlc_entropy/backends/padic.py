@@ -50,7 +50,6 @@ from ..core import (
     chain_fixpoint,
     check_model,
     field,
-    limit_chain,
     record,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -435,32 +434,23 @@ class PadicModel:
             raise InvariantViolation("generalized eigenspace has unexpected dimension")
         return rows
 
-    def plus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
-        """Iterates U_{n+1} = U n phi(U_n) for at most ``CHAIN_STEP_CAP``
-        steps, then solves the limit on the rational subspace of root
-        valuations <= 0.  The chain is skipped, and the certificate says why,
-        when U is compact open, phi is invertible and some root has valuation
-        > 0: then no step can be a fixpoint.
+    def limit_route(self, phi: PadicEndo, U: PadicSubgroup, forward: bool):
+        """At most ``CHAIN_STEP_CAP`` literal steps, then ``_structural_core``.
+        The forward chain is skipped (a bound of 0), and the certificate says
+        why, when U is compact open, phi is invertible and some root has
+        valuation > 0: then no step can be a fixpoint.
         """
         # Proof of the skip: with U compact open and phi invertible every U_n
         # is a full-rank lattice, and a fixpoint L = U n phi(L) has
         # phi^-1(L) <= L, so phi^-1 is integral on L and no root of phi has
         # valuation > 0.
-        skip = (
+        skip = forward and (
             U.is_compact and U.is_open and phi.kernel_trivial
             and any(v is not None and v > 0 for v, _ in phi.newton_polygon)
         )
         skipped = {"chain_skipped": "contracting root, no lattice fixpoint"} if skip else {}
-        return limit_chain(self, phi, U, True, 0 if skip else CHAIN_STEP_CAP,
-                           lambda chain: self._structural_core(phi, U, chain, True, **skipped))
-
-    def minus_group_impl(self, phi: PadicEndo, U: PadicSubgroup):
-        """Iterates U_{-n-1} = U n phi^-1(U_{-n}) for at most
-        ``CHAIN_STEP_CAP`` steps, then solves the limit on the rational
-        subspace of root valuations >= 0 and zero roots.
-        """
-        return limit_chain(self, phi, U, False, CHAIN_STEP_CAP,
-                           lambda chain: self._structural_core(phi, U, chain, False))
+        return (0 if skip else CHAIN_STEP_CAP,
+                lambda chain: self._structural_core(phi, U, chain, forward, **skipped))
 
     def _structural_core(self, phi: PadicEndo, U: PadicSubgroup, chain, forward: bool,
                          **certificate):

@@ -2,11 +2,11 @@
 
 Handles are pairs of factor handles, every operation is componentwise and
 indices multiply, so the factor backends certify their own parts.  The model
-keeps its two factor systems and reads each factor's U_+ and U_- from that
-system's cache, so a product shares the limits its factors have computed.
-``cotraj`` reads a product's cotrajectory and image chain from the factor
-systems too (``factor_systems``), and ``plus_plus_closure`` reads there
-whether a factor's image chain stopped.
+keeps its two factor systems and holds no limit code: ``cotraj`` reads a
+product's U_+ and U_-, its cotrajectory and its image chain from the factor
+systems (``factor_systems``), so a product shares what its factors have
+computed, and ``plus_plus_closure`` reads there whether a factor's image
+chain stopped.
 """
 
 from __future__ import annotations
@@ -138,20 +138,6 @@ class ProductModel:
         return make_product(*self._zip("restriction", phi.parts, H.parts), name=f"{self.name}|H")
 
     # -- dynamics hooks --------------------------------------------------------
-
-    def plus_group_impl(self, phi, U):
-        return self._limit(True, phi, U)
-
-    def minus_group_impl(self, phi, U):
-        return self._limit(False, phi, U)
-
-    def _limit(self, forward, phi, U):
-        """U_+ or U_- factorwise, each from its factor system's cache; a
-        fixpoint only when each factor's is."""
-        handles, methods, steps, certs = zip(*(
-            s.limit(forward, p, u) for s, p, u in zip(self.systems, phi.parts, U.parts)))
-        method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
-        return self.pair(*handles), method, max(steps), {"factors": list(certs)}
 
     def alpha_stabilization(self, phi, U, minus_handles, alphas):
         certs = []

@@ -47,7 +47,6 @@ from ..core import (
     UnsupportedSubgroupError,
     check_model,
     cotrajectory_fixpoint,
-    limit_chain,
     record,
 )
 from ..exact import INFINITE_INDEX, IndexValue
@@ -501,20 +500,15 @@ class ShiftProfileModel:
 
     # -- dynamics hooks -----------------------------------------------------------------
 
-    def plus_group_impl(self, phi: ShiftEndo, U: Profile):
-        return limit_chain(self, phi, U, True, CHAIN_STEP_CAP,
-                           self._closed_limit(U, phi.k, phi.image_id))
+    def limit_route(self, phi: ShiftEndo, U: Profile, forward: bool):
+        """At most ``CHAIN_STEP_CAP`` literal steps, then the limit profile of
+        the meet recursion."""
+        step, value_map = (phi.k, phi.image_id) if forward else (-phi.k, phi.preimage_id)
 
-    def minus_group_impl(self, phi: ShiftEndo, U: Profile):
-        return limit_chain(self, phi, U, False, CHAIN_STEP_CAP,
-                           self._closed_limit(U, -phi.k, phi.preimage_id))
-
-    def _closed_limit(self, U: Profile, step: int, value_map):
-        """``limit_chain``'s closed form: the limit profile of the meet recursion."""
         def closed_form(chain):
             limit, info = self.limit_profile(U, step, value_map, self.alphabet.meet)
             return limit, len(chain), info
-        return closed_form
+        return CHAIN_STEP_CAP, closed_form
 
     def _diff_positions(self, U: Profile, V: Profile):
         if U.left != V.left or U.right != V.right:

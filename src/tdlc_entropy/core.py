@@ -13,10 +13,11 @@ backend bounds its own chains (``CHAIN_STEP_CAP``); no hook takes a chain
 depth.  Every handle has ``describe()``, ``is_open``, ``is_compact`` and
 ``is_normal``.  What follows from these primitives alone is written here
 once: the subgroup flags (``ClosedSubgroupSpec.verify``), the fixpoint
-chain, the limit chain behind U_+ and U_- and the cotrajectory fixpoint
-plateau.  The cached chains (the cotrajectory U_{-n} and the image chain
-phi^n(U_+)) live in ``cotraj``, which reads a product's chains from its
-factor systems.
+chain and the cotrajectory fixpoint plateau.  The limits U_+ and U_- and
+the cached chains (the cotrajectory U_{-n} and the image chain phi^n(U_+))
+live in ``cotraj``, which reads a product's limits and chains from its
+factor systems; a backend gives only the step bound of the literal limit
+chain and its closed form past it (``limit_route``).
 
 The package's immutable records (systems, specs, reports, handles and
 endomorphisms) are plain classes made by ``record`` here, for import cost:
@@ -76,9 +77,9 @@ class Backend(Protocol):
         """phi(U), compact when U is; its openness is never asserted."""
     def preimage(self, phi, U):
         """phi^{-1}(U), possibly non-compact: meet it with a compact open U first.
-        Only the backward limit (``limit_chain``, ``cotraj.minus_group``) still
-        calls it; it leaves the protocol when tidiness above is read off one
-        index instead of U_-."""
+        Only the backward limit (``cotraj.limit`` with ``forward`` false, behind
+        ``cotraj.minus_group``) still calls it; it leaves the protocol when
+        tidiness above is read off one index instead of U_-."""
     def meet_preimage(self, U, phi, V):
         """U n phi^{-1}(V), the cotrajectory step U_{-n-1} = U n phi^{-1}(U_{-n});
         equal to ``intersect(U, preimage(phi, V))``, in one step where the
@@ -102,12 +103,14 @@ class Backend(Protocol):
         """The system (H, phi|_H) itself; ``UnsupportedSubgroupError`` when
         phi does not carry H into itself or the backend cannot model H."""
 
-    # dynamics hooks, called by ``cotraj`` and ``dynamics``; the two limits
-    # return ``limit_chain``'s (handle, method, steps, certificate)
-    def plus_group_impl(self, phi, U) -> tuple:
-        """U_+, the limit of U_{n+1} = U n phi(U_n)."""
-    def minus_group_impl(self, phi, U) -> tuple:
-        """U_-, the limit of U_{-n-1} = U n phi^{-1}(U_{-n})."""
+    # dynamics hooks, called by ``cotraj`` and ``dynamics``
+    def limit_route(self, phi, U, forward) -> tuple:
+        """(step bound, closed form or None) of the limit that ``cotraj.limit``
+        takes from U: U_+ of U_{n+1} = U n phi(U_n) (``forward``) or U_- of
+        U_{-n-1} = U n phi^{-1}(U_{-n}).  The literal chain takes at most the
+        bound's steps; when none is a fixpoint, ``closed_form(chain)`` gives
+        (handle, steps, certificate), and None says the chain always stops.
+        A product gives none: ``cotraj`` pairs its factor systems' limits."""
     def alpha_stabilization(self, phi, U, minus_handles, alphas) -> tuple:
         """(certified plateau start or None, certificate) of the alpha table."""
     def plus_plus_closure(self, phi, u_plus, last, tidy_probe) -> tuple:
@@ -222,11 +225,11 @@ def record(cls):
 class TdlcSystem:
     """A concretely represented group together with a continuous endomorphism.
 
-    The system owns the cache behind ``memo``: derived quantities (backend
-    limits, forward cores, tidy transforms, entropy, scale) are computed once
-    per system and live exactly as long as it does; chains (the cotrajectory
-    and the image chain) are cached as prefixes that grow on demand
-    (``memo_prefix``).  The cache takes no part in equality.
+    The system owns the cache behind ``memo``: derived quantities (the
+    limits U_+ and U_-, forward cores, tidy transforms, entropy, scale) are
+    computed once per system and live exactly as long as it does; chains
+    (the cotrajectory and the image chain) are cached as prefixes that grow
+    on demand (``memo_prefix``).  The cache takes no part in equality.
     """
 
     model: Backend
@@ -261,14 +264,6 @@ class TdlcSystem:
             seq = extend(seq)
             self._cache[key] = seq, len(seq) < length
         return seq[:length]
-
-    def limit(self, forward: bool, phi, U) -> tuple:
-        """The model's U_+ (``forward``) or U_- hook at (phi, U), computed
-        once per system.  The key holds ``phi``, so a product reads its
-        factor limits at the parts of any of its endomorphisms from the
-        factor systems."""
-        hook = self.model.plus_group_impl if forward else self.model.minus_group_impl
-        return self.memo(("limit", forward, phi, U), hook, phi, U)
 
 
 @record
@@ -321,26 +316,6 @@ def chain_fixpoint(step: Callable, start, max_steps: int):
             return n, chain
         chain.append(nxt)
     return None, chain
-
-
-def limit_chain(model, phi, U, forward: bool, max_steps: int, closed_form: Callable):
-    """The limit of h -> U n phi(h) (``forward``, U_+) or h -> U n phi^{-1}(h)
-    (U_-) from U, as (handle, method, steps, certificate).
-
-    At a fixpoint within ``max_steps`` steps the method is "fixpoint".
-    Otherwise ``closed_form(chain)`` solves the limit as (handle, steps,
-    certificate), the method is "structural", and the handle must lie in
-    every computed iterate.  The chain decreases (its first step lands in U
-    and the step is monotone), so the last iterate is the one to check.
-    """
-    move = model.image if forward else model.preimage
-    n, chain = chain_fixpoint(lambda h: model.intersect(U, move(phi, h)), U, max_steps)
-    if n is not None:
-        return chain[n], "fixpoint", n, {"fixpoint_at": n}
-    handle, steps, certificate = closed_form(chain)
-    if not model.contains(chain[-1], handle):
-        raise InvariantViolation("closed-form limit escaped an iterate")
-    return handle, "structural", steps, certificate
 
 
 def cotrajectory_fixpoint(minus_handles, alphas):

@@ -10,21 +10,25 @@ forward core U_+.  This module computes all of these with per-backend
 stabilization certificates and never reports a value from an uncertified
 plateau.
 
-The forward-core route (``plus_group``, ``minus_group``, ``is_tidy_above``,
-``tidy_above_transform``) is cached on the system, and so are two chains,
-each a prefix that grows when a longer one is asked for: the cotrajectory
-U_0, ..., U_{-n} of ``minus_chain``, each step one ``meet_preimage``, and
-the image chain V, phi(V), ... of ``image_chain``, which ends at its first
-fixed image.  A product system reads both chains from its factor systems
-(``_cached_chain``), so a chain that a factor system holds is never built
-again.  The cotrajectory table (``alpha_sequence``, read by
-``htop_limit_estimate``) is cached per (U, n_max).  The limit route must
-stay independent of the forward core, because their agreement is the
-library's central cross-check; it does, since the cotrajectory is built
-from U by ``meet_preimage`` steps alone and never reads U_+ or U_-.  Only
-the forward chain U_n (``plus_chain``), which serves the forward/backward
-identities that ``verify`` checks, is not cached; it hands back the images
-phi(U_n) it took.
+Both limits, U_+ and U_-, come from one routine, ``limit``: it runs the
+literal chain up to the backend's step bound and asks the backend's closed
+form past it (``limit_route``), and it pairs a product's limits from its
+factor systems.  It and the forward-core route (``plus_group``,
+``minus_group``, ``is_tidy_above``, ``tidy_above_transform``) are cached on
+the system, and so are two chains, each a prefix that grows when a longer
+one is asked for: the cotrajectory U_0, ..., U_{-n} of ``minus_chain``,
+each step one ``meet_preimage``, and the image chain V, phi(V), ... of
+``image_chain``, which ends at its first fixed image.  A product system
+reads both chains from its factor systems (``_cached_chain``), so a chain
+that a factor system holds is never built again.  The cotrajectory table
+(``alpha_sequence``, read by ``htop_limit_estimate``) is cached per
+(U, n_max).  The limit route must stay independent of the forward core,
+because their agreement is the library's central cross-check; it does,
+since the cotrajectory is built from U by ``meet_preimage`` steps alone and
+never reads U_+ or U_-.  Only the forward chain U_n (``plus_chain``), which
+serves the forward/backward identities that ``verify`` checks, is not
+cached; it stops at its first fixed U_n and hands back the images phi(U_n)
+it took.
 
 Tidiness below reads the increasing image chain U_+ <= phi(U_+) <= ... of
 ``image_chain``, whose first step ``plus_group`` has already taken for its
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import InvariantViolation, TdlcSystem, UnresolvedError, record
+from .core import InvariantViolation, TdlcSystem, UnresolvedError, chain_fixpoint, record
 from .exact import ExactEntropy, IndexValue, entropy_from_index
 
 DEFAULT_N_MAX = 64
@@ -98,6 +102,11 @@ class TidyBelowResult:
     certificate: dict
 
 
+def _factor_parts(sys: TdlcSystem, U):
+    """(factor system, part of U) for each factor of a product system."""
+    return zip(sys.model.factor_systems(sys.endo), U.parts)
+
+
 def _cached_chain(sys: TdlcSystem, key: str, grow, U, n: int) -> tuple:
     """The first n + 1 entries of the chain ``key`` from U, or all of them
     when it ends sooner, cached on the system as one growing prefix.
@@ -111,8 +120,7 @@ def _cached_chain(sys: TdlcSystem, key: str, grow, U, n: int) -> tuple:
     model = sys.model
     if model.kind == "product":
         def extend(cached):
-            parts = [_cached_chain(s, key, grow, u, n)
-                     for s, u in zip(model.factor_systems(sys.endo), U.parts)]
+            parts = [_cached_chain(s, key, grow, u, n) for s, u in _factor_parts(sys, U)]
             return cached + tuple(model.pair(*(p[min(i, len(p) - 1)] for p in parts))
                                   for i in range(len(cached), max(map(len, parts))))
     else:
@@ -157,11 +165,15 @@ def image_chain(sys: TdlcSystem, V, n: int) -> tuple:
 
 def plus_chain(sys: TdlcSystem, U, n: int) -> tuple:
     """(U_0, ..., U_n) and the images (phi(U_0), ..., phi(U_{n-1})) that
-    built them: U_{j+1} = U n phi(U_j)."""
+    built them: U_{j+1} = U n phi(U_j).  The chain stops at its first fixed
+    U_j and repeats it and its image up to n, without imaging it again."""
     chain, images = [U], []
     while len(chain) <= n:
         images.append(sys.model.image(sys.endo, chain[-1]))
         chain.append(sys.model.intersect(U, images[-1]))
+        if chain[-1] == chain[-2]:
+            pad = n + 1 - len(chain)
+            return chain + chain[-1:] * pad, images + images[-1:] * pad
     return chain, images
 
 
@@ -217,13 +229,49 @@ def _alpha_sequence(sys: TdlcSystem, U, n_max: int) -> CotrajectoryTable:
     return CotrajectoryTable(subgroup=U, rows=rows, n_star=n_star, certificate=certificate)
 
 
+def limit(sys: TdlcSystem, U, forward: bool) -> tuple:
+    """U_+ (``forward``), the limit of U_{n+1} = U n phi(U_n), or U_-, the
+    limit of U_{-n-1} = U n phi^{-1}(U_{-n}), as (handle, method, steps,
+    certificate), computed once per system.
+
+    The literal chain from U runs for at most the backend's step bound
+    (``limit_route``); at a fixpoint the method is "fixpoint".  Otherwise the
+    backend's closed form solves the limit, the method is "structural", and
+    the handle must lie in the last iterate: the chain decreases (its first
+    step lands in U and the step is monotone), so it then lies in every one.
+    A product pairs its factor systems' limits; it is a fixpoint only when
+    each factor's is.
+    """
+    return sys.memo(("limit", forward, U), _limit, sys, U, forward)
+
+
+def _limit(sys: TdlcSystem, U, forward: bool) -> tuple:
+    model, phi = sys.model, sys.endo
+    if model.kind == "product":
+        handles, methods, steps, certs = zip(*(limit(s, u, forward)
+                                               for s, u in _factor_parts(sys, U)))
+        method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
+        return model.pair(*handles), method, max(steps), {"factors": list(certs)}
+    max_steps, closed_form = model.limit_route(phi, U, forward)
+    move = model.image if forward else model.preimage
+    n, chain = chain_fixpoint(lambda h: model.intersect(U, move(phi, h)), U, max_steps)
+    if n is not None:
+        return chain[n], "fixpoint", n, {"fixpoint_at": n}
+    if closed_form is None:
+        raise InvariantViolation("a limit chain did not stop within its step bound")
+    handle, steps, certificate = closed_form(chain)
+    if not model.contains(chain[-1], handle):
+        raise InvariantViolation("closed-form limit escaped an iterate")
+    return handle, "structural", steps, certificate
+
+
 def plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
     """The forward core U_+ = the intersection of all U_n, exactly."""
     return sys.memo(("plus_group", U), _plus_group, sys, U)
 
 
 def _plus_group(sys: TdlcSystem, U) -> PlusGroupResult:
-    handle, method, steps, certificate = sys.limit(True, sys.endo, U)
+    handle, method, steps, certificate = limit(sys, U, True)
     img = image_chain(sys, handle, 1)[-1]
     if sys.model.intersect(U, img) != handle:
         raise InvariantViolation("U_+ is not a fixed point of U n phi(.)")
@@ -240,7 +288,7 @@ def minus_group(sys: TdlcSystem, U):
 
 
 def _minus_group(sys: TdlcSystem, U):
-    handle, *_ = sys.limit(False, sys.endo, U)
+    handle, *_ = limit(sys, U, False)
     check = sys.model.intersect(U, sys.model.preimage(sys.endo, handle))
     if check != handle:
         raise InvariantViolation("U_- is not a fixed point of U n phi^{-1}(.)")

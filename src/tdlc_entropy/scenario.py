@@ -500,10 +500,18 @@ _CSV_COLUMNS = {
 }
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with each quote doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_csv(report: dict) -> str:
     """Flat rows: scenario id, quantity, alpha, infinite?, certified?."""
     lines = ["scenario,quantity,alpha,infinite,certified"]
-    name = report["scenario"].get("name", "")
+    name = _csv_field(report["scenario"].get("name", ""))
     for entry in report.get("results", []):
         kind = entry["check"]["type"]
         res = entry.get("result", {})

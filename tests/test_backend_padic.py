@@ -38,6 +38,11 @@ from tdlc_entropy.exact import INFINITE_INDEX, IndexValue
 F = Fraction
 
 
+def limit(model, phi, U, forward=True):
+    """``cotraj.limit`` at (phi, U) on a new system, so nothing is read from a cache."""
+    return cotraj.limit(TdlcSystem(model, phi), U, forward)
+
+
 @pytest.fixture
 def q2():
     return PadicModel(2, 1)
@@ -270,7 +275,7 @@ def test_endo_computes_its_spectral_data_once(monkeypatch):
     for _ in range(3):
         phi.newton_polygon
         m.scale_candidates(phi)
-        m.plus_group_impl(phi, m.full_lattice())
+        limit(m, phi, m.full_lattice())
     assert sorted(calls) == ["_rational_factor_list", "charpoly", "det"]
     twin = m.endo([[2, 0], [0, F(1, 2)]])
     assert twin == phi and hash(twin) == hash(phi) and twin.newton_polygon == phi.newton_polygon
@@ -280,16 +285,16 @@ def test_plus_group_fixpoint_and_structural():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
     u = q2.full_lattice()
-    handle, method, steps, cert = q2.plus_group_impl(half, u)
+    handle, method, steps, cert = limit(q2, half, u)
     assert handle == u and method == "fixpoint"
 
     double = q2.endo([[2]])
-    handle, method, steps, cert = q2.plus_group_impl(double, u)
+    handle, method, steps, cert = limit(q2, double, u)
     assert handle == q2.trivial_subgroup() and method == "structural"
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    handle, method, steps, cert = m.plus_group_impl(mixed, m.full_lattice())
+    handle, method, steps, cert = limit(m, mixed, m.full_lattice())
     assert handle == m.lattice([[0, 1]])
     assert method == "structural"
 
@@ -297,16 +302,16 @@ def test_plus_group_fixpoint_and_structural():
 def test_minus_group_examples():
     q2 = PadicModel(2, 1)
     half = q2.endo([[F(1, 2)]])
-    handle, method, _, _ = q2.minus_group_impl(half, q2.full_lattice())
+    handle, method, _, _ = limit(q2, half, q2.full_lattice(), False)
     assert handle == q2.trivial_subgroup() and method == "structural"
 
     ident = q2.identity_endo()
-    handle, method, _, _ = q2.minus_group_impl(ident, q2.full_lattice())
+    handle, method, _, _ = limit(q2, ident, q2.full_lattice(), False)
     assert handle == q2.full_lattice() and method == "fixpoint"
 
     m = PadicModel(2, 2)
     mixed = m.endo([[2, 0], [0, F(1, 2)]])
-    handle, method, _, _ = m.minus_group_impl(mixed, m.full_lattice())
+    handle, method, _, _ = limit(m, mixed, m.full_lattice(), False)
     assert handle == m.lattice([[1, 0]]) and method == "structural"
 
 
@@ -325,7 +330,7 @@ class FullChainModel(PadicModel):
 def _forward_core(model, matrix, make_u):
     """U_+ of make_u(model) as (subspace, module, method), or "unresolved"."""
     try:
-        handle, method, _, _ = model.plus_group_impl(model.endo(matrix), make_u(model))
+        handle, method, _, _ = limit(model, model.endo(matrix), make_u(model))
     except UnresolvedError:
         return "unresolved"
     return handle.subspace, handle.module, method
@@ -373,13 +378,14 @@ def test_chain_skip_agrees_on_singular_and_mixed_maps(p, matrix):
 
 
 def closed_forms_agree_with_fixpoints(module, model, phi, U):
-    """Where a limit hook's literal chain reaches a fixpoint, its closed form,
+    """Where a limit's literal chain reaches a fixpoint, its closed form,
     forced by a ``CHAIN_STEP_CAP`` of 0, gives the same subgroup.  Returns the
-    hooks compared; a closed form that is unresolved is not compared."""
+    directions compared, True for U_+; a closed form that is unresolved is not
+    compared."""
     compared = []
-    for hook in ("plus_group_impl", "minus_group_impl"):
+    for forward in (True, False):
         try:
-            handle, method, _, _ = getattr(model, hook)(phi, U)
+            handle, method, _, _ = limit(model, phi, U, forward)
         except UnresolvedError:
             continue
         if method != "fixpoint":
@@ -387,11 +393,11 @@ def closed_forms_agree_with_fixpoints(module, model, phi, U):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, "CHAIN_STEP_CAP", 0)
             try:
-                forced, method, _, _ = getattr(model, hook)(phi, U)
+                forced, method, _, _ = limit(model, phi, U, forward)
             except UnresolvedError:
                 continue
-        assert (forced, method) == (handle, "structural"), hook
-        compared.append(hook)
+        assert (forced, method) == (handle, "structural"), forward
+        compared.append(forward)
     return compared
 
 
@@ -439,7 +445,7 @@ def test_plus_plus_closure_expanding():
 def test_plus_plus_mixed_unit_directions():
     m = PadicModel(2, 2)
     phi = m.endo([[1, 0], [0, F(1, 2)]])
-    u_plus, *_ = m.plus_group_impl(phi, m.full_lattice())
+    u_plus, *_ = limit(m, phi, m.full_lattice())
     assert u_plus == m.full_lattice()
     # Z_2 x Q_2: frozen unit axis plus a filled expanding axis
     last = m.image(m.endo_power(phi, 9), u_plus)

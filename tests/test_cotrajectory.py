@@ -355,7 +355,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_plus_group_is_computed_once_per_system(monkeypatch):
     sys = q2_half()
-    calls = count_calls(monkeypatch, sys.model, "plus_group_impl")
+    calls = count_calls(monkeypatch, sys.model, "limit_route")
     u = sys.model.full_lattice()
     first = cotraj.plus_group(sys, u)
     assert cotraj.plus_group(sys, u) is first
@@ -365,7 +365,7 @@ def test_plus_group_is_computed_once_per_system(monkeypatch):
 def test_systems_built_from_one_scenario_share_no_entries(monkeypatch):
     data = load_scenario_file(os.path.join(SCENARIOS, "q2_half.json"))
     first, second = build_system(data), build_system(data)
-    calls = count_calls(monkeypatch, PadicModel, "plus_group_impl")
+    calls = count_calls(monkeypatch, PadicModel, "limit_route")
     cotraj.plus_group(first, first.model.full_lattice())
     assert second._cache == {}
     cotraj.plus_group(second, second.model.full_lattice())
@@ -385,7 +385,7 @@ def test_unresolved_is_raised_again_not_cached(monkeypatch):
     # companion matrix of x^2 + x/2 + 3: root valuations +1 and -1, U_+ unresolved
     m = PadicModel(2, 2)
     sys = TdlcSystem(m, m.endo([[0, -3], [1, F(-1, 2)]]), name="mixed_slope")
-    calls = count_calls(monkeypatch, m, "plus_group_impl")
+    calls = count_calls(monkeypatch, m, "limit_route")
     for _ in range(2):
         with pytest.raises(UnresolvedError):
             cotraj.plus_group(sys, m.full_lattice())
@@ -506,21 +506,21 @@ def test_product_image_chain_pads_a_factor_fixed_at_step_0():
 
 
 def _uncached_product_limit(systems, forward, phi, U):
-    """A product limit from the factor hooks themselves, as the product
-    model combines them."""
+    """A product limit from the factor limits on new factor systems, as
+    ``cotraj.limit`` pairs them."""
     handles, methods, steps = zip(*(
-        (s.model.plus_group_impl if forward else s.model.minus_group_impl)(p, u)[:3]
+        cotraj.limit(TdlcSystem(s.model, p), u, forward)[:3]
         for s, p, u in zip(systems, phi.parts, U.parts)))
     method = "fixpoint" if set(methods) == {"fixpoint"} else "structural"
     return handles, method, max(steps)
 
 
 def _assert_product_limits_match(prod, systems, phi, probe):
+    at_phi = prod if phi == prod.endo else TdlcSystem(prod.model, phi)
     for k in range(probe + 1):
         U = prod.model.base_element(k)
         for forward in (True, False):
-            hook = prod.model.plus_group_impl if forward else prod.model.minus_group_impl
-            handle, method, steps, _ = hook(phi, U)
+            handle, method, steps, _ = cotraj.limit(at_phi, U, forward)
             fresh = _uncached_product_limit(systems, forward, phi, U)
             assert (handle.parts, method, steps) == fresh
 
@@ -529,8 +529,8 @@ def _assert_product_limits_match(prod, systems, phi, probe):
                          ids=[f"{a}*{b}" for a, b in verify.PRODUCT_PAIRS])
 def test_product_limits_read_the_factor_caches(monkeypatch, a, b):
     """Once ``plus_group`` and ``minus_group`` ran on the factor systems, the
-    product's U_+ and U_- call no factor hook and equal what the uncached
-    hooks give."""
+    product's U_+ and U_- ask no factor model for its limit route and equal
+    the limits on new factor systems."""
     systems = [build_system(find_scenario(n)) for n in (a, b)]
     if a == b:
         systems[1] = systems[0]
@@ -539,21 +539,21 @@ def test_product_limits_read_the_factor_caches(monkeypatch, a, b):
         for k in range(4):
             cotraj.plus_group(sys, sys.model.base_element(k))
             cotraj.minus_group(sys, sys.model.base_element(k))
-    calls = [count_calls(monkeypatch, sys.model, hook)
-             for sys in systems for hook in ("plus_group_impl", "minus_group_impl")]
+    calls = [count_calls(monkeypatch, sys.model, "limit_route") for sys in systems]
     for k in range(4):
         U = prod.model.base_element(k)
-        prod.model.plus_group_impl(prod.endo, U)
-        prod.model.minus_group_impl(prod.endo, U)
+        cotraj.limit(prod, U, True)
+        cotraj.limit(prod, U, False)
     assert all(not c for c in calls)
     monkeypatch.undo()
     _assert_product_limits_match(prod, systems, prod.endo, 3)
 
 
 def test_product_limits_at_powers_of_phi():
-    """The factor cache is keyed by the factor endomorphism, so the limits
-    at phi^2 of a product, and those of a product of squares, are the
-    uncached factor hooks' even after the limits at phi are cached."""
+    """A power of a product's endomorphism reads its factor limits from new
+    factor systems (``factor_systems``), so the limits at phi^2 of a
+    product, and those of a product of squares, are the factor limits at
+    the squares even after the limits at phi are cached."""
     systems = [build_system(find_scenario(n)) for n in ("q2_half", "shift_z2_compact")]
     prod = make_product(*systems)
     _assert_product_limits_match(prod, systems, prod.endo, 2)
@@ -562,6 +562,35 @@ def test_product_limits_at_powers_of_phi():
     squares = [TdlcSystem(s.model, s.model.endo_power(s.endo, 2)) for s in systems]
     power_prod = make_product(*squares)
     _assert_product_limits_match(power_prod, squares, power_prod.endo, 2)
+
+
+# sha256 of every limit's handle, method, steps and certificate below
+LIMIT_FIELDS_SHA256 = "a5770aa232f3906990b103ec527ff75079169348bf74fff71d4ac84b7463e369"
+
+
+def test_limit_fields_are_pinned():
+    """U_+ and U_- of base elements 0-3 on the 20 catalog systems and the
+    shipped scenarios: ``describe()``, method, steps and certificate, which
+    no report emits, hashed into one pin; a limit that raises
+    ``UnresolvedError`` is hashed as its message."""
+    datas = list(catalog_scenarios()) + [
+        load_scenario_file(os.path.join(SCENARIOS, name))
+        for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".json")]
+    assert len(datas) == 32
+    digest = hashlib.sha256()
+    for data in datas:
+        sys = build_system(data)
+        for k in range(4):
+            u = sys.model.base_element(k)
+            for forward in (True, False):
+                try:
+                    handle, method, steps, cert = cotraj.limit(sys, u, forward)
+                    cert = json.dumps(cert, sort_keys=True)
+                    line = f"{handle.describe()}|{method}|{steps}|{cert}"
+                except UnresolvedError as exc:
+                    line = str(exc)
+                digest.update(f"{data['name']}|{k}|{forward}|{line}\n".encode())
+    assert digest.hexdigest() == LIMIT_FIELDS_SHA256
 
 
 def test_product_plateau_is_the_latest_factor_plateau():
@@ -577,14 +606,14 @@ def test_product_plateau_is_the_latest_factor_plateau():
 
 def test_report_forward_core_op_counts(monkeypatch):
     """Op-count gate: one report computes each forward core once per key."""
-    plus = count_calls(monkeypatch, PadicModel, "plus_group_impl")
-    minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
+    routes = count_calls(monkeypatch, PadicModel, "limit_route")
     path = os.path.join(SCENARIOS, "q2_half.json")
     with redirect_stdout(io.StringIO()):
         code = cli.main(["report", path, "--probe", "3", "--tidy-probe", "4",
                          "--resolution", "4"])
     assert code == cli.EXIT_OK
-    assert (len(plus), len(minus)) == (19, 4)
+    forward = [args[-1] for args in routes]
+    assert (forward.count(True), forward.count(False)) == (19, 4)
 
 
 def test_entropy_builds_each_probed_base_element_once(monkeypatch):
@@ -709,7 +738,7 @@ def test_report_op_counts_with_and_without_chain_skip(monkeypatch, tmp_path, ent
 
 
 def test_verify_all_op_counts(monkeypatch):
-    """Op-count gate, as (p-adic ``minus_group_impl``, rref, zp_column_hnf)
+    """Op-count gate, as (p-adic U_- ``limit_route``, rref, zp_column_hnf)
     over one ``verify all``.  While products called their factor hooks
     again, each reader rebuilt its backward chain and the forward/backward
     identities took a power of phi for every (n, k), the run made (79,
@@ -721,23 +750,27 @@ def test_verify_all_op_counts(monkeypatch):
     cotrajectory step took a preimage and then an intersection and the
     index exchange imaged each U_n again, (45, 11516, 19032); while the
     catalog's products built their own factor systems instead of reading
-    the standalone q2_half and laurent_z3 systems, (45, 10546, 17414)."""
+    the standalone q2_half and laurent_z3 systems, (45, 10546, 17414); while
+    ``plus_chain`` imaged and intersected past its first fixed U_n, (35,
+    9040, 14446)."""
     rrefs, hnfs = count_eliminations(monkeypatch)
-    minus = count_calls(monkeypatch, PadicModel, "minus_group_impl")
+    routes = count_calls(monkeypatch, PadicModel, "limit_route")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert (len(minus), len(rrefs), len(hnfs)) == (35, 9040, 14446)
+    minus = [args for args in routes if not args[-1]]
+    assert (len(minus), len(rrefs), len(hnfs)) == (35, 8771, 14065)
 
 
 def test_verify_all_images_each_forward_step_once(monkeypatch):
     """Op-count gate: the index exchange of the forward/backward identities
-    reads phi(U_n) from ``plus_chain``, which took it to build U_{n+1}.
-    While it imaged each U_n again, one ``verify all`` made 1,546 p-adic
-    images."""
+    reads phi(U_n) from ``plus_chain``, which took it to build U_{n+1} and
+    takes none past the first fixed U_n.  While it imaged each U_n again,
+    one ``verify all`` made 1,546 p-adic images; while ``plus_chain`` imaged
+    the fixed U_n again up to its depth, 1,332."""
     images = count_calls(monkeypatch, PadicModel, "image")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all"]) == cli.EXIT_OK
-    assert len(images) <= 1386
+    assert len(images) <= 1205
 
 
 def test_alpha_sequence_takes_no_image_and_no_determinant(monkeypatch):
@@ -800,7 +833,8 @@ def test_forward_chain_skipped_when_no_fixpoint_exists(monkeypatch):
     takes no step on the outer model."""
     m = PadicModel(2, 1)
     images = count_calls(monkeypatch, m, "image")
-    handle, method, steps, cert = m.plus_group_impl(m.endo([[2]]), m.full_lattice())
+    sys = TdlcSystem(m, m.endo([[2]]))
+    handle, method, steps, cert = cotraj.limit(sys, m.full_lattice(), True)
     assert (handle, method, steps) == (m.trivial_subgroup(), "structural", 1)
     assert "chain_skipped" in cert
     assert len(images) == 0
@@ -810,7 +844,8 @@ def test_singular_contracting_map_still_iterates(monkeypatch):
     """A singular phi keeps the forward chain: the skip needs phi invertible."""
     m = PadicModel(2, 2)
     images = count_calls(monkeypatch, m, "image")
-    handle, method, steps, cert = m.plus_group_impl(m.endo([[2, 0], [0, 0]]), m.full_lattice())
+    sys = TdlcSystem(m, m.endo([[2, 0], [0, 0]]))
+    handle, method, steps, cert = cotraj.limit(sys, m.full_lattice(), True)
     assert (handle, method) == (m.trivial_subgroup(), "structural")
     assert "chain_skipped" not in cert
     assert len(images) == padic.CHAIN_STEP_CAP

@@ -3,12 +3,14 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc_entropy import cotraj, dynamics
 from tdlc_entropy.backends.catalog import catalog_scenarios, find_scenario
-from tdlc_entropy.backends.finite import cyclic_group, symmetric_group
+from tdlc_entropy.backends.finite import NAMED_GROUPS, cyclic_group, symmetric_group
 from tdlc_entropy.backends.padic import PadicModel
 from tdlc_entropy.backends.product import make_product
 from tdlc_entropy.backends.shift import TAIL_MODES, ShiftProfileModel, cyclic_alphabet, matrix_hom
@@ -355,24 +357,21 @@ def _power_laws_proved(name: str, sys: TdlcSystem) -> bool:
     return injective or sys.model.full_group().is_compact or name == "padic_singular"
 
 
-@pytest.mark.parametrize("name", [s["name"] for s in catalog_scenarios()])
-def test_power_laws_on_the_catalog(name):
+def _check_power_laws(sys: TdlcSystem, proved: bool):
     """(G, phi^n) against (G, phi) for n = 2, 3, at probe 3 and tidy probe 4:
 
     - certified entropies have alpha(phi^n) = alpha(phi)^n, that is
       h_top(phi^n) = n h_top(phi) (Bowen, Trans. AMS 153, 1971);
-    - s(phi^n) = s(phi)^n;
+    - s(phi^n) = s(phi)^n, when ``proved``;
     - a scale witness W of phi that is tidy above and below has
       d(phi^n, W) = d(phi, W)^n, where d(psi, W) = [psi(W) : psi(W) n W]
-      (Moller, Canad. J. Math. 54, 2002).
+      (Moller, Canad. J. Math. 54, 2002), when ``proved``.
     """
-    sys = build_system(find_scenario(name))
     model = sys.model
     entropy = dynamics.topological_entropy(sys, 3)
     scale = dynamics.scale(sys, 3, 4)
     witness = scale.witness
     tidy = scale.witness_tidy_above and scale.witness_tidy_below
-    proved = _power_laws_proved(name, sys)
     for n in (2, 3):
         power = TdlcSystem(model, model.endo_power(sys.endo, n))
         entropy_n = dynamics.topological_entropy(power, 3)
@@ -384,8 +383,53 @@ def test_power_laws_on_the_catalog(name):
             if tidy:
                 assert cotraj.displacement_index(power, witness).value == (
                     cotraj.displacement_index(sys, witness).value ** n)
+
+
+@pytest.mark.parametrize("name", [s["name"] for s in catalog_scenarios()])
+def test_power_laws_on_the_catalog(name):
+    """The power laws of ``_check_power_laws`` on each catalog system."""
+    sys = build_system(find_scenario(name))
+    proved = _power_laws_proved(name, sys)
+    _check_power_laws(sys, proved)
     if not proved:
         pytest.skip("the power laws are not proved for this non-injective endomorphism")
+
+
+@functools.cache
+def _named_group(name):
+    return NAMED_GROUPS[name]()
+
+
+@functools.cache
+def _shift_model(orders, tail_mode):
+    return ShiftProfileModel(cyclic_alphabet(orders), tail_mode)
+
+
+@st.composite
+def power_law_systems(draw, products=True):
+    """A finite system (a named group with any endomorphism), a shift system
+    (an alphabet of order <= 8, any tail mode, k in -2..2 and any sigma) or,
+    when ``products``, the product of two such draws."""
+    kind = draw(st.sampled_from(("finite", "shift", "product")[:3 if products else 2]))
+    if kind == "product":
+        return make_product(draw(power_law_systems(False)), draw(power_law_systems(False)))
+    if kind == "finite":
+        model = _named_group(draw(st.sampled_from(sorted(NAMED_GROUPS))))
+        return TdlcSystem(model, draw(st.sampled_from(model.endomorphisms())))
+    orders = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)
+                  .filter(lambda o: prod(o) <= 8))
+    model = _shift_model(tuple(orders), draw(st.sampled_from(TAIL_MODES)))
+    sigma = draw(st.sampled_from(model.alphabet.group.endomorphisms()))
+    return TdlcSystem(model, model.endo(draw(st.integers(-2, 2)), sigma))
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_law_systems())
+def test_power_laws_on_random_systems(sys):
+    """The power laws of ``_check_power_laws`` on random finite, shift and
+    product systems, the scale law and Moller's law where
+    ``_power_laws_proved`` proves them."""
+    _check_power_laws(sys, _power_laws_proved("", sys))
 
 
 # ROADMAP item 1: p-adic inputs whose characteristic polynomial does not

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import csv
 import inspect
 import io
 import json
@@ -150,6 +151,19 @@ def test_cli_report_csv(tmp_path):
     code, out = run_cli(["report", str(good), "--probe", "3", "--format", "csv"])
     assert code == cli.EXIT_OK
     assert out.splitlines()[0] == "scenario,quantity,alpha,infinite,certified"
+
+
+def test_cli_report_csv_quotes_the_scenario_name(tmp_path):
+    """A name with a comma, quotes and a line break is one quoted field
+    (RFC 4180): every row reads back as 5 fields, the name intact."""
+    name = 'q2,"half"\nsecond line'
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(find_scenario("q2_half"), name=name)))
+    code, out = run_cli(["report", str(path), "--probe", "3", "--format", "csv"])
+    assert code == cli.EXIT_OK
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["scenario", "quantity", "alpha", "infinite", "certified"]
+    assert rows and all(len(row) == 5 and row[0] == name for row in rows)
 
 
 def test_cli_out_file(tmp_path):
